@@ -11,7 +11,7 @@ from stabtree import (
     normal_initial_configuration,
     root_distances,
     run,
-    synchronous_daemon,
+    SynchronousDaemon,
 )
 
 
@@ -25,12 +25,12 @@ def show(config, label):
 def main():
     # r(0) --1-- a(1) --2-- b(2), plus a shortcut r --4-- b.
     g = build_graph([(0, 1, 1), (1, 2, 2), (0, 2, 4)], 3, 0)
-    print("true distances:", root_distances(g))
+    print("true distances:", list(root_distances(g)))
 
     config = normal_initial_configuration(g)
     show(config, "start")
 
-    trace = run(config, g, synchronous_daemon())
+    trace = run(config, g, SynchronousDaemon())
     for i, record in enumerate(trace.steps):
         fired = {u: r.value for u, r in record.fired.items()}
         print(f"step {i}: fired {fired}")

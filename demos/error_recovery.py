@@ -12,7 +12,7 @@ from stabtree import (
     ROOT_STATE,
     Status,
     build_graph,
-    central_daemon,
+    CentralDaemon,
     full_trace_report,
     run,
 )
@@ -29,7 +29,7 @@ def main():
         ProcessState(Status.C, 3, 2),
     )
 
-    trace = run(config, g, central_daemon(seed=7))
+    trace = run(config, g, CentralDaemon(seed=7))
     for i, record in enumerate(trace.steps):
         fired = {u: r.value for u, r in record.fired.items()}
         print(f"step {i}: {fired}")

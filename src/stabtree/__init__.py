@@ -20,23 +20,21 @@ from .engine import (
     Configuration,
     ExecutionTrace,
     StepRecord,
-    enabled_set,
-    is_terminal,
+    enabled,
     normal_initial_configuration,
     random_configuration,
     run,
     step,
 )
 from .daemon import (
+    AdversarialDaemon,
+    CentralDaemon,
     DaemonPolicy,
-    adversarial_daemon,
-    central_daemon,
+    RandomDistributedDaemon,
+    SynchronousDaemon,
     parse_daemon_spec,
-    random_distributed_daemon,
-    synchronous_daemon,
 )
 from .analysis import (
-    check_aar_monotone,
     check_bounds,
     check_round_milestones,
     count_rounds,

@@ -11,17 +11,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import protocol
-from .graph import (
-    INFINITY,
-    ComponentInfo,
-    WeightedGraph,
-    component_info,
-    root_distances,
-    root_hop_distances,
-)
+from .engine import enabled
+from .graph import INFINITY, WeightedGraph, component_info, root_distances, root_hop_distances
 from .protocol import ProcessState, Rule, Status
 
 
@@ -55,13 +49,13 @@ def round_bound(n_max_cc: int, hop_diameter: int) -> int:
     return 3 * n_max_cc + hop_diameter
 
 
-def step_bound_for(g: WeightedGraph, info: ComponentInfo | None = None) -> int:
-    info = info or component_info(g)
+def step_bound_for(g: WeightedGraph) -> int:
+    info = component_info(g)
     return step_bound(g.node_count, info.n_max_cc, info.w_max)
 
 
-def round_bound_for(g: WeightedGraph, info: ComponentInfo | None = None) -> int:
-    info = info or component_info(g)
+def round_bound_for(g: WeightedGraph) -> int:
+    info = component_info(g)
     return round_bound(info.n_max_cc, info.hop_diameter_root)
 
 
@@ -76,16 +70,12 @@ class LegitimacyReport:
 
 
 def legitimate_state(
-    config: Sequence[ProcessState],
-    g: WeightedGraph,
-    u: int,
-    distances: Sequence[int | float] | None = None,
+    config: Sequence[ProcessState], g: WeightedGraph, u: int
 ) -> tuple[bool, str | None]:
     """Verdict for one process, with the failing clause on rejection."""
-    if distances is None:
-        distances = root_distances(g)
     if u == g.root_id:
         return True, None
+    distances = root_distances(g)
     st, par, d = config[u]
     if distances[u] == INFINITY:
         if st is Status.I:
@@ -103,42 +93,41 @@ def legitimate_state(
     return True, None
 
 
-def legitimate_config(
-    config: Sequence[ProcessState],
-    g: WeightedGraph,
-    distances: Sequence[int | float] | None = None,
-) -> LegitimacyReport:
-    if distances is None:
-        distances = root_distances(g)
-    per_node = {
-        u: legitimate_state(config, g, u, distances) for u in range(g.node_count)
-    }
+def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> LegitimacyReport:
+    per_node = {u: legitimate_state(config, g, u) for u in range(g.node_count)}
     all_ok = all(ok for ok, _ in per_node.values())
     spanning_ok: bool | None = None
     if all_ok:
-        spanning_ok = _spanning_tree_ok(config, g, distances)
+        spanning_ok = _spanning_tree_ok(config, g)
     return LegitimacyReport(per_node, all_ok, spanning_ok)
 
 
-def _spanning_tree_ok(config, g, distances) -> bool:
+def _spanning_tree_ok(config, g: WeightedGraph) -> bool:
     # Parent edges over the root's component must chain every node to the
-    # root with total weight equal to its true distance.
+    # root with total weight equal to its true distance. Chain weights are
+    # memoised, so every parent edge is walked once.
+    distances = root_distances(g)
+    chain = {g.root_id: 0}
     for u in range(g.node_count):
-        if u == g.root_id or distances[u] == INFINITY:
+        if distances[u] == INFINITY:
             continue
-        weight = 0
+        path: list[int] = []
+        onpath: set[int] = set()
         v = u
-        for _ in range(g.node_count):
-            if v == g.root_id:
-                break
+        while v not in chain:
+            if v in onpath:
+                return False  # the parent pointers close a cycle
             par = config[v].par
             if par not in g.adjacency[v]:
                 return False
-            weight += g.adjacency[v][par]
+            path.append(v)
+            onpath.add(v)
             v = par
-        else:
-            return False  # did not reach the root: cycle or stray chain
-        if weight != distances[u]:
+        weight = chain[v]
+        for v in reversed(path):
+            weight += g.adjacency[v][config[v].par]
+            chain[v] = weight
+        if chain[u] != distances[u]:
             return False
     return True
 
@@ -177,26 +166,28 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
             ab_roots[u] = config[u].status is not Status.EF
     depth: dict[int, int] = {}
     illegal = {u: False for u in range(g.node_count)}
-
-    def resolve(u: int, onpath: set[int]) -> tuple[int, bool]:
-        if u in depth:
-            return depth[u], illegal[u]
-        if u in onpath:
-            raise AnalysisError(f"cycle in children relation through node {u}")
-        if u == root or u in ab_roots:
-            depth[u] = 1
-            illegal[u] = u != root
-            return 1, illegal[u]
-        onpath.add(u)
-        d_par, ill = resolve(config[u].par, onpath)
-        onpath.discard(u)
-        depth[u] = d_par + 1
-        illegal[u] = ill
-        return depth[u], ill
-
     for u in range(g.node_count):
-        if u == root or config[u].status is not Status.I:
-            resolve(u, set())
+        if u != root and config[u].status is Status.I:
+            continue
+        # Walk up the parent chain to a resolved node or a branch root,
+        # then resolve the walked nodes top-down.
+        path: list[int] = []
+        onpath: set[int] = set()
+        v = u
+        while v not in depth:
+            if v in onpath:
+                raise AnalysisError(f"cycle in children relation through node {v}")
+            if v == root or v in ab_roots:
+                depth[v] = 1
+                illegal[v] = v != root
+                break
+            path.append(v)
+            onpath.add(v)
+            v = config[v].par
+        for w in reversed(path):
+            depth[w] = depth[v] + 1
+            illegal[w] = illegal[v]
+            v = w
     edges = []
     for u in range(g.node_count):
         if u != root and config[u].status is Status.I:
@@ -215,19 +206,6 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
 # --- rounds -----------------------------------------------------------------
 
 
-def _trace_configs(trace) -> list:
-    return trace.configs if hasattr(trace, "configs") else list(trace)
-
-
-def _enabled(config, g: WeightedGraph) -> frozenset[int]:
-    root = g.root_id
-    return frozenset(
-        u
-        for u in range(g.node_count)
-        if u != root and protocol.enabled_rule(config, g, u) is not None
-    )
-
-
 def round_boundaries(trace, g: WeightedGraph) -> list[int]:
     """Configuration indices at which each round closes.
 
@@ -240,7 +218,7 @@ def round_boundaries(trace, g: WeightedGraph) -> list[int]:
         if record.pre_enabled is None:
             raise MissingEnabledSetsError("trace lacks per-step enabled sets")
     post = [r.pre_enabled for r in trace.steps[1:]]
-    post.append(_enabled(trace.configs[-1], g))
+    post.append(frozenset(enabled(trace.configs[-1], g)))
     boundaries: list[int] = []
     pending = set(trace.steps[0].pre_enabled)
     for i, record in enumerate(trace.steps):
@@ -264,18 +242,6 @@ def count_rounds(trace, g: WeightedGraph) -> int:
 # --- trace properties -------------------------------------------------------
 
 
-def check_aar_monotone(trace, g: WeightedGraph) -> bool:
-    """No alive abnormal root is ever created along the trace."""
-    configs = _trace_configs(trace)
-    prev: frozenset[int] | None = None
-    for config in configs:
-        cur = alive_abnormal_roots(config, g)
-        if prev is not None and not cur <= prev:
-            return False
-        prev = cur
-    return True
-
-
 _RULE_CHAR = {Rule.R_I: "I", Rule.R_R: "R", Rule.R_C: "C", Rule.R_EB: "B", Rule.R_EF: "F"}
 _SEGMENT_RE = re.compile(r"I?R?C*B?F?")
 
@@ -285,20 +251,21 @@ class SegmentReport:
     per_node_ok: dict[int, bool]
     segment_counts: dict[int, int]
     ok: bool
+    aar_monotone: bool  # no step creates an alive abnormal root
 
 
-def segment_language_check(trace, g: WeightedGraph, info: ComponentInfo | None = None) -> SegmentReport:
+def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
     """Per node, split the trace into segments and match the rule pattern.
 
     A segment of a component ends at the first step where one of its alive
     abnormal roots stops being one; within a segment a node may fire at
     most: one isolate, one rejoin, any number of corrections, one freeze
     broadcast, one freeze acknowledgement, in that order. The number of
-    segments never exceeds n_max_cc + 1.
+    segments never exceeds n_max_cc + 1. The same series of alive abnormal
+    root sets also yields ``aar_monotone``.
     """
-    info = info or component_info(g)
-    configs = _trace_configs(trace)
-    aars = [alive_abnormal_roots(c, g) for c in configs]
+    info = component_info(g)
+    aars = [alive_abnormal_roots(c, g) for c in trace.configs]
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
     for nodes in info.components():
@@ -323,7 +290,8 @@ def segment_language_check(trace, g: WeightedGraph, info: ComponentInfo | None =
             )
             per_node_ok[u] = lang_ok and count_ok
             counts[u] = n_segments
-    return SegmentReport(per_node_ok, counts, all(per_node_ok.values()))
+    monotone = all(cur <= prev for prev, cur in zip(aars, aars[1:]))
+    return SegmentReport(per_node_ok, counts, all(per_node_ok.values()), monotone)
 
 
 @dataclass
@@ -348,10 +316,10 @@ class BoundReport:
         return self.round_limit - self.rounds
 
 
-def check_bounds(trace, g: WeightedGraph, info: ComponentInfo | None = None) -> BoundReport:
+def check_bounds(trace, g: WeightedGraph) -> BoundReport:
     if not trace.terminated:
         raise TraceNotTerminatedError("bound check requires a terminated trace")
-    info = info or component_info(g)
+    info = component_info(g)
     steps = trace.step_count
     rounds = count_rounds(trace, g)
     s_limit = step_bound(g.node_count, info.n_max_cc, info.w_max)
@@ -383,10 +351,10 @@ class MilestoneReport:
     ok: bool
 
 
-def check_round_milestones(trace, g: WeightedGraph, info: ComponentInfo | None = None) -> MilestoneReport:
+def check_round_milestones(trace, g: WeightedGraph) -> MilestoneReport:
     if not trace.terminated:
         raise TraceNotTerminatedError("milestone check requires a terminated trace")
-    info = info or component_info(g)
+    info = component_info(g)
     boundaries = round_boundaries(trace, g)
     distances = root_distances(g)
     hops = root_hop_distances(g)
@@ -405,12 +373,12 @@ def check_round_milestones(trace, g: WeightedGraph, info: ComponentInfo | None =
         if any(view.illegal_membership.values()):
             ok_cleared = False
         for u in range(g.node_count):
-            if distances[u] == INFINITY and not legitimate_state(config, g, u, distances)[0]:
+            if distances[u] == INFINITY and not legitimate_state(config, g, u)[0]:
                 ok_cleared = False
         budget = completed - 3 * nm
         for u in range(g.node_count):
             if hops[u] != INFINITY and hops[u] <= budget:
-                if not legitimate_state(config, g, u, distances)[0]:
+                if not legitimate_state(config, g, u)[0]:
                     ok_hop = False
     return MilestoneReport(
         no_status_c_in_illegal_ok=ok_c,
@@ -432,7 +400,6 @@ class CheckResult:
 
 def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
     """Every per-trace check, as a flat pass/fail list."""
-    info = component_info(g)
     results = [
         CheckResult("terminated", trace.terminated, f"steps={trace.step_count}")
     ]
@@ -443,7 +410,7 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
     ) or "spanning tree check failed"
     results.append(CheckResult("final_legitimate", trace.terminated and final_ok, detail))
     if trace.terminated:
-        bounds = check_bounds(trace, g, info)
+        bounds = check_bounds(trace, g)
         results.append(
             CheckResult(
                 "step_bound",
@@ -463,7 +430,7 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
                 f"rounds={bounds.rounds} limit={bounds.round_limit}",
             )
         )
-        milestones = check_round_milestones(trace, g, info)
+        milestones = check_round_milestones(trace, g)
         results.append(
             CheckResult(
                 "round_milestones",
@@ -476,8 +443,8 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
         results.append(CheckResult("step_bound", False, "NonTerminated"))
         results.append(CheckResult("round_bound", False, "NonTerminated"))
         results.append(CheckResult("round_milestones", False, "NonTerminated"))
-    results.append(CheckResult("aar_monotone", check_aar_monotone(trace, g)))
-    segments = segment_language_check(trace, g, info)
+    segments = segment_language_check(trace, g)
+    results.append(CheckResult("aar_monotone", segments.aar_monotone))
     results.append(
         CheckResult(
             "segment_language",

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import analysis, daemon as daemon_mod, engine, explorer
+from . import analysis, engine, explorer
 from .analysis import CheckResult
 from .daemon import DaemonSpecError, parse_daemon_spec
 from .engine import Configuration
@@ -101,7 +101,7 @@ def cmd_explore(args) -> int:
         result = explorer.certify_instance(g, args.dcap, limits)
     except explorer.BudgetExceededError as exc:
         print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        result = exc.partial
     print(
         f"verdict={result.verdict} initial_configs={result.initial_configs} "
         f"reachable={result.reachable_count} max_steps={result.max_steps_any_path} "
@@ -124,6 +124,8 @@ def cmd_explore(args) -> int:
                 )
                 + "\n"
             )
+    if result.verdict == "INCONCLUSIVE":
+        return EXIT_BUDGET
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
@@ -182,6 +184,7 @@ def bench_corpus(
         info = component_info(g)
         d_cap = max(1, info.w_max * g.node_count)
         init = engine.random_configuration(g, rng.randrange(2**32), d_cap)
+        step_limit, round_limit = analysis.step_bound_for(g), analysis.round_bound_for(g)
         for spec in daemons:
             policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
             trace = engine.run(init, g, policy)
@@ -195,8 +198,8 @@ def bench_corpus(
                     n=g.node_count,
                     steps=trace.step_count,
                     rounds=rounds,
-                    step_limit=analysis.step_bound_for(g, info),
-                    round_limit=analysis.round_bound_for(g, info),
+                    step_limit=step_limit,
+                    round_limit=round_limit,
                     failures=failures,
                 )
             )

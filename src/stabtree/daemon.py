@@ -123,22 +123,6 @@ class AdversarialDaemon(_SeededPolicy):
         return frozenset({self._rng().choice(sorted(enabled))})
 
 
-def synchronous_daemon() -> DaemonPolicy:
-    return SynchronousDaemon()
-
-
-def central_daemon(seed: int) -> DaemonPolicy:
-    return CentralDaemon(seed)
-
-
-def random_distributed_daemon(seed: int, p: float) -> DaemonPolicy:
-    return RandomDistributedDaemon(seed, p)
-
-
-def adversarial_daemon(seed: int, strategy: str) -> DaemonPolicy:
-    return AdversarialDaemon(seed, strategy)
-
-
 def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:
     """Build a policy from its command-line name.
 
@@ -146,17 +130,17 @@ def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:
     ``adv:churn``.
     """
     if spec == "sync":
-        return synchronous_daemon()
+        return SynchronousDaemon()
     if spec == "central":
-        return central_daemon(seed)
+        return CentralDaemon(seed)
     if spec.startswith("rand:p="):
         try:
             p = float(spec[len("rand:p="):])
         except ValueError as exc:
             raise DaemonSpecError(f"bad probability in {spec!r}") from exc
-        return random_distributed_daemon(seed, p)
+        return RandomDistributedDaemon(seed, p)
     if spec == "adv:starve":
-        return adversarial_daemon(seed, "starve-cleanup")
+        return AdversarialDaemon(seed, "starve-cleanup")
     if spec == "adv:churn":
-        return adversarial_daemon(seed, "max-churn")
+        return AdversarialDaemon(seed, "max-churn")
     raise DaemonSpecError(f"unknown daemon spec {spec!r}")

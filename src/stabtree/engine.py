@@ -9,7 +9,7 @@ budget is exhausted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 from . import protocol
@@ -80,36 +80,47 @@ def validate_configuration(config: Configuration, g: WeightedGraph) -> None:
             raise ConfigurationError(f"node {u}: bad distance {state.d!r}")
 
 
-def enabled_set(config: Configuration, g: WeightedGraph) -> frozenset[int]:
+def enabled(config: Configuration, g: WeightedGraph) -> dict[int, Rule]:
+    """The enabled rule of every enabled process, in node order; empty
+    exactly when ``config`` is terminal."""
     root = g.root_id
-    return frozenset(
-        u
-        for u in range(g.node_count)
-        if u != root and protocol.enabled_rule(config, g, u) is not None
-    )
+    rules: dict[int, Rule] = {}
+    for u in range(g.node_count):
+        if u != root:
+            rule = protocol.enabled_rule(config, g, u)
+            if rule is not None:
+                rules[u] = rule
+    return rules
 
 
-def is_terminal(config: Configuration, g: WeightedGraph) -> bool:
-    root = g.root_id
-    return all(
-        protocol.enabled_rule(config, g, u) is None
-        for u in range(g.node_count)
-        if u != root
-    )
+def _fire(
+    config: Configuration,
+    g: WeightedGraph,
+    selection: frozenset[int],
+    rules: Mapping[int, Rule],
+) -> tuple[Configuration, dict[int, Rule]]:
+    """Check ``selection`` against the enabled ``rules`` of ``config`` and
+    apply it atomically: every selected process reads the pre-step
+    configuration. Returns the new configuration and the fired rules."""
+    if not selection:
+        raise EmptySelectionError("selection must be nonempty")
+    fired: dict[int, Rule] = {}
+    for u in selection:
+        rule = rules.get(u)
+        if rule is None:
+            raise NotEnabledError(
+                f"selected processes {sorted(v for v in selection if v not in rules)} are not enabled"
+            )
+        fired[u] = rule
+    new = list(config)
+    for u, rule in fired.items():
+        new[u] = protocol._apply(config, g, u, rule)
+    return tuple(new), fired
 
 
 def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> Configuration:
     """Apply one atomic step to ``selection``; all reads precede all writes."""
-    chosen = frozenset(selection)
-    if not chosen:
-        raise EmptySelectionError("selection must be nonempty")
-    new = list(config)
-    for u in chosen:
-        rule = protocol.enabled_rule(config, g, u)
-        if rule is None:
-            raise NotEnabledError(f"node {u} is not enabled")
-        new[u] = protocol._apply(config, g, u, rule)
-    return tuple(new)
+    return _fire(config, g, frozenset(selection), enabled(config, g))[0]
 
 
 @dataclass(frozen=True)
@@ -159,28 +170,13 @@ def run(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     root = g.root_id
-    enabled: dict[int, Rule] = {}
-    for u in range(g.node_count):
-        if u != root:
-            rule = protocol.enabled_rule(config, g, u)
-            if rule is not None:
-                enabled[u] = rule
+    rules = enabled(config, g)
     configs = [config]
     steps: list[StepRecord] = []
-    while enabled and len(steps) < max_steps:
-        pre_enabled = frozenset(enabled)
-        selection = frozenset(policy.select(config, g, dict(enabled)))
-        if not selection:
-            raise EmptySelectionError(f"daemon {policy.name!r} selected nothing")
-        if not selection <= pre_enabled:
-            raise NotEnabledError(
-                f"daemon {policy.name!r} selected disabled nodes {sorted(selection - pre_enabled)}"
-            )
-        fired = {u: enabled[u] for u in selection}
-        new = list(config)
-        for u in selection:
-            new[u] = protocol._apply(config, g, u, fired[u])
-        config = tuple(new)
+    while rules and len(steps) < max_steps:
+        pre_enabled = frozenset(rules)
+        selection = frozenset(policy.select(config, g, dict(rules)))
+        config, fired = _fire(config, g, selection, rules)
         # Guards read only the process and its neighbors, so only the
         # selected nodes and their neighbors can change enabledness.
         affected = set(selection)
@@ -190,12 +186,12 @@ def run(
         for u in affected:
             rule = protocol.enabled_rule(config, g, u)
             if rule is None:
-                enabled.pop(u, None)
+                rules.pop(u, None)
             else:
-                enabled[u] = rule
+                rules[u] = rule
         steps.append(StepRecord(selection, fired, pre_enabled))
         configs.append(config)
-    return ExecutionTrace(configs=configs, steps=steps, terminated=not enabled)
+    return ExecutionTrace(configs=configs, steps=steps, terminated=not rules)
 
 
 # --- configuration file format ---------------------------------------------

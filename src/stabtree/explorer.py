@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import analysis, protocol
+from . import analysis, engine, protocol
 from .engine import Configuration
 from .graph import WeightedGraph, component_info
-from .protocol import ROOT_STATE, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, ProcessState, Status
 
 
 class ExplorerError(Exception):
@@ -42,7 +42,6 @@ class StateSpaceResult:
     reachable_count: int
     terminal_configs: set[Configuration]
     max_steps_any_path: int
-    max_rounds_any_path: int | None  # rounds are a per-execution notion; unknown here
     cycle_found: bool
     witness: list[Configuration] | None
     illegitimate_terminals: list[Configuration]
@@ -61,10 +60,9 @@ class StateSpaceResult:
 class _Explorer:
     """DFS over the configuration graph with a shared memo across starts."""
 
-    def __init__(self, g: WeightedGraph, limits: ExplorationLimits, check_exclusivity: bool = True):
+    def __init__(self, g: WeightedGraph, limits: ExplorationLimits):
         self.g = g
         self.limits = limits
-        self.check_exclusivity = check_exclusivity
         self.longest: dict[Configuration, int] = {}
         self.onstack: set[Configuration] = set()
         self.terminals: set[Configuration] = set()
@@ -74,9 +72,6 @@ class _Explorer:
         self.aar_violations: list[tuple[Configuration, Configuration]] = []
         self.exclusivity_violations: list[tuple[Configuration, int]] = []
         self._aar_cache: dict[Configuration, frozenset[int]] = {}
-        from .graph import root_distances
-
-        self._distances = root_distances(g)
 
     def _aar(self, config: Configuration) -> frozenset[int]:
         cached = self._aar_cache.get(config)
@@ -87,17 +82,11 @@ class _Explorer:
 
     def _successors(self, config: Configuration) -> list[Configuration]:
         g = self.g
-        root = g.root_id
-        enabled: list[tuple[int, Rule]] = []
+        enabled = engine.enabled(config, g)
         for u in range(g.node_count):
-            if u == root:
-                continue
-            rule = protocol.enabled_rule(config, g, u)
-            if rule is not None:
-                enabled.append((u, rule))
-            if self.check_exclusivity and len(protocol.enabled_rules(config, g, u)) > 1:
+            if u != g.root_id and len(protocol.enabled_rules(config, g, u)) > 1:
                 self.exclusivity_violations.append((config, u))
-        legit = analysis.legitimate_config(config, g, self._distances).config_legitimate
+        legit = analysis.legitimate_config(config, g).config_legitimate
         if not enabled:
             self.terminals.add(config)
             if not legit:
@@ -109,14 +98,14 @@ class _Explorer:
             raise BudgetExceededError(
                 f"enabled set of size {len(enabled)} exceeds limit {self.limits.max_enabled}"
             )
-        new_states = {u: protocol._apply(config, g, u, rule) for u, rule in enabled}
+        new_states = [(u, protocol._apply(config, g, u, rule)) for u, rule in enabled.items()]
         succs = []
         pre_aar = self._aar(config)
-        for mask in range(1, 1 << len(enabled)):
+        for mask in range(1, 1 << len(new_states)):
             states = list(config)
-            for bit, (u, _) in enumerate(enabled):
+            for bit, (u, state) in enumerate(new_states):
                 if mask >> bit & 1:
-                    states[u] = new_states[u]
+                    states[u] = state
             succ = tuple(states)
             if not self._aar(succ) <= pre_aar:
                 self.aar_violations.append((config, succ))
@@ -169,10 +158,9 @@ def explore(
     g: WeightedGraph,
     initial: Configuration,
     limits: ExplorationLimits | None = None,
-    _explorer: _Explorer | None = None,
 ) -> StateSpaceResult:
     """Traverse all executions from one initial configuration."""
-    ex = _explorer or _Explorer(g, limits or ExplorationLimits())
+    ex = _Explorer(g, limits or ExplorationLimits())
     try:
         ex.explore_from(initial)
     except BudgetExceededError as exc:
@@ -187,7 +175,6 @@ def _result(ex: _Explorer, initial: Configuration) -> StateSpaceResult:
         reachable_count=len(ex.longest),
         terminal_configs=set(ex.terminals),
         max_steps_any_path=ex.longest.get(initial, 0) if not cycle else -1,
-        max_rounds_any_path=None,
         cycle_found=cycle,
         witness=ex.cycle_witness,
         illegitimate_terminals=list(ex.illegitimate_terminals),

@@ -7,12 +7,13 @@ machine, so they can serve as ground truth in checks.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 #: Sentinel for "no path"; compares above every finite distance.
 INFINITY = math.inf
@@ -48,12 +49,14 @@ class WeightedGraph:
 
     Immutable after construction; safe to share between concurrently
     running simulations. ``adjacency[u]`` maps each neighbor of ``u`` to
-    the weight of the connecting edge.
+    the weight of the connecting edge. ``_oracles`` holds the values of
+    the ``@_per_graph`` oracles, each computed on its first call.
     """
 
     node_count: int
     root_id: int
     adjacency: tuple[Mapping[int, int], ...]
+    _oracles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def check_node(self, u: int) -> None:
         if not isinstance(u, int) or not 0 <= u < self.node_count:
@@ -149,14 +152,31 @@ def _lex_dijkstra(g: WeightedGraph, src: int) -> list[tuple[int | float, int | f
     return best
 
 
-def root_distances(g: WeightedGraph) -> list[int | float]:
+def _per_graph(oracle):
+    """Memoise an oracle of one graph on the graph itself; the graph never
+    changes, so neither does the (immutable) value."""
+    key = oracle.__name__
+
+    @functools.wraps(oracle)
+    def cached(g: WeightedGraph):
+        value = g._oracles.get(key)
+        if value is None:
+            value = g._oracles[key] = oracle(g)
+        return value
+
+    return cached
+
+
+@_per_graph
+def root_distances(g: WeightedGraph) -> tuple[int | float, ...]:
     """Weighted distance from every node to the root (the legitimacy oracle)."""
-    return dijkstra_from(g, g.root_id)
+    return tuple(dijkstra_from(g, g.root_id))
 
 
-def root_hop_distances(g: WeightedGraph) -> list[int | float]:
+@_per_graph
+def root_hop_distances(g: WeightedGraph) -> tuple[int | float, ...]:
     """Hop distance to the root: fewest edges among minimum-weight paths."""
-    return [h for _, h in _lex_dijkstra(g, g.root_id)]
+    return tuple(h for _, h in _lex_dijkstra(g, g.root_id))
 
 
 @dataclass(frozen=True)
@@ -186,6 +206,7 @@ class ComponentInfo:
         return out
 
 
+@_per_graph
 def component_info(g: WeightedGraph) -> ComponentInfo:
     comp = [-1] * g.node_count
     n_comp = 0

@@ -70,9 +70,10 @@ def corpus():
             policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
             trace = engine.run(init, g, policy)
             final = analysis.legitimate_config(trace.final, g)
+            segments = analysis.segment_language_check(trace, g)
             if trace.terminated:
-                bounds = analysis.check_bounds(trace, g, info)
-                milestones_ok = analysis.check_round_milestones(trace, g, info).ok
+                bounds = analysis.check_bounds(trace, g)
+                milestones_ok = analysis.check_round_milestones(trace, g).ok
             else:
                 bounds = None
                 milestones_ok = False
@@ -84,15 +85,15 @@ def corpus():
                     terminated=trace.terminated,
                     steps=trace.step_count,
                     rounds=analysis.count_rounds(trace, g),
-                    step_limit=analysis.step_bound_for(g, info),
-                    round_limit=analysis.round_bound_for(g, info),
+                    step_limit=analysis.step_bound_for(g),
+                    round_limit=analysis.round_bound_for(g),
                     uniform_weights=bounds.uniform_weights if bounds else False,
                     uniform_limit=bounds.uniform_step_limit if bounds else None,
                     final_ok=bool(
                         final.config_legitimate and final.spanning_tree_ok
                     ),
-                    aar_ok=analysis.check_aar_monotone(trace, g),
-                    segments_ok=analysis.segment_language_check(trace, g, info).ok,
+                    aar_ok=segments.aar_monotone,
+                    segments_ok=segments.ok,
                     milestones_ok=milestones_ok,
                     exclusivity_ok=_exclusive_everywhere(trace, g),
                 )

@@ -1,3 +1,4 @@
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from stabtree.analysis import (
     TraceNotTerminatedError,
     alive_abnormal_roots,
-    check_aar_monotone,
     check_bounds,
     check_round_milestones,
     count_rounds,
@@ -20,16 +20,16 @@ from stabtree.analysis import (
     step_bound_for,
     uniform_step_bound,
 )
-from stabtree.daemon import central_daemon, parse_daemon_spec, synchronous_daemon
+from stabtree.daemon import CentralDaemon, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
     StepRecord,
-    is_terminal,
+    enabled,
     normal_initial_configuration,
     random_configuration,
     run,
 )
-from stabtree.graph import build_graph
-from stabtree.protocol import Rule, Status
+from stabtree.graph import build_graph, generate_random_graph
+from stabtree.protocol import ProcessState, Rule, Status
 
 from conftest import mk_config
 
@@ -120,27 +120,78 @@ class TestForestView:
         assert not view.illegal_membership[0]
         assert view.depth[2] == 2
 
+    def test_long_chain_toward_high_labelled_root(self):
+        # A legitimate configuration whose parent chains are 1199 edges
+        # long and point toward higher ids: no recursion-depth limit, and
+        # linear work.
+        n = 1200
+        g = build_graph([(i, i + 1, 1) for i in range(n - 1)], n, n - 1)
+        config = tuple(
+            ProcessState(Status.C, None, 0) if u == n - 1 else ProcessState(Status.C, u + 1, n - 1 - u)
+            for u in range(n)
+        )
+        report = legitimate_config(config, g)
+        assert report.config_legitimate
+        assert report.spanning_tree_ok
+        view = forest_view(config, g)
+        assert view.abnormal_roots == {}
+        assert not any(view.illegal_membership.values())
+        assert view.depth[0] == view.max_branch_depth == n
+        assert len(view.branch_edges) == n - 1
+
+
+def relabelled(g, config, perm):
+    """The same graph and configuration with node v renamed perm[v]."""
+    h = build_graph([(perm[u], perm[v], w) for u, v, w in g.edges()], g.node_count, perm[g.root_id])
+    states = [None] * g.node_count
+    for v, s in enumerate(config):
+        states[perm[v]] = s if s.par is None else s._replace(par=perm[s.par])
+    return h, tuple(states)
+
+
+class TestLabelIndependence:
+    def test_verdicts_survive_random_relabelling(self):
+        rng = random.Random(5)
+        for trial in range(40):
+            n = 3 + trial % 7
+            g = generate_random_graph(trial, n, 0.5, 3, component_hint=1 + trial % 2)
+            config = random_configuration(g, trial, 3 * n)
+            for start in (config, run(config, g, SynchronousDaemon()).final):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h, image = relabelled(g, start, perm)
+                legit, legit_h = legitimate_config(start, g), legitimate_config(image, h)
+                assert legit_h.config_legitimate == legit.config_legitimate
+                assert legit_h.spanning_tree_ok == legit.spanning_tree_ok
+                assert {perm[u]: v for u, v in legit.per_node.items()} == legit_h.per_node
+                view, view_h = forest_view(start, g), forest_view(image, h)
+                assert {perm[u]: a for u, a in view.abnormal_roots.items()} == view_h.abnormal_roots
+                assert {(perm[u], perm[v]) for u, v in view.branch_edges} == view_h.branch_edges
+                assert {perm[u]: i for u, i in view.illegal_membership.items()} == view_h.illegal_membership
+                assert {perm[u]: d for u, d in view.depth.items()} == view_h.depth
+                assert view_h.max_branch_depth == view.max_branch_depth
+
 
 class TestRounds:
     def test_synchronous_rounds_equal_steps(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, synchronous_daemon())
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
         assert count_rounds(trace, path3) == trace.step_count == 2
 
     def test_central_on_path(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, central_daemon(0))
+        trace = run(normal_initial_configuration(path3), path3, CentralDaemon(0))
         # only one process is ever enabled, so every step closes a round
         assert trace.step_count == 2
         assert count_rounds(trace, path3) == 2
 
     def test_single_step_is_one_round(self, path3):
         trace = run(
-            normal_initial_configuration(path3), path3, synchronous_daemon(), max_steps=1
+            normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1
         )
         assert count_rounds(trace, path3) == 1
 
     def test_empty_trace_has_no_rounds(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
-        trace = run(config, path3, synchronous_daemon())
+        trace = run(config, path3, SynchronousDaemon())
         assert trace.step_count == 0
         assert count_rounds(trace, path3) == 0
 
@@ -149,7 +200,7 @@ class TestRounds:
         # ever firing, which must still let the round finish.
         g = build_graph([(0, 1, 1), (1, 2, 1), (0, 2, 1)], 3, 0)
         config = mk_config(g, n1=(Status.C, 2, 9), n2=(Status.C, 0, 9))
-        trace = run(config, g, central_daemon(2))
+        trace = run(config, g, CentralDaemon(2))
         assert trace.terminated
         assert count_rounds(trace, g) <= round_bound_for(g)
 
@@ -159,12 +210,15 @@ class TestAarMonotone:
         for seed in range(5):
             config = random_configuration(triangle, seed, 8)
             trace = run(config, triangle, parse_daemon_spec("rand:p=0.5", seed))
-            assert check_aar_monotone(trace, triangle)
+            assert segment_language_check(trace, triangle).aar_monotone
 
     def test_fabricated_regression_fails(self, path3):
         clean = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
         broken = mk_config(path3, n1=(Status.C, 1, 5), n2=(Status.C, 1, 2))
-        assert not check_aar_monotone([clean, broken], path3)
+        trace = fabricated_trace([clean, broken], [{1: Rule.R_C}])
+        assert not segment_language_check(trace, path3).aar_monotone
+        by_name = {r.name: r for r in full_trace_report(trace, path3)}
+        assert not by_name["aar_monotone"].ok
 
 
 def fabricated_trace(configs, fired_maps):
@@ -188,14 +242,14 @@ def fabricated_trace(configs, fired_maps):
 class TestSegments:
     def test_freeze_cycle_uses_two_segments(self, weight2):
         config = mk_config(weight2, n1=(Status.C, 0, 1))
-        trace = run(config, weight2, synchronous_daemon())
+        trace = run(config, weight2, SynchronousDaemon())
         report = segment_language_check(trace, weight2)
         assert report.ok
         assert report.segment_counts[1] == 2
 
     def test_quiet_node_passes(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
-        trace = run(config, path3, synchronous_daemon())
+        trace = run(config, path3, SynchronousDaemon())
         assert segment_language_check(trace, path3).ok
 
     def test_rejoin_then_isolate_in_one_segment_fails(self, path3):
@@ -220,7 +274,7 @@ class TestSegments:
 
 class TestBoundsCheck:
     def test_terminated_run_within_limits(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, synchronous_daemon())
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
         report = check_bounds(trace, path3)
         assert report.ok
         assert report.steps == 2
@@ -231,7 +285,7 @@ class TestBoundsCheck:
 
     def test_nonuniform_weights_skip_tight_bound(self, triangle):
         config = random_configuration(triangle, 1, 8)
-        trace = run(config, triangle, synchronous_daemon())
+        trace = run(config, triangle, SynchronousDaemon())
         report = check_bounds(trace, triangle)
         assert report.ok
         assert report.uniform_step_limit is None
@@ -239,7 +293,7 @@ class TestBoundsCheck:
 
     def test_truncated_trace_rejected(self, path3):
         trace = run(
-            normal_initial_configuration(path3), path3, synchronous_daemon(), max_steps=1
+            normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1
         )
         with pytest.raises(TraceNotTerminatedError):
             check_bounds(trace, path3)
@@ -250,12 +304,12 @@ class TestBoundsCheck:
 class TestMilestones:
     def test_freeze_cycle(self, weight2):
         config = mk_config(weight2, n1=(Status.C, 0, 1))
-        trace = run(config, weight2, synchronous_daemon())
+        trace = run(config, weight2, SynchronousDaemon())
         assert check_round_milestones(trace, weight2).ok
 
     def test_rootless_component(self, two_comp):
         config = mk_config(two_comp, n1=(Status.C, 2, 2), n2=(Status.C, 1, 1))
-        trace = run(config, two_comp, central_daemon(3))
+        trace = run(config, two_comp, CentralDaemon(3))
         assert check_round_milestones(trace, two_comp).ok
 
     def test_random_instances(self, triangle):
@@ -272,14 +326,14 @@ class TestTerminalLegitimateEquivalence:
             config = random_configuration(triangle, 100 + seed, 10)
             trace = run(config, triangle, parse_daemon_spec("rand:p=0.5", seed))
             for c in trace.configs:
-                terminal = is_terminal(c, triangle)
+                terminal = not enabled(c, triangle)
                 legit = legitimate_config(c, triangle).config_legitimate
                 assert terminal == legit
 
 
 class TestFullReport:
     def test_clean_run_all_green(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, synchronous_daemon())
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
         results = full_trace_report(trace, path3)
         assert [r.name for r in results] == [
             "terminated",
@@ -294,7 +348,7 @@ class TestFullReport:
 
     def test_truncated_run_flags_bounds(self, path3):
         trace = run(
-            normal_initial_configuration(path3), path3, synchronous_daemon(), max_steps=1
+            normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1
         )
         by_name = {r.name: r for r in full_trace_report(trace, path3)}
         assert not by_name["terminated"].ok

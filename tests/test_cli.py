@@ -122,6 +122,27 @@ class TestExploreCommand:
         assert code == EXIT_BUDGET
         assert "INCONCLUSIVE" in capsys.readouterr().err
 
+    def test_budget_keeps_partial_verdict(self, path3_file, tmp_path, capsys):
+        report = tmp_path / "partial.json"
+        code = main(
+            ["explore", "-g", path3_file, "--dcap", "2", "--max-visited", "1", "--report", str(report)]
+        )
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert "INCONCLUSIVE" in captured.err
+        assert captured.out.splitlines() == [
+            "verdict=INCONCLUSIVE initial_configs=2 reachable=3 max_steps=2 step_limit=30",
+            "violation: visited more than 1 configurations",
+        ]
+        assert json.loads(report.read_text()) == {
+            "verdict": "INCONCLUSIVE",
+            "initial_configs": 2,
+            "reachable": 3,
+            "max_steps": 2,
+            "step_limit": 30,
+            "violations": ["visited more than 1 configurations"],
+        }
+
     def test_report_file(self, edge_file, tmp_path):
         report = tmp_path / "cert.json"
         main(["explore", "-g", edge_file, "--dcap", "2", "--report", str(report)])

@@ -3,14 +3,14 @@ from collections import Counter
 import pytest
 
 from stabtree.daemon import (
+    AdversarialDaemon,
+    CentralDaemon,
     DaemonSpecError,
-    adversarial_daemon,
-    central_daemon,
+    RandomDistributedDaemon,
+    SynchronousDaemon,
     parse_daemon_spec,
-    random_distributed_daemon,
-    synchronous_daemon,
 )
-from stabtree.engine import enabled_set, normal_initial_configuration, random_configuration, run
+from stabtree.engine import enabled, normal_initial_configuration, random_configuration, run
 from stabtree.graph import build_graph
 from stabtree.protocol import Rule, Status
 
@@ -23,97 +23,87 @@ def star():
     return build_graph([(0, 1, 1), (0, 2, 1)], 3, 0)
 
 
-def enabled_map(config, g):
-    from stabtree.protocol import enabled_rule
-
-    return {
-        u: enabled_rule(config, g, u)
-        for u in range(g.node_count)
-        if u != g.root_id and enabled_rule(config, g, u) is not None
-    }
-
-
 class TestSynchronous:
     def test_selects_everything(self, star):
         config = normal_initial_configuration(star)
-        enabled = enabled_map(config, star)
-        assert synchronous_daemon().select(config, star, enabled) == {1, 2}
+        rules = enabled(config, star)
+        assert SynchronousDaemon().select(config, star, rules) == {1, 2}
 
 
 class TestCentral:
     def test_singleton_from_enabled(self, star):
         config = normal_initial_configuration(star)
-        enabled = enabled_map(config, star)
-        chosen = central_daemon(0).select(config, star, enabled)
+        rules = enabled(config, star)
+        chosen = CentralDaemon(0).select(config, star, rules)
         assert len(chosen) == 1
-        assert chosen <= set(enabled)
+        assert chosen <= set(rules)
 
     def test_roughly_uniform_over_two_processes(self, star):
         config = normal_initial_configuration(star)
-        enabled = enabled_map(config, star)
+        rules = enabled(config, star)
         counts = Counter()
         for seed in range(1000):
-            counts.update(central_daemon(seed).select(config, star, enabled))
+            counts.update(CentralDaemon(seed).select(config, star, rules))
         assert counts[1] >= 400
         assert counts[2] >= 400
 
     def test_fixed_seed_reproducible(self, star):
         config = normal_initial_configuration(star)
-        enabled = enabled_map(config, star)
-        picks = [central_daemon(42).select(config, star, enabled) for _ in range(5)]
-        assert picks == [central_daemon(42).select(config, star, enabled) for _ in range(5)]
+        rules = enabled(config, star)
+        picks = [CentralDaemon(42).select(config, star, rules) for _ in range(5)]
+        assert picks == [CentralDaemon(42).select(config, star, rules) for _ in range(5)]
 
 
 class TestRandomDistributed:
     def test_nonempty_subset_always(self, star):
         config = normal_initial_configuration(star)
-        enabled = enabled_map(config, star)
-        daemon = random_distributed_daemon(3, 0.1)
+        rules = enabled(config, star)
+        daemon = RandomDistributedDaemon(3, 0.1)
         for _ in range(200):
-            chosen = daemon.select(config, star, enabled)
+            chosen = daemon.select(config, star, rules)
             assert chosen
-            assert chosen <= set(enabled)
+            assert chosen <= set(rules)
 
     def test_p_one_matches_synchronous(self, star):
         config = normal_initial_configuration(star)
-        enabled = enabled_map(config, star)
-        assert random_distributed_daemon(0, 1.0).select(config, star, enabled) == {1, 2}
+        rules = enabled(config, star)
+        assert RandomDistributedDaemon(0, 1.0).select(config, star, rules) == {1, 2}
 
     def test_bad_probability_rejected(self):
         with pytest.raises(DaemonSpecError):
-            random_distributed_daemon(0, 0.0)
+            RandomDistributedDaemon(0, 0.0)
         with pytest.raises(DaemonSpecError):
-            random_distributed_daemon(0, 1.5)
+            RandomDistributedDaemon(0, 1.5)
 
 
 class TestAdversarial:
     def test_starve_prefers_corrections(self, star):
         config = mk_config(star, n1=(Status.C, 0, 5), n2=(Status.EB, 0, 1))
-        enabled = enabled_map(config, star)
-        assert enabled == {1: Rule.R_C, 2: Rule.R_EF}
-        assert adversarial_daemon(0, "starve-cleanup").select(config, star, enabled) == {1}
+        rules = enabled(config, star)
+        assert rules == {1: Rule.R_C, 2: Rule.R_EF}
+        assert AdversarialDaemon(0, "starve-cleanup").select(config, star, rules) == {1}
 
     def test_starve_falls_back_to_singleton(self, star):
         config = mk_config(star, n1=(Status.EB, 0, 1), n2=(Status.EB, 0, 1))
-        enabled = enabled_map(config, star)
-        chosen = adversarial_daemon(0, "starve-cleanup").select(config, star, enabled)
+        rules = enabled(config, star)
+        chosen = AdversarialDaemon(0, "starve-cleanup").select(config, star, rules)
         assert len(chosen) == 1
 
     def test_churn_picks_largest_distance_shift(self, star):
         # node 1 would jump from 10 to 1, node 2 only from 3 to 1
         config = mk_config(star, n1=(Status.C, 0, 10), n2=(Status.C, 0, 3))
-        enabled = enabled_map(config, star)
-        assert set(enabled.values()) == {Rule.R_C}
-        assert adversarial_daemon(0, "max-churn").select(config, star, enabled) == {1}
+        rules = enabled(config, star)
+        assert set(rules.values()) == {Rule.R_C}
+        assert AdversarialDaemon(0, "max-churn").select(config, star, rules) == {1}
 
     def test_churn_tie_breaks_to_smallest_id(self, star):
         config = mk_config(star, n1=(Status.C, 0, 4), n2=(Status.C, 0, 4))
-        enabled = enabled_map(config, star)
-        assert adversarial_daemon(0, "max-churn").select(config, star, enabled) == {1}
+        rules = enabled(config, star)
+        assert AdversarialDaemon(0, "max-churn").select(config, star, rules) == {1}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DaemonSpecError):
-            adversarial_daemon(0, "zigzag")
+            AdversarialDaemon(0, "zigzag")
 
 
 class TestSpecStrings:
@@ -146,4 +136,4 @@ class TestTraceDeterminism:
         config = random_configuration(triangle, 23, 8)
         trace = run(config, triangle, parse_daemon_spec("rand:p=0.6", 5))
         for i, record in enumerate(trace.steps):
-            assert record.selected <= enabled_set(trace.configs[i], triangle)
+            assert record.selected <= enabled(trace.configs[i], triangle).keys()

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
-from stabtree.daemon import central_daemon, synchronous_daemon
+from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon
 from stabtree.engine import (
     ConfigurationError,
     EmptySelectionError,
     NotEnabledError,
-    enabled_set,
+    enabled,
     format_configuration,
-    is_terminal,
     normal_initial_configuration,
     parse_configuration,
     random_configuration,
@@ -20,7 +19,7 @@ from stabtree.engine import (
     write_trace,
 )
 from stabtree.graph import build_graph, generate_random_graph, root_distances
-from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status
+from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, enabled_rule
 
 from conftest import mk_config
 
@@ -28,18 +27,29 @@ from conftest import mk_config
 class TestEnabledSet:
     def test_normal_initial_on_path(self, path3):
         config = normal_initial_configuration(path3)
-        assert enabled_set(config, path3) == {1}
+        assert enabled(config, path3) == {1: Rule.R_R}
 
     def test_terminal_configuration(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
-        assert enabled_set(config, path3) == frozenset()
-        assert is_terminal(config, path3)
+        assert enabled(config, path3) == {}
 
     def test_stray_parent_triggers_broadcast(self, path3):
         config = mk_config(
             path3, n1=(Status.C, 1, 5), n2=(Status.I, 2, 0)
         )  # node 1 points at itself
-        assert 1 in enabled_set(config, path3)
+        assert 1 in enabled(config, path3)
+
+    def test_matches_guard_evaluation_in_node_order(self):
+        for trial in range(30):
+            g = generate_random_graph(trial, 6, 0.6, 3, root_id=trial % 6)
+            config = random_configuration(g, trial, 10)
+            expected = {}
+            for u in range(g.node_count):
+                if u != g.root_id and enabled_rule(config, g, u) is not None:
+                    expected[u] = enabled_rule(config, g, u)
+            rules = enabled(config, g)
+            assert rules == expected
+            assert list(rules) == sorted(rules)
 
 
 class TestStep:
@@ -61,7 +71,7 @@ class TestStep:
 
     def test_rootless_pair_freezes_first(self, two_comp):
         config = mk_config(two_comp, n1=(Status.C, 2, 2), n2=(Status.C, 1, 1))
-        assert enabled_set(config, two_comp) == {2}
+        assert enabled(config, two_comp) == {2: Rule.R_EB}
         after = step(config, two_comp, {2})
         assert after[2] == ProcessState(Status.EB, 1, 1)
         assert after[1] == config[1]
@@ -77,7 +87,7 @@ class TestStep:
 
 class TestRun:
     def test_path_synchronous(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, synchronous_daemon())
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
         assert trace.terminated
         assert trace.step_count == 2
         dist = root_distances(path3)
@@ -87,7 +97,7 @@ class TestRun:
     def test_freeze_then_rejoin(self):
         g = build_graph([(0, 1, 2)], 2, 0)
         config = mk_config(g, n1=(Status.C, 0, 1))
-        trace = run(config, g, synchronous_daemon())
+        trace = run(config, g, SynchronousDaemon())
         assert trace.terminated
         assert [trace.steps[i].fired[1] for i in range(3)] == [
             Rule.R_EB,
@@ -98,7 +108,7 @@ class TestRun:
 
     def test_rootless_component_isolates(self, two_comp):
         config = mk_config(two_comp, n1=(Status.C, 2, 2), n2=(Status.C, 1, 1))
-        trace = run(config, two_comp, central_daemon(3))
+        trace = run(config, two_comp, CentralDaemon(3))
         assert trace.terminated
         assert trace.step_count == 6
         assert trace.final[1].status is Status.I
@@ -106,17 +116,17 @@ class TestRun:
 
     def test_root_state_constant_throughout(self, triangle):
         config = random_configuration(triangle, 99, 6)
-        trace = run(config, triangle, central_daemon(1))
+        trace = run(config, triangle, CentralDaemon(1))
         assert all(c[0] == ROOT_STATE for c in trace.configs)
 
     def test_max_steps_truncates(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, synchronous_daemon(), max_steps=1)
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1)
         assert not trace.terminated
         assert trace.step_count == 1
 
     def test_step_records_are_consistent(self, triangle):
         config = random_configuration(triangle, 5, 6)
-        trace = run(config, triangle, central_daemon(7))
+        trace = run(config, triangle, CentralDaemon(7))
         for record in trace.steps:
             assert record.selected
             assert record.selected <= record.pre_enabled
@@ -127,18 +137,36 @@ class TestRun:
         for trial in range(30):
             g = generate_random_graph(trial, 6, 0.6, 3)
             config = random_configuration(g, trial, 10)
-            enabled = enabled_set(config, g)
-            if not enabled:
+            rules = enabled(config, g)
+            if not rules:
                 continue
-            selection = frozenset(rng.sample(sorted(enabled), rng.randint(1, len(enabled))))
+            selection = frozenset(rng.sample(sorted(rules), rng.randint(1, len(rules))))
             merged = step(config, g, selection)
             for u in selection:
                 assert merged[u] == step(config, g, {u})[u]
 
+    def test_empty_selection_rejected(self, path3):
+        class Idle(DaemonPolicy):
+            def select(self, config, g, enabled):
+                return frozenset()
+
+        with pytest.raises(EmptySelectionError):
+            run(normal_initial_configuration(path3), path3, Idle())
+
+    def test_disabled_selection_rejected(self, path3):
+        class Reckless(DaemonPolicy):
+            def select(self, config, g, enabled):
+                return frozenset(enabled) | {2}  # node 2 has no enabled rule yet
+
+        start = normal_initial_configuration(path3)
+        assert 2 not in enabled(start, path3)
+        with pytest.raises(NotEnabledError):
+            run(start, path3, Reckless())
+
     def test_invalid_initial_config_rejected(self, path3):
         bad = (ROOT_STATE, ProcessState(Status.C, 0, -1), ProcessState(Status.I, 2, 0))
         with pytest.raises(ConfigurationError):
-            run(bad, path3, synchronous_daemon())
+            run(bad, path3, SynchronousDaemon())
 
 
 class TestConfigFiles:
@@ -162,7 +190,7 @@ class TestConfigFiles:
 
 class TestTraceOutput:
     def test_header_and_step_records(self, path3):
-        trace = run(normal_initial_configuration(path3), path3, synchronous_daemon())
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
         buf = io.StringIO()
         write_trace(trace, buf, graph_name="path3.g", seed=7, daemon="sync")
         lines = [json.loads(line) for line in buf.getvalue().splitlines()]

@@ -2,7 +2,7 @@ import pytest
 
 from stabtree.analysis import step_bound_for
 from stabtree.engine import normal_initial_configuration, run
-from stabtree.daemon import synchronous_daemon
+from stabtree.daemon import SynchronousDaemon
 from stabtree.explorer import (
     BudgetExceededError,
     ExplorationLimits,
@@ -58,7 +58,7 @@ class TestExplore:
 
     def test_longest_path_at_least_any_run(self, triangle):
         config = mk_config(triangle, n1=(Status.C, 2, 9), n2=(Status.C, 1, 9))
-        trace = run(config, triangle, synchronous_daemon())
+        trace = run(config, triangle, SynchronousDaemon())
         result = explore(triangle, config)
         assert result.max_steps_any_path >= trace.step_count
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stabtree import graph as graph_mod
 from stabtree.graph import (
     INFINITY,
     BadNodeIdError,
@@ -141,7 +142,50 @@ class TestComponentInfo:
         assert component_info(g).hop_diameter_root == 2
 
     def test_root_distances(self, triangle):
-        assert root_distances(triangle) == [0, 2, 1]
+        assert root_distances(triangle) == (0, 2, 1)
+
+
+class TestOracleMemo:
+    def test_second_call_does_not_recompute(self, monkeypatch):
+        g = build_graph([(0, 1, 5), (0, 2, 2), (2, 1, 2), (3, 4, 1)], 5, 0)
+        runs = {"dijkstra": 0, "lex": 0}
+        real_dijkstra, real_lex = graph_mod.dijkstra_from, graph_mod._lex_dijkstra
+
+        def dijkstra(*args):
+            runs["dijkstra"] += 1
+            return real_dijkstra(*args)
+
+        def lex(*args):
+            runs["lex"] += 1
+            return real_lex(*args)
+
+        monkeypatch.setattr(graph_mod, "dijkstra_from", dijkstra)
+        monkeypatch.setattr(graph_mod, "_lex_dijkstra", lex)
+        first = (component_info(g), root_distances(g), root_hop_distances(g))
+        after_first = dict(runs)
+        assert after_first == {"dijkstra": 1, "lex": 4}  # 3 for the diameter, 1 for hops
+        second = (component_info(g), root_distances(g), root_hop_distances(g))
+        assert runs == after_first
+        assert all(a is b for a, b in zip(first, second))
+        assert first == (component_info(build_graph(list(g.edges()), 5, 0)), (0, 4, 2, INFINITY, INFINITY), (0, 2, 1, INFINITY, INFINITY))
+
+    def test_cached_values_are_immutable(self, triangle):
+        info = component_info(triangle)
+        with pytest.raises(AttributeError):
+            info.n_max_cc = 0
+        with pytest.raises(TypeError):
+            root_distances(triangle)[1] = 0
+        with pytest.raises(TypeError):
+            root_hop_distances(triangle)[1] = 0
+        info.components()[0].append(99)  # a fresh list each call
+        assert component_info(triangle).components() == [[0, 1, 2]]
+
+    def test_memo_is_per_instance(self):
+        a = build_graph([(0, 1, 1)], 2, 0)
+        b = build_graph([(0, 1, 2)], 2, 0)
+        assert root_distances(a) == (0, 1)
+        assert root_distances(b) == (0, 2)
+        assert a == build_graph([(0, 1, 1)], 2, 0)  # the memo takes no part in equality
 
 
 class TestRandomGraphs:
