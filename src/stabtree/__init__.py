@@ -8,6 +8,8 @@ from .graph import (
     build_graph,
     component_info,
     generate_random_graph,
+    hop_diameter_root,
+    induced_subgraph,
     load_graph,
     parse_graph,
     root_distances,

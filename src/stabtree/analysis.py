@@ -15,7 +15,14 @@ from typing import Sequence
 
 from . import protocol
 from .engine import enabled
-from .graph import INFINITY, WeightedGraph, component_info, root_distances, root_hop_distances
+from .graph import (
+    INFINITY,
+    WeightedGraph,
+    component_info,
+    hop_diameter_root,
+    root_distances,
+    root_hop_distances,
+)
 from .protocol import ProcessState, Rule, Status
 
 
@@ -55,8 +62,7 @@ def step_bound_for(g: WeightedGraph) -> int:
 
 
 def round_bound_for(g: WeightedGraph) -> int:
-    info = component_info(g)
-    return round_bound(info.n_max_cc, info.hop_diameter_root)
+    return round_bound(component_info(g).n_max_cc, hop_diameter_root(g))
 
 
 # --- legitimacy -------------------------------------------------------------
@@ -323,7 +329,7 @@ def check_bounds(trace, g: WeightedGraph) -> BoundReport:
     steps = trace.step_count
     rounds = count_rounds(trace, g)
     s_limit = step_bound(g.node_count, info.n_max_cc, info.w_max)
-    r_limit = round_bound(info.n_max_cc, info.hop_diameter_root)
+    r_limit = round_bound(info.n_max_cc, hop_diameter_root(g))
     weights = {w for _, _, w in g.edges()}
     uniform = len(weights) <= 1
     u_limit = uniform_step_bound(g.node_count, info.n_max_cc) if uniform else None

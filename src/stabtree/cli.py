@@ -279,8 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explore", help="exhaustively certify a small instance")
     p_exp.add_argument("-g", "--graph", required=True)
     p_exp.add_argument("--dcap", type=int, required=True, help="initial distance cap")
-    p_exp.add_argument("--max-visited", type=int, default=2_000_000)
-    p_exp.add_argument("--max-enabled", type=int, default=10)
+    p_exp.add_argument(
+        "--max-visited",
+        type=int,
+        default=2_000_000,
+        help="most configurations expanded per connected component (a hard cap); "
+        "the reported counts are the products over components",
+    )
+    p_exp.add_argument(
+        "--max-enabled", type=int, default=10, help="largest enabled set explored in a component's configuration"
+    )
     p_exp.add_argument("--report", help="write machine-readable result to this path")
     p_exp.set_defaults(func=cmd_explore)
 

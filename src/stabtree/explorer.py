@@ -5,17 +5,20 @@ from one or all initial configurations, deduplicates configurations, and
 certifies that the reachable configuration graph is acyclic, that its
 terminals are exactly the legitimate configurations, that no step creates
 an alive abnormal root, and that the longest path respects the step bound.
+Certification explores each connected component (plus the root) on its
+own and combines the results, since components evolve independently.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import analysis, engine, protocol
 from .engine import Configuration
-from .graph import WeightedGraph, component_info
+from .graph import WeightedGraph, component_info, induced_subgraph
 from .protocol import ROOT_STATE, ProcessState, Status
 
 
@@ -71,6 +74,7 @@ class _Explorer:
         self.nonterminal_legitimate: list[Configuration] = []
         self.aar_violations: list[tuple[Configuration, Configuration]] = []
         self.exclusivity_violations: list[tuple[Configuration, int]] = []
+        self.expanded = 0  # configurations whose successors were generated
         self._aar_cache: dict[Configuration, frozenset[int]] = {}
 
     def _aar(self, config: Configuration) -> frozenset[int]:
@@ -112,12 +116,11 @@ class _Explorer:
             succs.append(succ)
         return succs
 
-    def explore_from(self, start: Configuration) -> int:
-        """Visit everything reachable from ``start``; returns newly
-        expanded configuration count."""
+    def explore_from(self, start: Configuration) -> None:
+        """Visit everything reachable from ``start``; expands at most
+        ``limits.max_visited`` configurations over the explorer's life."""
         if self.cycle_witness is not None or start in self.longest:
-            return 0
-        new = 0
+            return
         # frame: [config, successor list, next index, best child longest]
         stack: list[list] = [[start, None, 0, -1]]
         self.onstack.add(start)
@@ -125,12 +128,12 @@ class _Explorer:
             frame = stack[-1]
             config = frame[0]
             if frame[1] is None:
-                if len(self.longest) + 1 > self.limits.max_visited:
+                if self.expanded >= self.limits.max_visited:
                     raise BudgetExceededError(
                         f"visited more than {self.limits.max_visited} configurations"
                     )
                 frame[1] = self._successors(config)
-                new += 1
+                self.expanded += 1
             succs = frame[1]
             if frame[2] < len(succs):
                 nxt = succs[frame[2]]
@@ -139,7 +142,7 @@ class _Explorer:
                     self.cycle_witness = [f[0] for f in stack] + [nxt]
                     for f in stack:
                         self.onstack.discard(f[0])
-                    return new
+                    return
                 if nxt in self.longest:
                     frame[3] = max(frame[3], self.longest[nxt])
                 else:
@@ -151,7 +154,6 @@ class _Explorer:
             stack.pop()
             if stack:
                 stack[-1][3] = max(stack[-1][3], self.longest[config])
-        return new
 
 
 def explore(
@@ -172,7 +174,7 @@ def explore(
 def _result(ex: _Explorer, initial: Configuration) -> StateSpaceResult:
     cycle = ex.cycle_witness is not None
     return StateSpaceResult(
-        reachable_count=len(ex.longest),
+        reachable_count=ex.expanded,
         terminal_configs=set(ex.terminals),
         max_steps_any_path=ex.longest.get(initial, 0) if not cycle else -1,
         cycle_found=cycle,
@@ -212,6 +214,21 @@ def enumerate_initial_configs(g: WeightedGraph, d_cap: int) -> Iterator[Configur
 
 @dataclass
 class CertificationResult:
+    """Verdict on every execution from every enumerated initial
+    configuration of an instance.
+
+    The instance is certified one factor at a time: a factor is one
+    connected component plus the root. ``initial_configs`` and
+    ``reachable_count`` are the products of the factors' counts, which
+    equal the counts of the whole configuration space; ``max_steps_any_path``
+    is the sum of the factors' longest executions; ``step_limit`` is the
+    bound of the whole graph. Violation counts are summed over factors, so
+    they count factor configurations. A ``witness`` cycle is given as
+    whole-graph configurations, the other factors held at their first
+    enumerated configuration. An ``INCONCLUSIVE`` result combines the
+    factors finished so far with the one the budget interrupted.
+    """
+
     verdict: str  # PASS, FAIL, or INCONCLUSIVE
     initial_configs: int
     reachable_count: int
@@ -226,6 +243,59 @@ class CertificationResult:
         return self.verdict == "PASS"
 
 
+class _Factor:
+    """One connected component plus the root, explored on its own graph."""
+
+    def __init__(self, g: WeightedGraph, nodes: list[int], limits: ExplorationLimits):
+        self.nodes = sorted(nodes)  # factor node i is node nodes[i] of the whole graph
+        self.graph = induced_subgraph(g, self.nodes)
+        self.ex = _Explorer(self.graph, limits)
+        self.initial_configs = 0
+        self.max_steps = 0
+
+    def explore(self, d_cap: int) -> None:
+        for initial in enumerate_initial_configs(self.graph, d_cap):
+            self.initial_configs += 1
+            self.ex.explore_from(initial)
+            if self.ex.cycle_witness is not None:
+                return
+            self.max_steps = max(self.max_steps, self.ex.longest[initial])
+
+    def lift(self, config: Configuration, states: list[ProcessState]) -> None:
+        """Write a factor configuration into a whole-graph state list."""
+        for i, (status, par, d) in enumerate(config):
+            states[self.nodes[i]] = ProcessState(status, None if par is None else self.nodes[par], d)
+
+
+def _combined(factors: list[_Factor], **fields) -> CertificationResult:
+    return CertificationResult(
+        initial_configs=math.prod(f.initial_configs for f in factors),
+        reachable_count=math.prod(f.ex.expanded for f in factors),
+        max_steps_any_path=sum(f.max_steps for f in factors),
+        **fields,
+    )
+
+
+def _lift_witness(g: WeightedGraph, factors: list[_Factor], cyclic: _Factor, d_cap: int):
+    base = [ROOT_STATE] * g.node_count
+    for f in factors:
+        f.lift(next(enumerate_initial_configs(f.graph, d_cap)), base)
+    witness = []
+    for config in cyclic.ex.cycle_witness:
+        states = list(base)
+        cyclic.lift(config, states)
+        witness.append(tuple(states))
+    return witness
+
+
+_VIOLATION_KINDS = (
+    ("illegitimate_terminals", "illegitimate terminal configuration(s)"),
+    ("nonterminal_legitimate", "legitimate non-terminal configuration(s)"),
+    ("aar_violations", "step(s) creating an alive abnormal root"),
+    ("exclusivity_violations", "guard exclusivity violation(s)"),
+)
+
+
 def certify_instance(
     g: WeightedGraph,
     d_cap: int,
@@ -236,52 +306,56 @@ def certify_instance(
     PASS means: no cycle anywhere (silence), every terminal legitimate,
     every reachable legitimate configuration terminal, no step creating an
     alive abnormal root, and the longest execution within the step bound.
+
+    No edge crosses components and the root is pinned, so the whole
+    configuration graph is the product of the factors' graphs, each step
+    moving one or more factors while the rest stay idle. Each property
+    above holds on the product iff it holds on every factor, and the
+    longest product execution is the sum of the factors' longest. The
+    limits apply to each factor.
     """
     limits = limits or ExplorationLimits()
     info = component_info(g)
     limit = analysis.step_bound(g.node_count, info.n_max_cc, info.w_max)
-    ex = _Explorer(g, limits)
-    count = 0
-    max_path = 0
+    root = g.root_id
+    factors = [
+        _Factor(g, nodes if root in nodes else nodes + [root], limits)
+        for nodes in info.components()
+        if nodes != [root]
+    ]
+    started: list[_Factor] = []
     try:
-        for initial in enumerate_initial_configs(g, d_cap):
-            count += 1
-            ex.explore_from(initial)
-            if ex.cycle_witness is not None:
+        for f in factors:
+            started.append(f)
+            f.explore(d_cap)
+            if f.ex.cycle_witness is not None:
                 break
-            max_path = max(max_path, ex.longest[initial])
     except BudgetExceededError as exc:
-        exc.partial = CertificationResult(
+        exc.partial = _combined(
+            started,
             verdict="INCONCLUSIVE",
-            initial_configs=count,
-            reachable_count=len(ex.longest),
-            max_steps_any_path=max_path,
             step_limit=limit,
             cycle_found=False,
             witness=None,
             violations=[str(exc)],
         )
         raise
+    cyclic = next((f for f in started if f.ex.cycle_witness is not None), None)
     violations = []
-    if ex.cycle_witness is not None:
+    if cyclic is not None:
         violations.append("cycle in configuration graph (silence violated)")
-    if ex.illegitimate_terminals:
-        violations.append(f"{len(ex.illegitimate_terminals)} illegitimate terminal configuration(s)")
-    if ex.nonterminal_legitimate:
-        violations.append(f"{len(ex.nonterminal_legitimate)} legitimate non-terminal configuration(s)")
-    if ex.aar_violations:
-        violations.append(f"{len(ex.aar_violations)} step(s) creating an alive abnormal root")
-    if ex.exclusivity_violations:
-        violations.append(f"{len(ex.exclusivity_violations)} guard exclusivity violation(s)")
-    if ex.cycle_witness is None and max_path > limit:
+    for attr, what in _VIOLATION_KINDS:
+        n = sum(len(getattr(f.ex, attr)) for f in started)
+        if n:
+            violations.append(f"{n} {what}")
+    max_path = sum(f.max_steps for f in started)
+    if cyclic is None and max_path > limit:
         violations.append(f"longest execution {max_path} exceeds step bound {limit}")
-    return CertificationResult(
+    return _combined(
+        started,
         verdict="FAIL" if violations else "PASS",
-        initial_configs=count,
-        reachable_count=len(ex.longest),
-        max_steps_any_path=max_path,
         step_limit=limit,
-        cycle_found=ex.cycle_witness is not None,
-        witness=ex.cycle_witness,
+        cycle_found=cyclic is not None,
+        witness=None if cyclic is None else _lift_witness(g, factors, cyclic, d_cap),
         violations=violations,
     )

@@ -184,16 +184,14 @@ class ComponentInfo:
     """Connected-component decomposition plus the metrics used by the bounds.
 
     ``n_max_cc`` is the maximum number of non-root processes in a single
-    connected component; ``hop_diameter_root`` is the hop diameter of the
-    root's component (0 when the root is alone); ``w_max`` is the largest
-    edge weight (1 for an edgeless graph).
+    connected component; ``w_max`` is the largest edge weight (1 for an
+    edgeless graph).
     """
 
     component_of: tuple[int, ...]
     component_count: int
     root_component: frozenset[int]
     n_max_cc: int
-    hop_diameter_root: int
     w_max: int
 
     def same_component(self, u: int, v: int) -> bool:
@@ -231,20 +229,52 @@ def component_info(g: WeightedGraph) -> ComponentInfo:
         non_root = size - 1 if c == root_comp else size
         n_max_cc = max(n_max_cc, non_root)
     root_nodes = frozenset(u for u in range(g.node_count) if comp[u] == root_comp)
-    diameter = 0
-    if len(root_nodes) > 1:
-        for u in root_nodes:
-            hops = _lex_dijkstra(g, u)
-            diameter = max(diameter, max(int(hops[v][1]) for v in root_nodes))
     w_max = max((w for _, _, w in g.edges()), default=1)
     return ComponentInfo(
         component_of=tuple(comp),
         component_count=n_comp,
         root_component=root_nodes,
         n_max_cc=n_max_cc,
-        hop_diameter_root=diameter,
         w_max=w_max,
     )
+
+
+@_per_graph
+def hop_diameter_root(g: WeightedGraph) -> int:
+    """Hop diameter of the root's component (0 when the root is alone),
+    counting the edges of minimum-weight paths. Runs one Dijkstra per
+    node of that component, so only the round bound asks for it."""
+    root_nodes = component_info(g).root_component
+    diameter = 0
+    if len(root_nodes) > 1:
+        for u in root_nodes:
+            hops = _lex_dijkstra(g, u)
+            diameter = max(diameter, max(int(hops[v][1]) for v in root_nodes))
+    return diameter
+
+
+def induced_subgraph(g: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:
+    """The subgraph induced by ``nodes``, which must include the root.
+
+    Nodes are renumbered 0.. in increasing id order. The renumbering is
+    monotone, so every order the protocol and the explorer rely on (the
+    smallest-id tie-break, the enumeration order of parents) is kept.
+    """
+    order = sorted(set(nodes))
+    new_id = {u: i for i, u in enumerate(order)}
+    for u in order:
+        g.check_node(u)
+    if g.root_id not in new_id:
+        raise BadNodeIdError(f"induced subgraph must contain the root {g.root_id}")
+    if len(order) == g.node_count:
+        return g
+    edges = [
+        (new_id[u], new_id[v], w)
+        for u in order
+        for v, w in g.adjacency[u].items()
+        if u < v and v in new_id
+    ]
+    return build_graph(edges, len(order), new_id[g.root_id])
 
 
 def generate_random_graph(

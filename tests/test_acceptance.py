@@ -110,6 +110,7 @@ CERTIFICATION_INSTANCES = [
     ("triangle w=1,1,1", [(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3),
     ("triangle w=1,2,2", [(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3),
     ("4-node 2 components", [(0, 1, 1), (2, 3, 2)], 4),
+    ("5-node 3 components", [(0, 1, 1), (2, 3, 1)], 5),
 ]
 
 

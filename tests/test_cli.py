@@ -131,14 +131,14 @@ class TestExploreCommand:
         captured = capsys.readouterr()
         assert "INCONCLUSIVE" in captured.err
         assert captured.out.splitlines() == [
-            "verdict=INCONCLUSIVE initial_configs=2 reachable=3 max_steps=2 step_limit=30",
+            "verdict=INCONCLUSIVE initial_configs=1 reachable=1 max_steps=0 step_limit=30",
             "violation: visited more than 1 configurations",
         ]
         assert json.loads(report.read_text()) == {
             "verdict": "INCONCLUSIVE",
-            "initial_configs": 2,
-            "reachable": 3,
-            "max_steps": 2,
+            "initial_configs": 1,
+            "reachable": 1,
+            "max_steps": 0,
             "step_limit": 30,
             "violations": ["visited more than 1 configurations"],
         }

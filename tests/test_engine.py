@@ -163,6 +163,16 @@ class TestRun:
         with pytest.raises(NotEnabledError):
             run(start, path3, Reckless())
 
+    def test_default_step_budget_skips_hop_diameter(self):
+        # The step bound needs only n_max_cc and w_max; the all-pairs hop
+        # diameter is for the round bound alone.
+        n = 1200
+        g = build_graph([(u, u + 1, 1) for u in range(n - 1)], n, 0)
+        trace = run(normal_initial_configuration(g), g, SynchronousDaemon())
+        assert trace.terminated
+        assert "component_info" in g._oracles
+        assert "hop_diameter_root" not in g._oracles
+
     def test_invalid_initial_config_rejected(self, path3):
         bad = (ROOT_STATE, ProcessState(Status.C, 0, -1), ProcessState(Status.I, 2, 0))
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from stabtree import protocol
 from stabtree.analysis import step_bound_for
 from stabtree.engine import normal_initial_configuration, run
 from stabtree.daemon import SynchronousDaemon
@@ -7,12 +10,13 @@ from stabtree.explorer import (
     BudgetExceededError,
     ExplorationLimits,
     ExplorerError,
+    _Explorer,
     certify_instance,
     enumerate_initial_configs,
     explore,
 )
 from stabtree.graph import build_graph
-from stabtree.protocol import Status
+from stabtree.protocol import ROOT_STATE, ProcessState, Status
 
 from conftest import mk_config
 
@@ -110,3 +114,79 @@ class TestCertify:
         partial = exc_info.value.partial
         assert partial.verdict == "INCONCLUSIVE"
         assert partial.violations
+
+
+def _monolithic(g, d_cap):
+    """Explore the whole product configuration graph as one: the reference
+    that certification by connected component must reproduce."""
+    ex = _Explorer(g, ExplorationLimits())
+    count = max_path = 0
+    for initial in enumerate_initial_configs(g, d_cap):
+        count += 1
+        ex.explore_from(initial)
+        assert ex.cycle_witness is None
+        max_path = max(max_path, ex.longest[initial])
+    bad = (
+        ex.illegitimate_terminals
+        or ex.nonterminal_legitimate
+        or ex.aar_violations
+        or ex.exclusivity_violations
+        or max_path > step_bound_for(g)
+    )
+    return "FAIL" if bad else "PASS", count, len(ex.longest), max_path
+
+
+def _relabelled(edges, n, rng):
+    perm = rng.sample(range(n), n)
+    return build_graph([(perm[u], perm[v], w) for u, v, w in edges], n, perm[0])
+
+
+class TestByComponent:
+    @pytest.mark.parametrize(
+        "edges,n,d_cap",
+        [
+            ([(0, 1, 1), (2, 3, 2)], 4, 1),  # 4-node 2 components
+            ([(0, 1, 1), (1, 2, 1)], 4, 1),  # 3-path beside an isolated node
+            ([(1, 2, 1)], 3, 2),  # the root alone plus an edge
+            ([], 3, 2),  # the root alone plus 2 isolated nodes
+        ],
+    )
+    def test_matches_monolithic_exploration(self, edges, n, d_cap):
+        rng = random.Random(n * 100 + d_cap)
+        for _ in range(3):
+            g = _relabelled(edges, n, rng)
+            result = certify_instance(g, d_cap)
+            got = (result.verdict, result.initial_configs, result.reachable_count, result.max_steps_any_path)
+            assert got == _monolithic(g, d_cap)
+
+    def test_budget_applies_per_factor(self):
+        # Factors {0,1} (16 reachable) and {0,2,3} (312 reachable) at d_cap 1.
+        g = build_graph([(0, 1, 1), (2, 3, 2)], 4, 0)
+        result = certify_instance(g, 1, ExplorationLimits(max_visited=312))
+        assert result.passed
+        assert result.reachable_count == 16 * 312 > 312
+        with pytest.raises(BudgetExceededError) as exc_info:
+            certify_instance(g, 1, ExplorationLimits(max_visited=100))
+        partial = exc_info.value.partial
+        assert partial.verdict == "INCONCLUSIVE"
+        # The finished factor times the interrupted one, capped at 100.
+        assert partial.reachable_count == 16 * 100
+        assert partial.initial_configs == 16 * 65
+
+    def test_cycle_witness_is_lifted_to_whole_graph(self, monkeypatch):
+        # A mutant whose rules leave the state unchanged loops at once.
+        monkeypatch.setattr(protocol, "_apply", lambda config, g, u, rule: config[u])
+        g = build_graph([(2, 3, 2)], 4, 1)  # factors {0, 1} and {1, 2, 3}
+        result = certify_instance(g, 1)
+        assert result.verdict == "FAIL"
+        assert result.cycle_found
+        assert result.violations[0] == "cycle in configuration graph (silence violated)"
+        # Node 0 loops on its first enabled start; nodes 2 and 3 stay at
+        # their factor's first enumerated configuration (parent ids mapped back).
+        looping = (
+            ProcessState(Status.C, 0, 0),
+            ROOT_STATE,
+            ProcessState(Status.I, 3, 0),
+            ProcessState(Status.I, 2, 0),
+        )
+        assert result.witness == [looping, looping]

@@ -15,6 +15,8 @@ from stabtree.graph import (
     component_info,
     format_graph,
     generate_random_graph,
+    hop_diameter_root,
+    induced_subgraph,
     parse_graph,
     root_distances,
     root_hop_distances,
@@ -115,18 +117,18 @@ class TestComponentInfo:
     def test_path(self, path3):
         info = component_info(path3)
         assert info.n_max_cc == 2
-        assert info.hop_diameter_root == 2
+        assert hop_diameter_root(path3) == 2
         assert info.component_count == 1
 
     def test_rootless_component_counts(self, two_comp):
         info = component_info(two_comp)
         assert info.n_max_cc == 2  # {a, b} has two non-root processes
-        assert info.hop_diameter_root == 0
+        assert hop_diameter_root(two_comp) == 0
         assert info.component_count == 2
         assert info.root_component == {0}
 
     def test_triangle_diameter(self, triangle):
-        assert component_info(triangle).hop_diameter_root == 1
+        assert hop_diameter_root(triangle) == 1
 
     def test_n_max_cc_upper_bound(self):
         for trial in range(25):
@@ -139,10 +141,33 @@ class TestComponentInfo:
         # minimum-weight path has 2 hops.
         g = build_graph([(0, 1, 5), (0, 2, 2), (2, 1, 2)], 3, 0)
         assert root_hop_distances(g)[1] == 2
-        assert component_info(g).hop_diameter_root == 2
+        assert hop_diameter_root(g) == 2
 
     def test_root_distances(self, triangle):
         assert root_distances(triangle) == (0, 2, 1)
+
+
+class TestInducedSubgraph:
+    def test_keeps_id_order_weights_and_root(self):
+        g = build_graph([(0, 4, 3), (1, 3, 2), (3, 4, 5), (2, 5, 1)], 6, 3)
+        sub = induced_subgraph(g, [4, 1, 3])
+        # 1 -> 0, 3 -> 1, 4 -> 2
+        assert sub.node_count == 3
+        assert sub.root_id == 1
+        assert sorted(sub.edges()) == [(0, 1, 2), (1, 2, 5)]
+
+    def test_rootless_component_carries_isolated_root(self):
+        g = build_graph([(0, 1, 1), (2, 3, 2)], 4, 1)
+        sub = induced_subgraph(g, [2, 3, 1])
+        assert (sub.node_count, sub.root_id) == (3, 0)
+        assert list(sub.edges()) == [(1, 2, 2)]
+
+    def test_whole_node_set_is_the_graph(self, triangle):
+        assert induced_subgraph(triangle, range(3)) is triangle
+
+    def test_root_required(self, triangle):
+        with pytest.raises(BadNodeIdError):
+            induced_subgraph(triangle, [1, 2])
 
 
 class TestOracleMemo:
@@ -161,13 +186,13 @@ class TestOracleMemo:
 
         monkeypatch.setattr(graph_mod, "dijkstra_from", dijkstra)
         monkeypatch.setattr(graph_mod, "_lex_dijkstra", lex)
-        first = (component_info(g), root_distances(g), root_hop_distances(g))
+        first = (component_info(g), root_distances(g), root_hop_distances(g), hop_diameter_root(g))
         after_first = dict(runs)
         assert after_first == {"dijkstra": 1, "lex": 4}  # 3 for the diameter, 1 for hops
-        second = (component_info(g), root_distances(g), root_hop_distances(g))
+        second = (component_info(g), root_distances(g), root_hop_distances(g), hop_diameter_root(g))
         assert runs == after_first
         assert all(a is b for a, b in zip(first, second))
-        assert first == (component_info(build_graph(list(g.edges()), 5, 0)), (0, 4, 2, INFINITY, INFINITY), (0, 2, 1, INFINITY, INFINITY))
+        assert first == (component_info(build_graph(list(g.edges()), 5, 0)), (0, 4, 2, INFINITY, INFINITY), (0, 2, 1, INFINITY, INFINITY), 2)
 
     def test_cached_values_are_immutable(self, triangle):
         info = component_info(triangle)
