@@ -31,8 +31,8 @@ def main():
     show(config, "start")
 
     trace = run(config, g, SynchronousDaemon())
-    for i, record in enumerate(trace.steps):
-        fired = {u: r.value for u, r in record.fired.items()}
+    for i, rules in enumerate(trace.steps):
+        fired = {u: r.value for u, r in rules.items()}
         print(f"step {i}: fired {fired}")
         show(trace.configs[i + 1], f"  config {i + 1}")
 

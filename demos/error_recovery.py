@@ -30,8 +30,8 @@ def main():
     )
 
     trace = run(config, g, CentralDaemon(seed=7))
-    for i, record in enumerate(trace.steps):
-        fired = {u: r.value for u, r in record.fired.items()}
+    for i, rules in enumerate(trace.steps):
+        fired = {u: r.value for u, r in rules.items()}
         print(f"step {i}: {fired}")
 
     print(f"\nfinal after {trace.step_count} steps:")

@@ -21,7 +21,6 @@ from .protocol import ROOT_STATE, ProcessState, Rule, Status
 from .engine import (
     Configuration,
     ExecutionTrace,
-    StepRecord,
     enabled,
     normal_initial_configuration,
     random_configuration,
@@ -39,7 +38,6 @@ from .daemon import (
 from .analysis import (
     check_bounds,
     check_round_milestones,
-    count_rounds,
     forest_view,
     full_trace_report,
     legitimate_config,

@@ -1,9 +1,9 @@
 """Trace- and configuration-level verdicts.
 
 Legitimacy is judged against the graph module's distance oracle, never
-against protocol state; round counting follows the neutralization-based
-definition; segment decomposition and the step/round bound formulas turn
-the protocol's worst-case guarantees into runtime checks.
+against protocol state; the round checks read the round ends that
+``engine.run`` records; segment decomposition and the step/round bound
+formulas turn the protocol's worst-case guarantees into runtime checks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import protocol
-from .engine import enabled
 from .graph import (
     INFINITY,
     WeightedGraph,
@@ -32,10 +31,6 @@ class AnalysisError(Exception):
 
 class TraceNotTerminatedError(AnalysisError):
     """Bound/milestone checks require a terminated trace."""
-
-
-class MissingEnabledSetsError(AnalysisError):
-    """Round counting requires per-step pre-enabled sets."""
 
 
 # --- bound formulas ---------------------------------------------------------
@@ -144,10 +139,8 @@ def _spanning_tree_ok(config, g: WeightedGraph) -> bool:
 @dataclass
 class ForestView:
     abnormal_roots: dict[int, bool]  # node -> alive?
-    branch_edges: frozenset[tuple[int, int]]
     illegal_membership: dict[int, bool]
     depth: dict[int, int]  # branch depth, only for nodes in some branch
-    max_branch_depth: int
 
 
 def alive_abnormal_roots(config, g: WeightedGraph) -> frozenset[int]:
@@ -194,55 +187,7 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
             depth[w] = depth[v] + 1
             illegal[w] = illegal[v]
             v = w
-    edges = []
-    for u in range(g.node_count):
-        if u != root and config[u].status is Status.I:
-            continue
-        for v in protocol.children(config, g, u):
-            edges.append((u, v))
-    return ForestView(
-        abnormal_roots=ab_roots,
-        branch_edges=frozenset(edges),
-        illegal_membership=illegal,
-        depth=depth,
-        max_branch_depth=max(depth.values(), default=0),
-    )
-
-
-# --- rounds -----------------------------------------------------------------
-
-
-def round_boundaries(trace, g: WeightedGraph) -> list[int]:
-    """Configuration indices at which each round closes.
-
-    A round closes once every process enabled at its start has either
-    fired or been neutralized (enabled before a step, disabled after).
-    """
-    if not trace.steps:
-        return []
-    for record in trace.steps:
-        if record.pre_enabled is None:
-            raise MissingEnabledSetsError("trace lacks per-step enabled sets")
-    post = [r.pre_enabled for r in trace.steps[1:]]
-    post.append(frozenset(enabled(trace.configs[-1], g)))
-    boundaries: list[int] = []
-    pending = set(trace.steps[0].pre_enabled)
-    for i, record in enumerate(trace.steps):
-        pending -= record.selected
-        pending -= record.pre_enabled - post[i]
-        if not pending:
-            boundaries.append(i + 1)
-            pending = set(post[i])
-    return boundaries
-
-
-def count_rounds(trace, g: WeightedGraph) -> int:
-    """Closed rounds, plus one for a trailing partial round if any."""
-    if not trace.steps:
-        return 0
-    boundaries = round_boundaries(trace, g)
-    partial = 1 if not boundaries or boundaries[-1] != len(trace.steps) else 0
-    return len(boundaries) + partial
+    return ForestView(abnormal_roots=ab_roots, illegal_membership=illegal, depth=depth)
 
 
 # --- trace properties -------------------------------------------------------
@@ -271,31 +216,23 @@ def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
     root sets also yields ``aar_monotone``.
     """
     info = component_info(g)
+    comp_of = info.component_of
     aars = [alive_abnormal_roots(c, g) for c in trace.configs]
+    segment = [0] * info.component_count  # current segment of each component
+    words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
+    for i, fired in enumerate(trace.steps):
+        for u, rule in fired.items():
+            key = (u, segment[comp_of[u]])
+            words[key] = words.get(key, "") + _RULE_CHAR[rule]
+        for c in {comp_of[u] for u in aars[i] - aars[i + 1]}:
+            segment[c] += 1
+    bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
-    for nodes in info.components():
-        nodeset = frozenset(nodes)
-        boundaries = [
-            i
-            for i in range(len(trace.steps))
-            if (aars[i] & nodeset) - aars[i + 1]
-        ]
-        n_segments = len(boundaries) + 1
-        count_ok = n_segments <= info.n_max_cc + 1
-        for u in nodes:
-            if u == g.root_id:
-                continue
-            sequences: list[list[Rule]] = [[] for _ in range(n_segments)]
-            for i, record in enumerate(trace.steps):
-                if u in record.fired:
-                    sequences[bisect_right(boundaries, i - 1)].append(record.fired[u])
-            lang_ok = all(
-                _SEGMENT_RE.fullmatch("".join(_RULE_CHAR[r] for r in seq))
-                for seq in sequences
-            )
-            per_node_ok[u] = lang_ok and count_ok
-            counts[u] = n_segments
+    for u in range(g.node_count):
+        if u != g.root_id:
+            counts[u] = segment[comp_of[u]] + 1
+            per_node_ok[u] = u not in bad and counts[u] <= info.n_max_cc + 1
     monotone = all(cur <= prev for prev, cur in zip(aars, aars[1:]))
     return SegmentReport(per_node_ok, counts, all(per_node_ok.values()), monotone)
 
@@ -327,7 +264,7 @@ def check_bounds(trace, g: WeightedGraph) -> BoundReport:
         raise TraceNotTerminatedError("bound check requires a terminated trace")
     info = component_info(g)
     steps = trace.step_count
-    rounds = count_rounds(trace, g)
+    rounds = trace.rounds
     s_limit = step_bound(g.node_count, info.n_max_cc, info.w_max)
     r_limit = round_bound(info.n_max_cc, hop_diameter_root(g))
     weights = {w for _, _, w in g.edges()}
@@ -361,13 +298,12 @@ def check_round_milestones(trace, g: WeightedGraph) -> MilestoneReport:
     if not trace.terminated:
         raise TraceNotTerminatedError("milestone check requires a terminated trace")
     info = component_info(g)
-    boundaries = round_boundaries(trace, g)
     distances = root_distances(g)
     hops = root_hop_distances(g)
     nm = info.n_max_cc
     ok_c = ok_cleared = ok_hop = True
     for idx, config in enumerate(trace.configs):
-        completed = bisect_right(boundaries, idx)
+        completed = bisect_right(trace.round_ends, idx)
         if completed < nm:
             continue
         view = forest_view(config, g)

@@ -80,8 +80,7 @@ def cmd_run(args) -> int:
                 trace, fh, graph_name=args.graph, seed=args.seed, daemon=policy.name
             )
     results = analysis.full_trace_report(trace, g)
-    rounds = analysis.count_rounds(trace, g)
-    print(f"steps={trace.step_count} rounds={rounds} terminated={trace.terminated}")
+    print(f"steps={trace.step_count} rounds={trace.rounds} terminated={trace.terminated}")
     _print_report(results)
     if args.report:
         _write_machine_report(results, args.report)
@@ -190,14 +189,13 @@ def bench_corpus(
             trace = engine.run(init, g, policy)
             results = analysis.full_trace_report(trace, g)
             failures = [r.name for r in results if not r.ok]
-            rounds = analysis.count_rounds(trace, g)
             runs.append(
                 BenchRun(
                     instance=idx,
                     daemon=spec,
                     n=g.node_count,
                     steps=trace.step_count,
-                    rounds=rounds,
+                    rounds=trace.rounds,
                     step_limit=step_limit,
                     round_limit=round_limit,
                     failures=failures,
@@ -250,6 +248,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts and caps: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabtree",
@@ -271,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="daemon: sync | central | rand:p=<float> | adv:starve | adv:churn",
     )
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--max-steps", type=_at_least_one, default=None)
     p_run.add_argument("--trace", help="write the trace to this path")
     p_run.add_argument("--report", help="write machine-readable verdicts to this path")
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser("explore", help="exhaustively certify a small instance")
     p_exp.add_argument("-g", "--graph", required=True)
-    p_exp.add_argument("--dcap", type=int, required=True, help="initial distance cap")
+    p_exp.add_argument("--dcap", type=_at_least_one, required=True, help="initial distance cap")
     p_exp.add_argument(
         "--max-visited",
         type=int,
@@ -295,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="seeded corpus sweep against the bounds")
     p_bench.add_argument("--count", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--min-n", type=int, default=4)
-    p_bench.add_argument("--max-n", type=int, default=20)
-    p_bench.add_argument("--max-weight", type=int, default=5)
+    p_bench.add_argument("--min-n", type=_at_least_one, default=4)
+    p_bench.add_argument("--max-n", type=_at_least_one, default=20)
+    p_bench.add_argument("--max-weight", type=_at_least_one, default=5)
     p_bench.add_argument(
         "--daemons",
         default="sync,central,rand:p=0.5,adv:starve,adv:churn",
@@ -309,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "bench" and args.min_n > args.max_n:
+        parser.error(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
     return args.func(args)
 
 

@@ -114,7 +114,7 @@ def _fire(
         fired[u] = rule
     new = list(config)
     for u, rule in fired.items():
-        new[u] = protocol._apply(config, g, u, rule)
+        new[u] = protocol.apply_rule(config, g, u, rule)
     return tuple(new), fired
 
 
@@ -123,18 +123,16 @@ def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> C
     return _fire(config, g, frozenset(selection), enabled(config, g))[0]
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    selected: frozenset[int]
-    fired: Mapping[int, Rule]
-    pre_enabled: frozenset[int]
-
-
 @dataclass
 class ExecutionTrace:
+    """``steps[i]`` maps each process selected at step ``i`` to the rule it
+    fired, taking ``configs[i]`` to ``configs[i + 1]``. ``round_ends`` lists
+    the configuration indices at which each round closes."""
+
     configs: list[Configuration]
-    steps: list[StepRecord]
+    steps: list[dict[int, Rule]]
     terminated: bool
+    round_ends: list[int]
 
     @property
     def initial(self) -> Configuration:
@@ -147,6 +145,12 @@ class ExecutionTrace:
     @property
     def step_count(self) -> int:
         return len(self.steps)
+
+    @property
+    def rounds(self) -> int:
+        """Closed rounds, plus one for a trailing partial round if any."""
+        closed = self.round_ends[-1] if self.round_ends else 0
+        return len(self.round_ends) + (1 if closed < len(self.steps) else 0)
 
 
 def default_max_steps(g: WeightedGraph) -> int:
@@ -163,7 +167,11 @@ def run(
     policy,
     max_steps: int | None = None,
 ) -> ExecutionTrace:
-    """Drive ``policy`` until a terminal configuration or ``max_steps``."""
+    """Drive ``policy`` until a terminal configuration or ``max_steps``.
+
+    A round closes once every process enabled at its start has either
+    fired or been neutralized (enabled before a step, disabled after).
+    """
     validate_configuration(config, g)
     if max_steps is None:
         max_steps = default_max_steps(g)
@@ -171,12 +179,14 @@ def run(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     root = g.root_id
     rules = enabled(config, g)
+    pending = set(rules)
     configs = [config]
-    steps: list[StepRecord] = []
+    steps: list[dict[int, Rule]] = []
+    round_ends: list[int] = []
     while rules and len(steps) < max_steps:
-        pre_enabled = frozenset(rules)
         selection = frozenset(policy.select(config, g, dict(rules)))
         config, fired = _fire(config, g, selection, rules)
+        pending -= selection
         # Guards read only the process and its neighbors, so only the
         # selected nodes and their neighbors can change enabledness.
         affected = set(selection)
@@ -187,11 +197,15 @@ def run(
             rule = protocol.enabled_rule(config, g, u)
             if rule is None:
                 rules.pop(u, None)
+                pending.discard(u)  # neutralized: enabled before, disabled now
             else:
                 rules[u] = rule
-        steps.append(StepRecord(selection, fired, pre_enabled))
+        steps.append(fired)
         configs.append(config)
-    return ExecutionTrace(configs=configs, steps=steps, terminated=not rules)
+        if not pending:
+            round_ends.append(len(steps))
+            pending = set(rules)
+    return ExecutionTrace(configs=configs, steps=steps, terminated=not rules, round_ends=round_ends)
 
 
 # --- configuration file format ---------------------------------------------
@@ -277,15 +291,15 @@ def write_trace(
         "initial": [_state_json(s) for s in trace.initial],
     }
     fh.write(json.dumps(header) + "\n")
-    for i, (record, post) in enumerate(zip(trace.steps, trace.configs[1:])):
+    for i, (fired, post) in enumerate(zip(trace.steps, trace.configs[1:])):
         fh.write(
             json.dumps(
                 {
                     "type": "step",
                     "index": i,
-                    "selected": sorted(record.selected),
-                    "fired": {str(u): r.value for u, r in sorted(record.fired.items())},
-                    "post": {str(u): _state_json(post[u]) for u in sorted(record.selected)},
+                    "selected": sorted(fired),
+                    "fired": {str(u): r.value for u, r in sorted(fired.items())},
+                    "post": {str(u): _state_json(post[u]) for u in sorted(fired)},
                 }
             )
             + "\n"

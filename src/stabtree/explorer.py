@@ -102,7 +102,7 @@ class _Explorer:
             raise BudgetExceededError(
                 f"enabled set of size {len(enabled)} exceeds limit {self.limits.max_enabled}"
             )
-        new_states = [(u, protocol._apply(config, g, u, rule)) for u, rule in enabled.items()]
+        new_states = [(u, protocol.apply_rule(config, g, u, rule)) for u, rule in enabled.items()]
         succs = []
         pre_aar = self._aar(config)
         for mask in range(1, 1 << len(new_states)):

@@ -194,9 +194,6 @@ class ComponentInfo:
     n_max_cc: int
     w_max: int
 
-    def same_component(self, u: int, v: int) -> bool:
-        return self.component_of[u] == self.component_of[v]
-
     def components(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.component_count)]
         for u, c in enumerate(self.component_of):

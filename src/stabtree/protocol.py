@@ -59,10 +59,6 @@ class NoCandidateParentError(ProtocolError):
     """compute_path called without any correct neighbor (caller bug)."""
 
 
-class GuardNotEnabledError(ProtocolError):
-    """apply_rule called with a rule whose guard does not hold."""
-
-
 def children(config: Configuration, g: WeightedGraph, u: int) -> frozenset[int]:
     """Neighbors of ``u`` that currently count as its tree children."""
     su, _, du = config[u]
@@ -193,8 +189,9 @@ def enabled_rules(config: Configuration, g: WeightedGraph, u: int) -> tuple[Rule
     return tuple(out)
 
 
-def _apply(config: Configuration, g: WeightedGraph, u: int, rule: Rule) -> ProcessState:
-    # No guard re-check; callers must pass the rule enabled at u.
+def apply_rule(config: Configuration, g: WeightedGraph, u: int, rule: Rule) -> ProcessState:
+    """New state of ``u`` after firing ``rule``, which must be the rule
+    enabled at ``u``: the guard is not checked again."""
     if rule is Rule.R_C or rule is Rule.R_R:
         return compute_path(config, g, u)
     st, pu, du = config[u]
@@ -203,10 +200,3 @@ def _apply(config: Configuration, g: WeightedGraph, u: int, rule: Rule) -> Proce
     if rule is Rule.R_EF:
         return ProcessState(Status.EF, pu, du)
     return ProcessState(Status.I, pu, du)
-
-
-def apply_rule(config: Configuration, g: WeightedGraph, u: int, rule: Rule) -> ProcessState:
-    """New state of ``u`` after firing ``rule``; the guard must hold."""
-    if rule is not enabled_rule(config, g, u):
-        raise GuardNotEnabledError(f"rule {rule} not enabled at node {u}")
-    return _apply(config, g, u, rule)

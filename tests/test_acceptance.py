@@ -84,7 +84,7 @@ def corpus():
                     n=g.node_count,
                     terminated=trace.terminated,
                     steps=trace.step_count,
-                    rounds=analysis.count_rounds(trace, g),
+                    rounds=trace.rounds,
                     step_limit=analysis.step_bound_for(g),
                     round_limit=analysis.round_bound_for(g),
                     uniform_weights=bounds.uniform_weights if bounds else False,

@@ -8,7 +8,6 @@ from stabtree.analysis import (
     alive_abnormal_roots,
     check_bounds,
     check_round_milestones,
-    count_rounds,
     forest_view,
     full_trace_report,
     legitimate_config,
@@ -22,14 +21,14 @@ from stabtree.analysis import (
 )
 from stabtree.daemon import CentralDaemon, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
-    StepRecord,
+    ExecutionTrace,
     enabled,
     normal_initial_configuration,
     random_configuration,
     run,
 )
 from stabtree.graph import build_graph, generate_random_graph
-from stabtree.protocol import ProcessState, Rule, Status
+from stabtree.protocol import ProcessState, Rule, Status, children
 
 from conftest import mk_config
 
@@ -109,7 +108,7 @@ class TestForestView:
         view = forest_view(config, path3)
         assert view.abnormal_roots == {}
         assert not any(view.illegal_membership.values())
-        assert view.branch_edges == {(0, 1), (1, 2)}
+        assert branch_edges(config, path3) == {(0, 1), (1, 2)}
 
     def test_illegal_branch_membership_propagates(self, path3):
         # node 1 is an abnormal root; node 2 hangs off it coherently
@@ -136,8 +135,13 @@ class TestForestView:
         view = forest_view(config, g)
         assert view.abnormal_roots == {}
         assert not any(view.illegal_membership.values())
-        assert view.depth[0] == view.max_branch_depth == n
-        assert len(view.branch_edges) == n - 1
+        assert view.depth[0] == max(view.depth.values()) == n
+        assert len(branch_edges(config, g)) == n - 1
+
+
+def branch_edges(config, g):
+    """Every (parent, child) edge of the children relation."""
+    return {(u, v) for u in range(g.node_count) for v in children(config, g, u)}
 
 
 def relabelled(g, config, perm):
@@ -166,34 +170,35 @@ class TestLabelIndependence:
                 assert {perm[u]: v for u, v in legit.per_node.items()} == legit_h.per_node
                 view, view_h = forest_view(start, g), forest_view(image, h)
                 assert {perm[u]: a for u, a in view.abnormal_roots.items()} == view_h.abnormal_roots
-                assert {(perm[u], perm[v]) for u, v in view.branch_edges} == view_h.branch_edges
+                edges, edges_h = branch_edges(start, g), branch_edges(image, h)
+                assert {(perm[u], perm[v]) for u, v in edges} == edges_h
                 assert {perm[u]: i for u, i in view.illegal_membership.items()} == view_h.illegal_membership
                 assert {perm[u]: d for u, d in view.depth.items()} == view_h.depth
-                assert view_h.max_branch_depth == view.max_branch_depth
+                assert max(view_h.depth.values()) == max(view.depth.values())
 
 
 class TestRounds:
     def test_synchronous_rounds_equal_steps(self, path3):
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
-        assert count_rounds(trace, path3) == trace.step_count == 2
+        assert trace.rounds == trace.step_count == 2
 
     def test_central_on_path(self, path3):
         trace = run(normal_initial_configuration(path3), path3, CentralDaemon(0))
         # only one process is ever enabled, so every step closes a round
         assert trace.step_count == 2
-        assert count_rounds(trace, path3) == 2
+        assert trace.rounds == 2
 
     def test_single_step_is_one_round(self, path3):
         trace = run(
             normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1
         )
-        assert count_rounds(trace, path3) == 1
+        assert trace.rounds == 1
 
     def test_empty_trace_has_no_rounds(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
         trace = run(config, path3, SynchronousDaemon())
         assert trace.step_count == 0
-        assert count_rounds(trace, path3) == 0
+        assert trace.rounds == 0
 
     def test_neutralized_process_closes_round(self):
         # r - a (1), a - b (1), r - b (1): firing b can disable a without a
@@ -202,7 +207,46 @@ class TestRounds:
         config = mk_config(g, n1=(Status.C, 2, 9), n2=(Status.C, 0, 9))
         trace = run(config, g, CentralDaemon(2))
         assert trace.terminated
-        assert count_rounds(trace, g) <= round_bound_for(g)
+        assert trace.rounds <= round_bound_for(g)
+
+
+    def test_run_matches_replayed_round_ends(self):
+        # ``run`` closes rounds online; replaying every configuration's
+        # enabled set must give the same ends, also for runs cut short.
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        uneven = 0
+        for trial in range(30):
+            n = 4 + trial % 8
+            g = generate_random_graph(trial, n, 0.5, 4, component_hint=1 + trial % 3)
+            config = random_configuration(g, trial, 4 * n)
+            for spec in daemons:
+                full = run(config, g, parse_daemon_spec(spec, trial))
+                assert full.round_ends == replayed_round_ends(full, g)
+                uneven += full.round_ends != list(range(1, full.step_count + 1))
+                if full.step_count < 2:
+                    continue
+                cut = run(config, g, parse_daemon_spec(spec, trial), max_steps=full.step_count // 2)
+                assert not cut.terminated
+                assert cut.round_ends == replayed_round_ends(cut, g)
+                assert cut.round_ends == [e for e in full.round_ends if e <= cut.step_count]
+                assert cut.rounds == len(cut.round_ends) + (cut.round_ends[-1:] != [cut.step_count])
+        assert uneven > 0  # some rounds span several steps
+
+
+def replayed_round_ends(trace, g):
+    """Configuration indices at which each round closes, replayed from the
+    enabled set of every configuration: a round closes once every process
+    enabled at its start has fired or been disabled by a step."""
+    sets = [enabled(c, g).keys() for c in trace.configs]
+    ends = []
+    pending = set(sets[0])
+    for i, fired in enumerate(trace.steps):
+        pending -= fired.keys()
+        pending -= sets[i] - sets[i + 1]
+        if not pending:
+            ends.append(i + 1)
+            pending = set(sets[i + 1])
+    return ends
 
 
 class TestAarMonotone:
@@ -222,20 +266,13 @@ class TestAarMonotone:
 
 
 def fabricated_trace(configs, fired_maps):
-    steps = [
-        StepRecord(
-            selected=frozenset(fired),
-            fired=dict(fired),
-            pre_enabled=frozenset(fired),
-        )
-        for fired in fired_maps
-    ]
-    return SimpleNamespace(
+    # Each step fires every enabled process, so each step closes a round.
+    steps = [dict(fired) for fired in fired_maps]
+    return ExecutionTrace(
         configs=list(configs),
         steps=steps,
         terminated=True,
-        final=configs[-1],
-        step_count=len(steps),
+        round_ends=list(range(1, len(steps) + 1)),
     )
 
 
@@ -270,6 +307,22 @@ class TestSegments:
             [{2: Rule.R_EB}, {2: Rule.R_EB}],
         )
         assert not segment_language_check(trace, path3).per_node_ok[2]
+
+    def test_other_component_boundary_does_not_split(self):
+        # Components A = {r, 1} and B = {2, 3}. A's alive abnormal root
+        # (node 1, parent not a neighbor) is gone after step 0, which ends
+        # A's segment but not B's: node 2's two broadcasts share a segment.
+        g = build_graph([(0, 1, 1), (2, 3, 1)], 4, 0)
+        broken = mk_config(g, n1=(Status.C, 1, 1))
+        fixed = mk_config(g, n1=(Status.C, 0, 1))
+        assert alive_abnormal_roots(broken, g) == {1}
+        assert alive_abnormal_roots(fixed, g) == set()
+        trace = fabricated_trace([broken, fixed, fixed], [{2: Rule.R_EB}, {2: Rule.R_EB}])
+        report = segment_language_check(trace, g)
+        assert report.segment_counts == {1: 2, 2: 1, 3: 1}
+        assert not report.per_node_ok[2]
+        assert report.per_node_ok[1] and report.per_node_ok[3]
+        assert not report.ok
 
 
 class TestBoundsCheck:

@@ -194,3 +194,22 @@ class TestCorpus:
         b = bench_corpus(3, 7, ["sync", "adv:churn"], max_n=8)
         assert a == b
         assert all(not r.failures for r in a)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "-g", "unread.g", "--max-steps", "0"],
+        ["explore", "-g", "unread.g", "--dcap", "0"],
+        ["bench", "--min-n", "0"],
+        ["bench", "--max-n", "0"],
+        ["bench", "--min-n", "5", "--max-n", "3"],
+        ["bench", "--max-weight", "0"],
+    ],
+)
+def test_out_of_range_numbers_are_input_errors(argv, capsys):
+    # Rejected while parsing, before any file is read or run starts.
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == EXIT_PARSE_ERROR
+    assert "error:" in capsys.readouterr().err

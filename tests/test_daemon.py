@@ -135,5 +135,5 @@ class TestTraceDeterminism:
     def test_every_selection_respects_enablement(self, triangle):
         config = random_configuration(triangle, 23, 8)
         trace = run(config, triangle, parse_daemon_spec("rand:p=0.6", 5))
-        for i, record in enumerate(trace.steps):
-            assert record.selected <= enabled(trace.configs[i], triangle).keys()
+        for i, fired in enumerate(trace.steps):
+            assert fired.keys() <= enabled(trace.configs[i], triangle).keys()

@@ -99,7 +99,7 @@ class TestRun:
         config = mk_config(g, n1=(Status.C, 0, 1))
         trace = run(config, g, SynchronousDaemon())
         assert trace.terminated
-        assert [trace.steps[i].fired[1] for i in range(3)] == [
+        assert [trace.steps[i][1] for i in range(3)] == [
             Rule.R_EB,
             Rule.R_EF,
             Rule.R_R,
@@ -127,10 +127,11 @@ class TestRun:
     def test_step_records_are_consistent(self, triangle):
         config = random_configuration(triangle, 5, 6)
         trace = run(config, triangle, CentralDaemon(7))
-        for record in trace.steps:
-            assert record.selected
-            assert record.selected <= record.pre_enabled
-            assert set(record.fired) == set(record.selected)
+        for i, fired in enumerate(trace.steps):
+            rules = enabled(trace.configs[i], triangle)
+            assert fired
+            assert fired.keys() <= rules.keys()
+            assert all(rule is rules[u] for u, rule in fired.items())
 
     def test_composite_atomicity_merge_property(self):
         rng = random.Random(0)

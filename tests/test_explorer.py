@@ -175,7 +175,7 @@ class TestByComponent:
 
     def test_cycle_witness_is_lifted_to_whole_graph(self, monkeypatch):
         # A mutant whose rules leave the state unchanged loops at once.
-        monkeypatch.setattr(protocol, "_apply", lambda config, g, u, rule: config[u])
+        monkeypatch.setattr(protocol, "apply_rule", lambda config, g, u, rule: config[u])
         g = build_graph([(2, 3, 2)], 4, 1)  # factors {0, 1} and {1, 2, 3}
         result = certify_instance(g, 1)
         assert result.verdict == "FAIL"

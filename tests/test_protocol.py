@@ -7,7 +7,6 @@ from hypothesis import strategies as hs
 from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import (
     ROOT_STATE,
-    GuardNotEnabledError,
     NoCandidateParentError,
     ProcessState,
     RootQueriedError,
@@ -154,11 +153,6 @@ class TestApplyRule:
         g = build_graph([(0, 1, 4)], 2, 0)
         config = mk_config(g, n1=(Status.I, 1, 0))
         assert apply_rule(config, g, 1, Rule.R_R) == ProcessState(Status.C, 0, 4)
-
-    def test_disabled_rule_rejected(self, chain):
-        config = mk_config(chain, n1=(Status.I, 1, 0))
-        with pytest.raises(GuardNotEnabledError):
-            apply_rule(config, chain, 1, Rule.R_EF)
 
 
 def all_states_for(g, u, d_values=(0, 1, 2, 3)):
