@@ -49,11 +49,8 @@ from .analysis import (
 )
 from .explorer import (
     CertificationResult,
-    ExplorationLimits,
-    StateSpaceResult,
     certify_instance,
     enumerate_initial_configs,
-    explore,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -262,14 +262,13 @@ class BoundReport:
 def check_bounds(trace, g: WeightedGraph) -> BoundReport:
     if not trace.terminated:
         raise TraceNotTerminatedError("bound check requires a terminated trace")
-    info = component_info(g)
     steps = trace.step_count
     rounds = trace.rounds
-    s_limit = step_bound(g.node_count, info.n_max_cc, info.w_max)
-    r_limit = round_bound(info.n_max_cc, hop_diameter_root(g))
+    s_limit = step_bound_for(g)
+    r_limit = round_bound_for(g)
     weights = {w for _, _, w in g.edges()}
     uniform = len(weights) <= 1
-    u_limit = uniform_step_bound(g.node_count, info.n_max_cc) if uniform else None
+    u_limit = uniform_step_bound(g.node_count, component_info(g).n_max_cc) if uniform else None
     u_ok = steps <= u_limit if uniform else None
     ok = steps <= s_limit and rounds <= r_limit and (u_ok is not False)
     return BoundReport(

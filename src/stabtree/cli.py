@@ -7,7 +7,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, engine, explorer
@@ -70,7 +70,9 @@ def cmd_run(args) -> int:
         g = load_graph(args.graph)
         config = build_initial_config(args.init, g)
         policy = parse_daemon_spec(args.daemon, args.seed)
-    except (GraphError, engine.ConfigurationError, DaemonSpecError, InitSpecError, OSError) as exc:
+    except (
+        GraphError, engine.ConfigurationError, DaemonSpecError, InitSpecError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     trace = engine.run(config, g, policy, args.max_steps)
@@ -90,14 +92,11 @@ def cmd_run(args) -> int:
 def cmd_explore(args) -> int:
     try:
         g = load_graph(args.graph)
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    limits = explorer.ExplorationLimits(
-        max_visited=args.max_visited, max_enabled=args.max_enabled
-    )
     try:
-        result = explorer.certify_instance(g, args.dcap, limits)
+        result = explorer.certify_instance(g, args.dcap, args.max_visited)
     except explorer.BudgetExceededError as exc:
         print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
         result = exc.partial
@@ -146,15 +145,14 @@ def corpus_instances(
     min_n: int = 4,
     max_n: int = 20,
     max_weight: int = 5,
-    max_components: int = 3,
 ) -> Iterator[WeightedGraph]:
-    """Deterministic stream of benchmark graphs."""
+    """Deterministic stream of benchmark graphs of one to three components."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(min_n, max_n)
         p = rng.uniform(0.25, 0.9)
         w = rng.randint(1, max_weight)
-        hint = rng.randint(1, max_components)
+        hint = rng.randint(1, 3)
         yield generate_random_graph(
             seed=rng.randrange(2**32),
             node_count=n,
@@ -230,21 +228,7 @@ def cmd_bench(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             for r in runs:
-                fh.write(
-                    json.dumps(
-                        {
-                            "instance": r.instance,
-                            "daemon": r.daemon,
-                            "n": r.n,
-                            "steps": r.steps,
-                            "rounds": r.rounds,
-                            "step_limit": r.step_limit,
-                            "round_limit": r.round_limit,
-                            "failures": r.failures,
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(asdict(r)) + "\n")
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
 
 
@@ -290,19 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--dcap", type=_at_least_one, required=True, help="initial distance cap")
     p_exp.add_argument(
         "--max-visited",
-        type=int,
+        type=_at_least_one,
         default=2_000_000,
         help="most configurations expanded per connected component (a hard cap); "
         "the reported counts are the products over components",
-    )
-    p_exp.add_argument(
-        "--max-enabled", type=int, default=10, help="largest enabled set explored in a component's configuration"
     )
     p_exp.add_argument("--report", help="write machine-readable result to this path")
     p_exp.set_defaults(func=cmd_explore)
 
     p_bench = sub.add_parser("bench", help="seeded corpus sweep against the bounds")
-    p_bench.add_argument("--count", type=int, default=100)
+    p_bench.add_argument("--count", type=_at_least_one, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--min-n", type=_at_least_one, default=4)
     p_bench.add_argument("--max-n", type=_at_least_one, default=20)

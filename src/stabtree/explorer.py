@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import analysis, engine, protocol
 from .engine import Configuration
@@ -34,47 +34,31 @@ class BudgetExceededError(ExplorerError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class ExplorationLimits:
-    max_visited: int = 2_000_000
-    max_enabled: int = 10
-
-
-@dataclass
-class StateSpaceResult:
-    reachable_count: int
-    terminal_configs: set[Configuration]
-    max_steps_any_path: int
-    cycle_found: bool
-    witness: list[Configuration] | None
-    illegitimate_terminals: list[Configuration]
-    nonterminal_legitimate: list[Configuration]
-    aar_violations: list[tuple[Configuration, Configuration]]
-
-    @property
-    def all_terminals_legitimate(self) -> bool:
-        return not self.illegitimate_terminals
-
-    @property
-    def legitimate_implies_terminal(self) -> bool:
-        return not self.nonterminal_legitimate
+# One expansion makes 2**k - 1 successors, one per nonempty subset of the
+# k enabled processes; beyond this k the explorer gives up (INCONCLUSIVE).
+MAX_ENABLED = 10
 
 
 class _Explorer:
-    """DFS over the configuration graph with a shared memo across starts."""
+    """DFS over the configuration graph of the subgraph induced by ``nodes``
+    (for certification, one factor: a connected component plus the root),
+    with a memo shared across starts. A configuration ``c`` is terminal iff
+    ``longest[c] == 0``."""
 
-    def __init__(self, g: WeightedGraph, limits: ExplorationLimits):
-        self.g = g
-        self.limits = limits
+    def __init__(self, g: WeightedGraph, nodes: Iterable[int], max_visited: int):
+        self.nodes = sorted(nodes)  # explorer node i is node nodes[i] of ``g``
+        self.g = induced_subgraph(g, self.nodes)
+        self.max_visited = max_visited
         self.longest: dict[Configuration, int] = {}
         self.onstack: set[Configuration] = set()
-        self.terminals: set[Configuration] = set()
         self.cycle_witness: list[Configuration] | None = None
         self.illegitimate_terminals: list[Configuration] = []
         self.nonterminal_legitimate: list[Configuration] = []
         self.aar_violations: list[tuple[Configuration, Configuration]] = []
         self.exclusivity_violations: list[tuple[Configuration, int]] = []
         self.expanded = 0  # configurations whose successors were generated
+        self.initial_configs = 0
+        self.max_steps = 0
         self._aar_cache: dict[Configuration, frozenset[int]] = {}
 
     def _aar(self, config: Configuration) -> frozenset[int]:
@@ -92,15 +76,14 @@ class _Explorer:
                 self.exclusivity_violations.append((config, u))
         legit = analysis.legitimate_config(config, g).config_legitimate
         if not enabled:
-            self.terminals.add(config)
             if not legit:
                 self.illegitimate_terminals.append(config)
             return []
         if legit:
             self.nonterminal_legitimate.append(config)
-        if len(enabled) > self.limits.max_enabled:
+        if len(enabled) > MAX_ENABLED:
             raise BudgetExceededError(
-                f"enabled set of size {len(enabled)} exceeds limit {self.limits.max_enabled}"
+                f"enabled set of size {len(enabled)} exceeds limit {MAX_ENABLED}"
             )
         new_states = [(u, protocol.apply_rule(config, g, u, rule)) for u, rule in enabled.items()]
         succs = []
@@ -118,7 +101,7 @@ class _Explorer:
 
     def explore_from(self, start: Configuration) -> None:
         """Visit everything reachable from ``start``; expands at most
-        ``limits.max_visited`` configurations over the explorer's life."""
+        ``max_visited`` configurations over the explorer's life."""
         if self.cycle_witness is not None or start in self.longest:
             return
         # frame: [config, successor list, next index, best child longest]
@@ -128,9 +111,9 @@ class _Explorer:
             frame = stack[-1]
             config = frame[0]
             if frame[1] is None:
-                if self.expanded >= self.limits.max_visited:
+                if self.expanded >= self.max_visited:
                     raise BudgetExceededError(
-                        f"visited more than {self.limits.max_visited} configurations"
+                        f"visited more than {self.max_visited} configurations"
                     )
                 frame[1] = self._successors(config)
                 self.expanded += 1
@@ -155,34 +138,21 @@ class _Explorer:
             if stack:
                 stack[-1][3] = max(stack[-1][3], self.longest[config])
 
+    def explore(self, d_cap: int) -> None:
+        """Explore from every enumerated initial configuration, stopping at
+        the first cycle."""
+        for initial in enumerate_initial_configs(self.g, d_cap):
+            self.initial_configs += 1
+            self.explore_from(initial)
+            if self.cycle_witness is not None:
+                return
+            self.max_steps = max(self.max_steps, self.longest[initial])
 
-def explore(
-    g: WeightedGraph,
-    initial: Configuration,
-    limits: ExplorationLimits | None = None,
-) -> StateSpaceResult:
-    """Traverse all executions from one initial configuration."""
-    ex = _Explorer(g, limits or ExplorationLimits())
-    try:
-        ex.explore_from(initial)
-    except BudgetExceededError as exc:
-        exc.partial = _result(ex, initial)
-        raise
-    return _result(ex, initial)
-
-
-def _result(ex: _Explorer, initial: Configuration) -> StateSpaceResult:
-    cycle = ex.cycle_witness is not None
-    return StateSpaceResult(
-        reachable_count=ex.expanded,
-        terminal_configs=set(ex.terminals),
-        max_steps_any_path=ex.longest.get(initial, 0) if not cycle else -1,
-        cycle_found=cycle,
-        witness=ex.cycle_witness,
-        illegitimate_terminals=list(ex.illegitimate_terminals),
-        nonterminal_legitimate=list(ex.nonterminal_legitimate),
-        aar_violations=list(ex.aar_violations),
-    )
+    def lift(self, config: Configuration, states: list[ProcessState]) -> None:
+        """Write one of this explorer's configurations into a state list of
+        the whole graph."""
+        for i, (status, par, d) in enumerate(config):
+            states[self.nodes[i]] = ProcessState(status, None if par is None else self.nodes[par], d)
 
 
 def enumerate_initial_configs(g: WeightedGraph, d_cap: int) -> Iterator[Configuration]:
@@ -234,7 +204,6 @@ class CertificationResult:
     reachable_count: int
     max_steps_any_path: int
     step_limit: int
-    cycle_found: bool
     witness: list[Configuration] | None
     violations: list[str] = field(default_factory=list)
 
@@ -242,46 +211,26 @@ class CertificationResult:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-
-class _Factor:
-    """One connected component plus the root, explored on its own graph."""
-
-    def __init__(self, g: WeightedGraph, nodes: list[int], limits: ExplorationLimits):
-        self.nodes = sorted(nodes)  # factor node i is node nodes[i] of the whole graph
-        self.graph = induced_subgraph(g, self.nodes)
-        self.ex = _Explorer(self.graph, limits)
-        self.initial_configs = 0
-        self.max_steps = 0
-
-    def explore(self, d_cap: int) -> None:
-        for initial in enumerate_initial_configs(self.graph, d_cap):
-            self.initial_configs += 1
-            self.ex.explore_from(initial)
-            if self.ex.cycle_witness is not None:
-                return
-            self.max_steps = max(self.max_steps, self.ex.longest[initial])
-
-    def lift(self, config: Configuration, states: list[ProcessState]) -> None:
-        """Write a factor configuration into a whole-graph state list."""
-        for i, (status, par, d) in enumerate(config):
-            states[self.nodes[i]] = ProcessState(status, None if par is None else self.nodes[par], d)
+    @property
+    def cycle_found(self) -> bool:
+        return self.witness is not None
 
 
-def _combined(factors: list[_Factor], **fields) -> CertificationResult:
+def _combined(factors: list[_Explorer], **fields) -> CertificationResult:
     return CertificationResult(
         initial_configs=math.prod(f.initial_configs for f in factors),
-        reachable_count=math.prod(f.ex.expanded for f in factors),
+        reachable_count=math.prod(f.expanded for f in factors),
         max_steps_any_path=sum(f.max_steps for f in factors),
         **fields,
     )
 
 
-def _lift_witness(g: WeightedGraph, factors: list[_Factor], cyclic: _Factor, d_cap: int):
+def _lift_witness(g: WeightedGraph, factors: list[_Explorer], cyclic: _Explorer, d_cap: int):
     base = [ROOT_STATE] * g.node_count
     for f in factors:
-        f.lift(next(enumerate_initial_configs(f.graph, d_cap)), base)
+        f.lift(next(enumerate_initial_configs(f.g, d_cap)), base)
     witness = []
-    for config in cyclic.ex.cycle_witness:
+    for config in cyclic.cycle_witness:
         states = list(base)
         cyclic.lift(config, states)
         witness.append(tuple(states))
@@ -296,11 +245,7 @@ _VIOLATION_KINDS = (
 )
 
 
-def certify_instance(
-    g: WeightedGraph,
-    d_cap: int,
-    limits: ExplorationLimits | None = None,
-) -> CertificationResult:
+def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = 2_000_000) -> CertificationResult:
     """Explore every enumerated initial configuration of the instance.
 
     PASS means: no cycle anywhere (silence), every terminal legitimate,
@@ -311,41 +256,34 @@ def certify_instance(
     configuration graph is the product of the factors' graphs, each step
     moving one or more factors while the rest stay idle. Each property
     above holds on the product iff it holds on every factor, and the
-    longest product execution is the sum of the factors' longest. The
-    limits apply to each factor.
+    longest product execution is the sum of the factors' longest.
+    ``max_visited`` and ``MAX_ENABLED`` apply to each factor.
     """
-    limits = limits or ExplorationLimits()
-    info = component_info(g)
-    limit = analysis.step_bound(g.node_count, info.n_max_cc, info.w_max)
+    limit = analysis.step_bound_for(g)
     root = g.root_id
     factors = [
-        _Factor(g, nodes if root in nodes else nodes + [root], limits)
-        for nodes in info.components()
+        _Explorer(g, nodes if root in nodes else nodes + [root], max_visited)
+        for nodes in component_info(g).components()
         if nodes != [root]
     ]
-    started: list[_Factor] = []
+    started: list[_Explorer] = []
     try:
         for f in factors:
             started.append(f)
             f.explore(d_cap)
-            if f.ex.cycle_witness is not None:
+            if f.cycle_witness is not None:
                 break
     except BudgetExceededError as exc:
         exc.partial = _combined(
-            started,
-            verdict="INCONCLUSIVE",
-            step_limit=limit,
-            cycle_found=False,
-            witness=None,
-            violations=[str(exc)],
+            started, verdict="INCONCLUSIVE", step_limit=limit, witness=None, violations=[str(exc)]
         )
         raise
-    cyclic = next((f for f in started if f.ex.cycle_witness is not None), None)
+    cyclic = next((f for f in started if f.cycle_witness is not None), None)
     violations = []
     if cyclic is not None:
         violations.append("cycle in configuration graph (silence violated)")
     for attr, what in _VIOLATION_KINDS:
-        n = sum(len(getattr(f.ex, attr)) for f in started)
+        n = sum(len(getattr(f, attr)) for f in started)
         if n:
             violations.append(f"{n} {what}")
     max_path = sum(f.max_steps for f in started)
@@ -355,7 +293,6 @@ def certify_instance(
         started,
         verdict="FAIL" if violations else "PASS",
         step_limit=limit,
-        cycle_found=cyclic is not None,
         witness=None if cyclic is None else _lift_witness(g, factors, cyclic, d_cap),
         violations=violations,
     )

@@ -143,6 +143,29 @@ class TestExploreCommand:
             "violations": ["visited more than 1 configurations"],
         }
 
+    def test_enabled_set_cap_is_inconclusive(self, tmp_path, capsys):
+        # The root at the centre of a star with 11 leaves: the first
+        # enumerated configuration enables all 11 leaves.
+        star = tmp_path / "star.g"
+        star.write_text("g 12 0\n" + "".join(f"e 0 {u} 1\n" for u in range(1, 12)))
+        report = tmp_path / "star.json"
+        code = main(["explore", "-g", str(star), "--dcap", "1", "--report", str(report)])
+        assert code == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.err == "INCONCLUSIVE: enabled set of size 11 exceeds limit 10\n"
+        assert captured.out.splitlines() == [
+            "verdict=INCONCLUSIVE initial_configs=1 reachable=0 max_steps=0 step_limit=14916",
+            "violation: enabled set of size 11 exceeds limit 10",
+        ]
+        assert json.loads(report.read_text()) == {
+            "verdict": "INCONCLUSIVE",
+            "initial_configs": 1,
+            "reachable": 0,
+            "max_steps": 0,
+            "step_limit": 14916,
+            "violations": ["enabled set of size 11 exceeds limit 10"],
+        }
+
     def test_report_file(self, edge_file, tmp_path):
         report = tmp_path / "cert.json"
         main(["explore", "-g", edge_file, "--dcap", "2", "--report", str(report)])
@@ -205,6 +228,9 @@ class TestCorpus:
         ["bench", "--max-n", "0"],
         ["bench", "--min-n", "5", "--max-n", "3"],
         ["bench", "--max-weight", "0"],
+        ["explore", "-g", "unread.g", "--dcap", "1", "--max-visited", "-5"],
+        ["bench", "--count", "0"],
+        ["bench", "--count", "-3"],
     ],
 )
 def test_out_of_range_numbers_are_input_errors(argv, capsys):
@@ -213,3 +239,19 @@ def test_out_of_range_numbers_are_input_errors(argv, capsys):
         main(argv)
     assert exc_info.value.code == EXIT_PARSE_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "-g", "{binary}"],
+        ["explore", "-g", "{binary}", "--dcap", "1"],
+        ["run", "-g", "{graph}", "--init", "file:{binary}"],
+    ],
+)
+def test_undecodable_files_are_input_errors(argv, tmp_path, path3_file, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe")
+    code = main([a.format(binary=binary, graph=path3_file) for a in argv])
+    assert code == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err.startswith("error:")

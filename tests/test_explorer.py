@@ -8,12 +8,10 @@ from stabtree.engine import normal_initial_configuration, run
 from stabtree.daemon import SynchronousDaemon
 from stabtree.explorer import (
     BudgetExceededError,
-    ExplorationLimits,
     ExplorerError,
     _Explorer,
     certify_instance,
     enumerate_initial_configs,
-    explore,
 )
 from stabtree.graph import build_graph
 from stabtree.protocol import ROOT_STATE, ProcessState, Status
@@ -27,51 +25,62 @@ def edge():
     return build_graph([(0, 1, 1)], 2, 0)
 
 
+def _explore(g, config, max_visited=2_000_000):
+    """Every execution from one configuration, over the whole graph."""
+    ex = _Explorer(g, range(g.node_count), max_visited)
+    ex.explore_from(config)
+    return ex
+
+
+def _terminals(ex):
+    return {c for c, k in ex.longest.items() if k == 0}
+
+
 class TestExplore:
     def test_normal_start_on_edge(self, edge):
-        result = explore(edge, normal_initial_configuration(edge))
-        assert result.reachable_count == 2
-        assert result.max_steps_any_path == 1
-        assert not result.cycle_found
-        assert result.all_terminals_legitimate
-        assert result.legitimate_implies_terminal
-        assert len(result.terminal_configs) == 1
+        config = normal_initial_configuration(edge)
+        ex = _explore(edge, config)
+        assert ex.expanded == 2
+        assert ex.longest[config] == 1
+        assert ex.cycle_witness is None
+        assert not ex.illegitimate_terminals
+        assert not ex.nonterminal_legitimate
+        assert len(_terminals(ex)) == 1
 
     def test_already_terminal(self, edge):
         config = mk_config(edge, n1=(Status.C, 0, 1))
-        result = explore(edge, config)
-        assert result.reachable_count == 1
-        assert result.max_steps_any_path == 0
-        assert result.terminal_configs == {config}
+        ex = _explore(edge, config)
+        assert ex.expanded == 1
+        assert ex.longest[config] == 0
+        assert _terminals(ex) == {config}
 
     def test_chain_with_weight_two(self):
         g = build_graph([(0, 1, 2)], 2, 0)
         config = mk_config(g, n1=(Status.C, 0, 1))
-        result = explore(g, config)
-        assert result.reachable_count == 4  # freeze, acknowledge, rejoin
-        assert result.max_steps_any_path == 3
-        assert result.max_steps_any_path <= step_bound_for(g)
+        ex = _explore(g, config)
+        assert ex.expanded == 4  # freeze, acknowledge, rejoin
+        assert ex.longest[config] == 3
+        assert ex.longest[config] <= step_bound_for(g)
 
     def test_adversarial_triangle_within_bound(self):
         g = build_graph([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3, 0)
         config = mk_config(g, n1=(Status.C, 2, 5), n2=(Status.C, 1, 5))
-        result = explore(g, config)
-        assert not result.cycle_found
-        assert not result.aar_violations
-        assert result.max_steps_any_path <= step_bound_for(g) == 30
+        ex = _explore(g, config)
+        assert ex.cycle_witness is None
+        assert not ex.aar_violations
+        assert ex.longest[config] <= step_bound_for(g) == 30
 
     def test_longest_path_at_least_any_run(self, triangle):
         config = mk_config(triangle, n1=(Status.C, 2, 9), n2=(Status.C, 1, 9))
         trace = run(config, triangle, SynchronousDaemon())
-        result = explore(triangle, config)
-        assert result.max_steps_any_path >= trace.step_count
+        assert _explore(triangle, config).longest[config] >= trace.step_count
 
     def test_visited_budget(self, triangle):
         config = mk_config(triangle, n1=(Status.C, 2, 9), n2=(Status.C, 1, 9))
-        with pytest.raises(BudgetExceededError) as exc_info:
-            explore(triangle, config, ExplorationLimits(max_visited=1))
-        assert exc_info.value.partial is not None
-        assert exc_info.value.partial.reachable_count <= 2
+        ex = _Explorer(triangle, range(3), 1)
+        with pytest.raises(BudgetExceededError):
+            ex.explore_from(config)
+        assert ex.expanded == 1
 
 
 class TestEnumerate:
@@ -110,7 +119,7 @@ class TestCertify:
 
     def test_budget_carries_partial_result(self, triangle):
         with pytest.raises(BudgetExceededError) as exc_info:
-            certify_instance(triangle, 4, ExplorationLimits(max_visited=50))
+            certify_instance(triangle, 4, max_visited=50)
         partial = exc_info.value.partial
         assert partial.verdict == "INCONCLUSIVE"
         assert partial.violations
@@ -119,7 +128,7 @@ class TestCertify:
 def _monolithic(g, d_cap):
     """Explore the whole product configuration graph as one: the reference
     that certification by connected component must reproduce."""
-    ex = _Explorer(g, ExplorationLimits())
+    ex = _Explorer(g, range(g.node_count), 2_000_000)  # induced_subgraph returns g itself
     count = max_path = 0
     for initial in enumerate_initial_configs(g, d_cap):
         count += 1
@@ -162,11 +171,11 @@ class TestByComponent:
     def test_budget_applies_per_factor(self):
         # Factors {0,1} (16 reachable) and {0,2,3} (312 reachable) at d_cap 1.
         g = build_graph([(0, 1, 1), (2, 3, 2)], 4, 0)
-        result = certify_instance(g, 1, ExplorationLimits(max_visited=312))
+        result = certify_instance(g, 1, max_visited=312)
         assert result.passed
         assert result.reachable_count == 16 * 312 > 312
         with pytest.raises(BudgetExceededError) as exc_info:
-            certify_instance(g, 1, ExplorationLimits(max_visited=100))
+            certify_instance(g, 1, max_visited=100)
         partial = exc_info.value.partial
         assert partial.verdict == "INCONCLUSIVE"
         # The finished factor times the interrupted one, capped at 100.
