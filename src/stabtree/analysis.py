@@ -141,18 +141,19 @@ class ForestView:
     abnormal_roots: dict[int, bool]  # node -> alive?
     illegal_membership: dict[int, bool]
     depth: dict[int, int]  # branch depth, only for nodes in some branch
+    acyclic: bool  # False when parent pointers close a cycle
+
+
+def _alive_ab_root(config, g: WeightedGraph, u: int) -> bool:
+    """``u`` (not the root) heads a broken tree and is neither isolated nor
+    acknowledging the freeze. Reads only ``u`` and its parent."""
+    status = config[u].status
+    return status is not Status.I and status is not Status.EF and protocol.ab_root(config, g, u)
 
 
 def alive_abnormal_roots(config, g: WeightedGraph) -> frozenset[int]:
     root = g.root_id
-    return frozenset(
-        u
-        for u in range(g.node_count)
-        if u != root
-        and config[u].status is not Status.I
-        and config[u].status is not Status.EF
-        and protocol.ab_root(config, g, u)
-    )
+    return frozenset(u for u in range(g.node_count) if u != root and _alive_ab_root(config, g, u))
 
 
 def forest_view(config, g: WeightedGraph) -> ForestView:
@@ -165,6 +166,7 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
             ab_roots[u] = config[u].status is not Status.EF
     depth: dict[int, int] = {}
     illegal = {u: False for u in range(g.node_count)}
+    acyclic = True
     for u in range(g.node_count):
         if u != root and config[u].status is Status.I:
             continue
@@ -175,7 +177,16 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
         v = u
         while v not in depth:
             if v in onpath:
-                raise AnalysisError(f"cycle in children relation through node {v}")
+                # A parent cycle needs a faulty protocol: under the real
+                # ab_root, distances fall strictly up a branch. v heads it as
+                # an illegal branch. The cycle's nodes above v are unresolved
+                # non-I nodes, so they come later in node order and resolve
+                # from v in their turn.
+                del path[path.index(v):]
+                depth[v] = 1
+                illegal[v] = True
+                acyclic = False
+                break
             if v == root or v in ab_roots:
                 depth[v] = 1
                 illegal[v] = v != root
@@ -187,7 +198,9 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
             depth[w] = depth[v] + 1
             illegal[w] = illegal[v]
             v = w
-    return ForestView(abnormal_roots=ab_roots, illegal_membership=illegal, depth=depth)
+    return ForestView(
+        abnormal_roots=ab_roots, illegal_membership=illegal, depth=depth, acyclic=acyclic
+    )
 
 
 # --- trace properties -------------------------------------------------------
@@ -214,26 +227,46 @@ def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
     broadcast, one freeze acknowledgement, in that order. The number of
     segments never exceeds n_max_cc + 1. The same series of alive abnormal
     root sets also yields ``aar_monotone``.
+
+    The set is taken once, at the initial configuration, and then kept up
+    to date: a step changes only the nodes it fires, and whether ``u`` is
+    an alive abnormal root reads only ``u`` and its parent, a neighbor. So
+    after each step only the fired nodes and their neighbors can enter or
+    leave the set.
     """
     info = component_info(g)
     comp_of = info.component_of
-    aars = [alive_abnormal_roots(c, g) for c in trace.configs]
+    adjacency = g.adjacency
+    root = g.root_id
+    aar = set(alive_abnormal_roots(trace.configs[0], g))
+    monotone = True
     segment = [0] * info.component_count  # current segment of each component
     words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
-    for i, fired in enumerate(trace.steps):
+    for fired, post in zip(trace.steps, trace.configs[1:]):
+        touched = set(fired)
         for u, rule in fired.items():
             key = (u, segment[comp_of[u]])
             words[key] = words.get(key, "") + _RULE_CHAR[rule]
-        for c in {comp_of[u] for u in aars[i] - aars[i + 1]}:
+            touched.update(adjacency[u])
+        touched.discard(root)
+        ended = set()
+        for u in touched:
+            if _alive_ab_root(post, g, u):
+                if u not in aar:
+                    aar.add(u)
+                    monotone = False
+            elif u in aar:
+                aar.remove(u)
+                ended.add(comp_of[u])
+        for c in ended:
             segment[c] += 1
     bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
     for u in range(g.node_count):
-        if u != g.root_id:
+        if u != root:
             counts[u] = segment[comp_of[u]] + 1
             per_node_ok[u] = u not in bad and counts[u] <= info.n_max_cc + 1
-    monotone = all(cur <= prev for prev, cur in zip(aars, aars[1:]))
     return SegmentReport(per_node_ok, counts, all(per_node_ok.values()), monotone)
 
 
@@ -290,6 +323,7 @@ class MilestoneReport:
     no_status_c_in_illegal_ok: bool    # holds after n_max_cc completed rounds
     illegal_cleared_ok: bool           # after 3*n_max_cc rounds, plus non-root
     hop_legitimacy_ok: bool            # after 3*n_max_cc + i rounds, hop <= i
+    acyclic_ok: bool                   # no parent cycle after n_max_cc rounds
     ok: bool
 
 
@@ -300,12 +334,13 @@ def check_round_milestones(trace, g: WeightedGraph) -> MilestoneReport:
     distances = root_distances(g)
     hops = root_hop_distances(g)
     nm = info.n_max_cc
-    ok_c = ok_cleared = ok_hop = True
+    ok_c = ok_cleared = ok_hop = ok_acyclic = True
     for idx, config in enumerate(trace.configs):
         completed = bisect_right(trace.round_ends, idx)
         if completed < nm:
             continue
         view = forest_view(config, g)
+        ok_acyclic = ok_acyclic and view.acyclic
         for u, in_illegal in view.illegal_membership.items():
             if in_illegal and config[u].status is Status.C:
                 ok_c = False
@@ -325,7 +360,8 @@ def check_round_milestones(trace, g: WeightedGraph) -> MilestoneReport:
         no_status_c_in_illegal_ok=ok_c,
         illegal_cleared_ok=ok_cleared,
         hop_legitimacy_ok=ok_hop,
-        ok=ok_c and ok_cleared and ok_hop,
+        acyclic_ok=ok_acyclic,
+        ok=ok_c and ok_cleared and ok_hop and ok_acyclic,
     )
 
 
@@ -377,7 +413,8 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
                 "round_milestones",
                 milestones.ok,
                 f"statusC={milestones.no_status_c_in_illegal_ok} "
-                f"cleared={milestones.illegal_cleared_ok} hops={milestones.hop_legitimacy_ok}",
+                f"cleared={milestones.illegal_cleared_ok} hops={milestones.hop_legitimacy_ok}"
+                + ("" if milestones.acyclic_ok else " acyclic=False"),
             )
         )
     else:

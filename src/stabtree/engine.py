@@ -126,8 +126,10 @@ def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> C
 @dataclass
 class ExecutionTrace:
     """``steps[i]`` maps each process selected at step ``i`` to the rule it
-    fired, taking ``configs[i]`` to ``configs[i + 1]``. ``round_ends`` lists
-    the configuration indices at which each round closes."""
+    fired, taking ``configs[i]`` to ``configs[i + 1]``; the two differ only
+    at the keys of ``steps[i]``, so a check can update per-node facts at the
+    fired nodes and their neighbors instead of rescanning. ``round_ends``
+    lists the configuration indices at which each round closes."""
 
     configs: list[Configuration]
     steps: list[dict[int, Rule]]

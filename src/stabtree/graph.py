@@ -135,20 +135,35 @@ def weighted_distance(g: WeightedGraph, u: int, v: int) -> int | float:
     return dijkstra_from(g, u)[v]
 
 
-def _lex_dijkstra(g: WeightedGraph, src: int) -> list[tuple[int | float, int | float]]:
-    """Per node: (min path weight, min hop count among minimum-weight paths)."""
-    best: list[tuple[int | float, int | float]] = [(INFINITY, INFINITY)] * g.node_count
-    best[src] = (0, 0)
-    heap: list[tuple[int, int, int]] = [(0, 0, src)]
+def _lex_adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
+    """Per node, ``(neighbor, w * n + 1)``: the integer cost under which one
+    edge adds its weight and one hop (see :func:`_lex_dijkstra`)."""
+    n = g.node_count
+    return [[(v, w * n + 1) for v, w in adj.items()] for adj in g.adjacency]
+
+
+def _lex_dijkstra(adj: list[list[tuple[int, int]]], src: int) -> list[int | float]:
+    """Per node, ``weight * n + hops`` of its lexicographically smallest
+    (min path weight, min hop count among minimum-weight paths) path from
+    ``src``; INFINITY for unreachable nodes. ``adj`` is :func:`_lex_adjacency`.
+
+    Weights are positive, so that path is simple: ``hops <= n - 1``, and
+    ordering by the integer is ordering by (weight, hops). ``key % n``
+    recovers the hops.
+    """
+    best: list[int | float] = [INFINITY] * len(adj)
+    best[src] = 0
+    heap: list[tuple[int, int]] = [(0, src)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        du, hu, u = heapq.heappop(heap)
-        if (du, hu) > best[u]:
+        ku, u = pop(heap)
+        if ku > best[u]:
             continue
-        for v, w in g.adjacency[u].items():
-            cand = (du + w, hu + 1)
-            if cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, (du + w, hu + 1, v))
+        for v, cost in adj[u]:
+            kv = ku + cost
+            if kv < best[v]:
+                best[v] = kv
+                push(heap, (kv, v))
     return best
 
 
@@ -176,7 +191,9 @@ def root_distances(g: WeightedGraph) -> tuple[int | float, ...]:
 @_per_graph
 def root_hop_distances(g: WeightedGraph) -> tuple[int | float, ...]:
     """Hop distance to the root: fewest edges among minimum-weight paths."""
-    return tuple(h for _, h in _lex_dijkstra(g, g.root_id))
+    n = g.node_count
+    keys = _lex_dijkstra(_lex_adjacency(g), g.root_id)
+    return tuple(INFINITY if k == INFINITY else k % n for k in keys)
 
 
 @dataclass(frozen=True)
@@ -244,9 +261,11 @@ def hop_diameter_root(g: WeightedGraph) -> int:
     root_nodes = component_info(g).root_component
     diameter = 0
     if len(root_nodes) > 1:
+        n = g.node_count
+        adj = _lex_adjacency(g)
         for u in root_nodes:
-            hops = _lex_dijkstra(g, u)
-            diameter = max(diameter, max(int(hops[v][1]) for v in root_nodes))
+            keys = _lex_dijkstra(adj, u)
+            diameter = max(diameter, max(keys[v] % n for v in root_nodes))
     return diameter
 
 

@@ -3,7 +3,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from stabtree import protocol
 from stabtree.analysis import (
+    _RULE_CHAR,
+    _SEGMENT_RE,
     TraceNotTerminatedError,
     alive_abnormal_roots,
     check_bounds,
@@ -23,11 +26,13 @@ from stabtree.daemon import CentralDaemon, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
     ExecutionTrace,
     enabled,
+    format_configuration,
     normal_initial_configuration,
     random_configuration,
     run,
 )
-from stabtree.graph import build_graph, generate_random_graph
+from stabtree.cli import EXIT_CHECK_FAILED, main
+from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
 from stabtree.protocol import ProcessState, Rule, Status, children
 
 from conftest import mk_config
@@ -310,19 +315,69 @@ class TestSegments:
 
     def test_other_component_boundary_does_not_split(self):
         # Components A = {r, 1} and B = {2, 3}. A's alive abnormal root
-        # (node 1, parent not a neighbor) is gone after step 0, which ends
-        # A's segment but not B's: node 2's two broadcasts share a segment.
+        # (node 1, parent not a neighbor) corrects itself at step 0, which
+        # ends A's segment but not B's: node 2's two broadcasts share a
+        # segment.
         g = build_graph([(0, 1, 1), (2, 3, 1)], 4, 0)
         broken = mk_config(g, n1=(Status.C, 1, 1))
         fixed = mk_config(g, n1=(Status.C, 0, 1))
         assert alive_abnormal_roots(broken, g) == {1}
         assert alive_abnormal_roots(fixed, g) == set()
-        trace = fabricated_trace([broken, fixed, fixed], [{2: Rule.R_EB}, {2: Rule.R_EB}])
+        trace = fabricated_trace(
+            [broken, fixed, fixed], [{1: Rule.R_C, 2: Rule.R_EB}, {2: Rule.R_EB}]
+        )
         report = segment_language_check(trace, g)
         assert report.segment_counts == {1: 2, 2: 1, 3: 1}
         assert not report.per_node_ok[2]
         assert report.per_node_ok[1] and report.per_node_ok[3]
         assert not report.ok
+
+
+def segments_by_rescan(trace, g):
+    """Reference: the segment check by full rescan, rebuilding the alive
+    abnormal roots of every configuration."""
+    info = component_info(g)
+    comp_of = info.component_of
+    aars = [alive_abnormal_roots(c, g) for c in trace.configs]
+    segment = [0] * info.component_count
+    words = {}
+    for i, fired in enumerate(trace.steps):
+        for u, rule in fired.items():
+            key = (u, segment[comp_of[u]])
+            words[key] = words.get(key, "") + _RULE_CHAR[rule]
+        for c in {comp_of[u] for u in aars[i] - aars[i + 1]}:
+            segment[c] += 1
+    bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
+    per_node_ok, counts = {}, {}
+    for u in range(g.node_count):
+        if u != g.root_id:
+            counts[u] = segment[comp_of[u]] + 1
+            per_node_ok[u] = u not in bad and counts[u] <= info.n_max_cc + 1
+    monotone = all(cur <= prev for prev, cur in zip(aars, aars[1:]))
+    return per_node_ok, counts, all(per_node_ok.values()), monotone
+
+
+class TestSegmentReference:
+    def test_incremental_series_matches_rescan(self):
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        rng = random.Random(9)
+        split = several_segments = 0
+        for trial in range(30):
+            n = 4 + trial % 9
+            g = generate_random_graph(trial, n, 0.5, 4, component_hint=2 + trial % 2)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h, start = relabelled(g, random_configuration(g, trial, 4 * n), perm)
+            split += component_info(h).component_count > 1
+            for spec in daemons:
+                full = run(start, h, parse_daemon_spec(spec, trial))
+                cut = run(start, h, parse_daemon_spec(spec, trial), max_steps=max(1, full.step_count // 2))
+                for trace in (full, cut):
+                    report = segment_language_check(trace, h)
+                    got = (report.per_node_ok, report.segment_counts, report.ok, report.aar_monotone)
+                    assert got == segments_by_rescan(trace, h)
+                    several_segments += max(report.segment_counts.values(), default=1) > 1
+        assert split and several_segments  # components split, and segments end
 
 
 class TestBoundsCheck:
@@ -371,6 +426,43 @@ class TestMilestones:
             trace = run(config, triangle, parse_daemon_spec("adv:churn", seed))
             assert trace.terminated
             assert check_round_milestones(trace, triangle).ok
+
+
+def ab_root_without_distance(config, g, u):
+    """A faulty ``protocol.ab_root`` without the ``d_u < d_par + w`` clause:
+    a node whose distance is too small for its parent is not flagged, so
+    parent pointers can close a cycle."""
+    su, pu, du = config[u]
+    if su is Status.I:
+        return False
+    adj = g.adjacency[u]
+    if pu not in adj or config[pu].status is Status.I:
+        return True
+    return su is not config[pu].status and config[pu].status is not Status.EB
+
+
+class TestFaultyProtocol:
+    def test_parent_cycle_fails_milestones(self, monkeypatch, tmp_path, capsys):
+        # Nodes 0 and 1 point at each other, outside the root's component.
+        # Once n_max_cc = 2 rounds complete, the milestone check sees the
+        # cycle: a FAIL verdict, not an exception.
+        monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        g = build_graph([(0, 1, 1)], 3, 2)
+        start = mk_config(g, n0=(Status.EB, 1, 5), n1=(Status.EB, 0, 2))
+        trace = run(start, g, SynchronousDaemon())
+        assert trace.terminated and trace.rounds == 2
+        by_name = {r.name: r for r in full_trace_report(trace, g)}
+        assert not by_name["round_milestones"].ok
+        assert by_name["round_milestones"].detail.endswith(" acyclic=False")
+        assert not check_round_milestones(trace, g).acyclic_ok
+        view = forest_view(trace.final, g)
+        assert not view.acyclic
+        assert view.illegal_membership == {0: True, 1: True, 2: False}
+        graph_file, init_file = tmp_path / "pair.g", tmp_path / "pair.cfg"
+        graph_file.write_text(format_graph(g))
+        init_file.write_text(format_configuration(start, g))
+        assert main(["run", "-g", str(graph_file), "--init", f"file:{init_file}", "-d", "sync"]) == EXIT_CHECK_FAILED
+        assert "round_milestones  FAIL" in capsys.readouterr().out
 
 
 class TestTerminalLegitimateEquivalence:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon
+from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
     ConfigurationError,
     EmptySelectionError,
@@ -132,6 +132,20 @@ class TestRun:
             assert fired
             assert fired.keys() <= rules.keys()
             assert all(rule is rules[u] for u, rule in fired.items())
+
+    def test_steps_change_only_fired_nodes(self):
+        # configs[i + 1] differs from configs[i] only at steps[i]'s keys;
+        # the segment check's incremental series relies on it.
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        for trial in range(30):
+            n = 3 + trial % 9
+            g = generate_random_graph(trial, n, 0.5, 4, component_hint=1 + trial % 3, root_id=trial % n)
+            config = random_configuration(g, trial, 4 * n)
+            for spec in daemons:
+                trace = run(config, g, parse_daemon_spec(spec, trial))
+                assert len(trace.configs) == trace.step_count + 1
+                for fired, pre, post in zip(trace.steps, trace.configs, trace.configs[1:]):
+                    assert {u for u in range(n) if pre[u] != post[u]} <= fired.keys()
 
     def test_composite_atomicity_merge_property(self):
         rng = random.Random(0)

@@ -147,6 +147,42 @@ class TestComponentInfo:
         assert root_distances(triangle) == (0, 2, 1)
 
 
+def lex_floyd_warshall(g):
+    """All-pairs (min path weight, min hops among those paths), by
+    Floyd-Warshall over pairs; pairs add componentwise and compare
+    lexicographically, which keeps the relaxation exact."""
+    n = g.node_count
+    dist = [[(INFINITY, INFINITY)] * n for _ in range(n)]
+    for u in range(n):
+        dist[u][u] = (0, 0)
+        for v, w in g.adjacency[u].items():
+            dist[u][v] = (w, 1)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = (dist[i][k][0] + dist[k][j][0], dist[i][k][1] + dist[k][j][1])
+                if via < dist[i][j]:
+                    dist[i][j] = via
+    return dist
+
+
+class TestHopOracles:
+    def test_match_floyd_warshall(self):
+        seen_split = seen_detour = 0
+        for trial in range(40):
+            n = 2 + trial % 11
+            g = generate_random_graph(
+                300 + trial, n, 0.45, 5, component_hint=1 + trial % 3, root_id=(3 * trial + 1) % n
+            )
+            dist = lex_floyd_warshall(g)
+            root_nodes = component_info(g).root_component
+            assert root_hop_distances(g) == tuple(dist[g.root_id][u][1] for u in range(n))
+            assert hop_diameter_root(g) == max(dist[u][v][1] for u in root_nodes for v in root_nodes)
+            seen_split += component_info(g).component_count > 1
+            seen_detour += any(dist[u][v][1] > 1 for u in root_nodes for v in g.adjacency[u])
+        assert seen_split and seen_detour  # some graphs split, some edges lose to a detour
+
+
 class TestInducedSubgraph:
     def test_keeps_id_order_weights_and_root(self):
         g = build_graph([(0, 4, 3), (1, 3, 2), (3, 4, 5), (2, 5, 1)], 6, 3)
