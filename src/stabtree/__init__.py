@@ -17,9 +17,8 @@ from .graph import (
     save_graph,
     weighted_distance,
 )
-from .protocol import ROOT_STATE, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, Configuration, ProcessState, Rule, Status
 from .engine import (
-    Configuration,
     ExecutionTrace,
     enabled,
     normal_initial_configuration,

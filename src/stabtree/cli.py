@@ -4,17 +4,18 @@ sweep a seeded benchmark corpus against the worst-case bounds."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import analysis, engine, explorer
 from .analysis import CheckResult
 from .daemon import DaemonSpecError, parse_daemon_spec
-from .engine import Configuration
 from .graph import GraphError, WeightedGraph, component_info, generate_random_graph, load_graph
+from .protocol import Configuration
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -56,60 +57,68 @@ def _print_report(results: Sequence[CheckResult], out=None) -> None:
         print(line, file=out)
 
 
-def _write_machine_report(results: Sequence[CheckResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(
-                json.dumps({"check": r.name, "verdict": "PASS" if r.ok else "FAIL", "detail": r.detail})
-                + "\n"
-            )
+def _write_machine_report(results: Sequence[CheckResult], out: IO[str]) -> None:
+    for r in results:
+        out.write(
+            json.dumps({"check": r.name, "verdict": "PASS" if r.ok else "FAIL", "detail": r.detail})
+            + "\n"
+        )
+
+
+def _open_outputs(stack: contextlib.ExitStack, *paths: str | None) -> list[IO[str] | None]:
+    """Open each given output path for writing (None where no path is
+    given), so that an unwritable path is an input error before any work
+    starts, not a traceback after it."""
+    return [stack.enter_context(open(p, "w", encoding="utf-8")) if p else None for p in paths]
 
 
 def cmd_run(args) -> int:
-    try:
-        g = load_graph(args.graph)
-        config = build_initial_config(args.init, g)
-        policy = parse_daemon_spec(args.daemon, args.seed)
-    except (
-        GraphError, engine.ConfigurationError, DaemonSpecError, InitSpecError, OSError, UnicodeDecodeError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    trace = engine.run(config, g, policy, args.max_steps)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as outputs:
+        try:
+            g = load_graph(args.graph)
+            config = build_initial_config(args.init, g)
+            policy = parse_daemon_spec(args.daemon, args.seed)
+            trace_out, report_out = _open_outputs(outputs, args.trace, args.report)
+        except (
+            GraphError, engine.ConfigurationError, DaemonSpecError, InitSpecError, OSError, UnicodeDecodeError
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        trace = engine.run(config, g, policy, args.max_steps)
+        if trace_out:
             engine.write_trace(
-                trace, fh, graph_name=args.graph, seed=args.seed, daemon=policy.name
+                trace, trace_out, graph_name=args.graph, seed=args.seed, daemon=policy.name
             )
-    results = analysis.full_trace_report(trace, g)
-    print(f"steps={trace.step_count} rounds={trace.rounds} terminated={trace.terminated}")
-    _print_report(results)
-    if args.report:
-        _write_machine_report(results, args.report)
-    return EXIT_OK if all(r.ok for r in results) else EXIT_CHECK_FAILED
+        results = analysis.full_trace_report(trace, g)
+        print(f"steps={trace.step_count} rounds={trace.rounds} terminated={trace.terminated}")
+        _print_report(results)
+        if report_out:
+            _write_machine_report(results, report_out)
+        return EXIT_OK if all(r.ok for r in results) else EXIT_CHECK_FAILED
 
 
 def cmd_explore(args) -> int:
-    try:
-        g = load_graph(args.graph)
-    except (GraphError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        result = explorer.certify_instance(g, args.dcap, args.max_visited)
-    except explorer.BudgetExceededError as exc:
-        print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
-        result = exc.partial
-    print(
-        f"verdict={result.verdict} initial_configs={result.initial_configs} "
-        f"reachable={result.reachable_count} max_steps={result.max_steps_any_path} "
-        f"step_limit={result.step_limit}"
-    )
-    for violation in result.violations:
-        print(f"violation: {violation}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(
+    with contextlib.ExitStack() as outputs:
+        try:
+            g = load_graph(args.graph)
+            (report_out,) = _open_outputs(outputs, args.report)
+        except (GraphError, OSError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        try:
+            result = explorer.certify_instance(g, args.dcap, args.max_visited)
+        except explorer.BudgetExceededError as exc:
+            print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
+            result = exc.partial
+        print(
+            f"verdict={result.verdict} initial_configs={result.initial_configs} "
+            f"reachable={result.reachable_count} max_steps={result.max_steps_any_path} "
+            f"step_limit={result.step_limit}"
+        )
+        for violation in result.violations:
+            print(f"violation: {violation}")
+        if report_out:
+            report_out.write(
                 json.dumps(
                     {
                         "verdict": result.verdict,
@@ -204,31 +213,34 @@ def bench_corpus(
 
 def cmd_bench(args) -> int:
     daemons = [d.strip() for d in args.daemons.split(",") if d.strip()]
-    try:
-        for spec in daemons:
-            parse_daemon_spec(spec, 0)
-    except DaemonSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    runs = bench_corpus(
-        count=args.count,
-        seed=args.seed,
-        daemons=daemons,
-        min_n=args.min_n,
-        max_n=args.max_n,
-        max_weight=args.max_weight,
-    )
-    bad = [r for r in runs if r.failures]
-    max_step_ratio = max((r.steps / r.step_limit for r in runs if r.step_limit), default=0.0)
-    max_round_ratio = max((r.rounds / r.round_limit for r in runs if r.round_limit), default=0.0)
-    print(f"runs={len(runs)} violations={len(bad)}")
-    print(f"max steps/limit={max_step_ratio:.3f} max rounds/limit={max_round_ratio:.3f}")
-    for r in bad:
-        print(f"instance={r.instance} daemon={r.daemon} failures={','.join(r.failures)}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as outputs:
+        try:
+            if not daemons:
+                raise DaemonSpecError(f"no daemon spec in --daemons {args.daemons!r}")
+            for spec in daemons:
+                parse_daemon_spec(spec, 0)
+            (report_out,) = _open_outputs(outputs, args.report)
+        except (DaemonSpecError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        runs = bench_corpus(
+            count=args.count,
+            seed=args.seed,
+            daemons=daemons,
+            min_n=args.min_n,
+            max_n=args.max_n,
+            max_weight=args.max_weight,
+        )
+        bad = [r for r in runs if r.failures]
+        max_step_ratio = max((r.steps / r.step_limit for r in runs if r.step_limit), default=0.0)
+        max_round_ratio = max((r.rounds / r.round_limit for r in runs if r.round_limit), default=0.0)
+        print(f"runs={len(runs)} violations={len(bad)}")
+        print(f"max steps/limit={max_step_ratio:.3f} max rounds/limit={max_round_ratio:.3f}")
+        for r in bad:
+            print(f"instance={r.instance} daemon={r.daemon} failures={','.join(r.failures)}")
+        if report_out:
             for r in runs:
-                fh.write(json.dumps(asdict(r)) + "\n")
+                report_out.write(json.dumps(asdict(r)) + "\n")
     return EXIT_OK if not bad else EXIT_CHECK_FAILED
 
 

@@ -14,9 +14,7 @@ from typing import IO, Iterable, Mapping
 
 from . import protocol
 from .graph import WeightedGraph
-from .protocol import ROOT_STATE, ProcessState, Rule, Status
-
-Configuration = tuple[ProcessState, ...]
+from .protocol import ROOT_STATE, Configuration, ProcessState, Rule, Status
 
 
 class EngineError(Exception):

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import analysis, engine, protocol
-from .engine import Configuration
 from .graph import WeightedGraph, component_info, induced_subgraph
-from .protocol import ROOT_STATE, ProcessState, Status
+from .protocol import ROOT_STATE, Configuration, ProcessState, Status
 
 
 class ExplorerError(Exception):
@@ -55,7 +54,6 @@ class _Explorer:
         self.illegitimate_terminals: list[Configuration] = []
         self.nonterminal_legitimate: list[Configuration] = []
         self.aar_violations: list[tuple[Configuration, Configuration]] = []
-        self.exclusivity_violations: list[tuple[Configuration, int]] = []
         self.expanded = 0  # configurations whose successors were generated
         self.initial_configs = 0
         self.max_steps = 0
@@ -71,9 +69,6 @@ class _Explorer:
     def _successors(self, config: Configuration) -> list[Configuration]:
         g = self.g
         enabled = engine.enabled(config, g)
-        for u in range(g.node_count):
-            if u != g.root_id and len(protocol.enabled_rules(config, g, u)) > 1:
-                self.exclusivity_violations.append((config, u))
         legit = analysis.legitimate_config(config, g).config_legitimate
         if not enabled:
             if not legit:
@@ -241,7 +236,6 @@ _VIOLATION_KINDS = (
     ("illegitimate_terminals", "illegitimate terminal configuration(s)"),
     ("nonterminal_legitimate", "legitimate non-terminal configuration(s)"),
     ("aar_violations", "step(s) creating an alive abnormal root"),
-    ("exclusivity_violations", "guard exclusivity violation(s)"),
 )
 
 

@@ -62,22 +62,12 @@ class WeightedGraph:
         if not isinstance(u, int) or not 0 <= u < self.node_count:
             raise BadNodeIdError(f"invalid node id {u!r}")
 
-    def neighbors(self, u: int) -> Iterable[int]:
-        return self.adjacency[u].keys()
-
-    def weight(self, u: int, v: int) -> int:
-        return self.adjacency[u][v]
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each undirected edge once, as (u, v, w) with u < v."""
         for u in range(self.node_count):
             for v, w in self.adjacency[u].items():
                 if u < v:
                     yield u, v, w
-
-    @property
-    def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
 
 
 def build_graph(

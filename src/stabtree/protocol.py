@@ -2,14 +2,14 @@
 
 Everything here is a pure function of (configuration, graph, node): guards
 and actions read the pre-step states of a process and its neighbors and
-return values instead of mutating anything. A configuration is any sequence
-of :class:`ProcessState` indexed by node id.
+return values instead of mutating anything. A configuration is a tuple of
+:class:`ProcessState` indexed by node id.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .graph import WeightedGraph
 
@@ -44,7 +44,7 @@ class ProcessState(NamedTuple):
 #: The root never moves: correct, no parent, distance zero.
 ROOT_STATE = ProcessState(Status.C, None, 0)
 
-Configuration = Sequence[ProcessState]
+Configuration = tuple[ProcessState, ...]
 
 
 class ProtocolError(Exception):
@@ -95,12 +95,6 @@ def ab_root(config: Configuration, g: WeightedGraph, u: int) -> bool:
     return su is not sp and sp is not Status.EB
 
 
-def p_reset(config: Configuration, g: WeightedGraph, u: int) -> bool:
-    if u == g.root_id:
-        raise RootQueriedError(u)
-    return config[u].status is Status.EF and ab_root(config, g, u)
-
-
 def p_correction(config: Configuration, g: WeightedGraph, u: int) -> bool:
     if u == g.root_id:
         raise RootQueriedError(u)
@@ -134,11 +128,8 @@ def compute_path(config: Configuration, g: WeightedGraph, u: int) -> ProcessStat
 
 
 def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Rule | None:
-    """The unique enabled rule of ``u``, or None.
-
-    Dispatches on the status first; :func:`enabled_rules` is the naive
-    all-guards evaluation used to cross-check mutual exclusion.
-    """
+    """The unique enabled rule of ``u``, or None. The guards split by
+    status, and within a status by ``p_correction`` or a correct neighbor."""
     if u == g.root_id:
         raise RootQueriedError(u)
     su, pu, _ = config[u]
@@ -161,32 +152,6 @@ def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Rule | None
         return Rule.R_R if has_c else Rule.R_I
     # su is Status.I
     return Rule.R_R if has_c else None
-
-
-def enabled_rules(config: Configuration, g: WeightedGraph, u: int) -> tuple[Rule, ...]:
-    """Evaluate all five guards independently (mutual-exclusion oracle)."""
-    if u == g.root_id:
-        raise RootQueriedError(u)
-    su, pu, _ = config[u]
-    adj = g.adjacency[u]
-    out = []
-    pc = p_correction(config, g, u)
-    ab = ab_root(config, g, u)
-    if su is Status.C and pc:
-        out.append(Rule.R_C)
-    if su is Status.C and not pc and (ab or (pu in adj and config[pu].status is Status.EB)):
-        out.append(Rule.R_EB)
-    if su is Status.EB and all(
-        config[v].status is Status.EF for v in children(config, g, u)
-    ):
-        out.append(Rule.R_EF)
-    reset = su is Status.EF and ab
-    has_c = any(config[v].status is Status.C for v in adj)
-    if reset and not has_c:
-        out.append(Rule.R_I)
-    if (reset or su is Status.I) and has_c:
-        out.append(Rule.R_R)
-    return tuple(out)
 
 
 def apply_rule(config: Configuration, g: WeightedGraph, u: int, rule: Rule) -> ProcessState:

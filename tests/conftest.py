@@ -1,7 +1,7 @@
 import pytest
 
 from stabtree.graph import build_graph
-from stabtree.protocol import ROOT_STATE, ProcessState, Status
+from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, ab_root, children, p_correction
 
 
 @pytest.fixture
@@ -37,3 +37,25 @@ def mk_config(g, **overrides):
         else:
             states.append(ProcessState(Status.I, u, 0))
     return tuple(states)
+
+
+def reference_rules(config, g, u):
+    """The rules whose guards hold at non-root ``u``: the paper's five
+    guards, each evaluated on its own, as the reference that
+    ``protocol.enabled_rule`` must agree with."""
+    su, pu, _ = config[u]
+    adj = g.adjacency[u]
+    correction = p_correction(config, g, u)
+    reset = su is Status.EF and ab_root(config, g, u)
+    has_c = any(config[v].status is Status.C for v in adj)
+    guards = {
+        Rule.R_C: su is Status.C and correction,
+        Rule.R_EB: su is Status.C
+        and not correction
+        and (ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB)),
+        Rule.R_EF: su is Status.EB
+        and all(config[v].status is Status.EF for v in children(config, g, u)),
+        Rule.R_I: reset and not has_c,
+        Rule.R_R: (reset or su is Status.I) and has_c,
+    }
+    return {rule for rule, holds in guards.items() if holds}

@@ -184,6 +184,14 @@ class TestBenchCommand:
     def test_bad_daemon_list(self, capsys):
         assert main(["bench", "--count", "1", "--daemons", "sync,what"]) == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("daemons", ["", " , "], ids=["empty", "blank"])
+    def test_empty_daemon_list(self, daemons, capsys):
+        # A sweep with no daemon runs nothing; it must not pass.
+        assert main(["bench", "--count", "2", "--daemons", daemons]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_report_records(self, tmp_path):
         report = tmp_path / "bench.jsonl"
         main(
@@ -255,3 +263,22 @@ def test_undecodable_files_are_input_errors(argv, tmp_path, path3_file, capsys):
     code = main([a.format(binary=binary, graph=path3_file) for a in argv])
     assert code == EXIT_PARSE_ERROR
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "-g", "{graph}", "--trace", "{missing}/x.trace"],
+        ["run", "-g", "{graph}", "--report", "{missing}/r.jsonl"],
+        ["explore", "-g", "{graph}", "--dcap", "2", "--report", "{missing}/r.json"],
+        ["bench", "--count", "2", "--report", "{missing}/b.jsonl"],
+    ],
+)
+def test_unwritable_outputs_are_input_errors(argv, tmp_path, path3_file, capsys):
+    # Rejected before the run, certification or sweep starts: nothing on stdout.
+    missing = tmp_path / "missing"
+    code = main([a.format(graph=path3_file, missing=missing) for a in argv])
+    assert code == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

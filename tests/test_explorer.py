@@ -139,7 +139,6 @@ def _monolithic(g, d_cap):
         ex.illegitimate_terminals
         or ex.nonterminal_legitimate
         or ex.aar_violations
-        or ex.exclusivity_violations
         or max_path > step_bound_for(g)
     )
     return "FAIL" if bad else "PASS", count, len(ex.longest), max_path

@@ -1,9 +1,8 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import (
     ROOT_STATE,
@@ -17,12 +16,10 @@ from stabtree.protocol import (
     children,
     compute_path,
     enabled_rule,
-    enabled_rules,
     p_correction,
-    p_reset,
 )
 
-from conftest import mk_config
+from conftest import mk_config, reference_rules
 
 
 @pytest.fixture
@@ -78,12 +75,6 @@ class TestAbRoot:
 
 
 class TestPredicates:
-    def test_p_reset(self, chain):
-        config = mk_config(chain, n2=(Status.EF, 2, 4))
-        assert p_reset(config, chain, 2)
-        config = mk_config(chain, n2=(Status.C, 2, 4))
-        assert not p_reset(config, chain, 2)
-
     def test_p_correction_arithmetic(self, chain):
         config = mk_config(chain, n1=(Status.C, 0, 1), n2=(Status.C, 1, 5))
         assert p_correction(config, chain, 2)  # 1 + 2 < 5
@@ -155,24 +146,23 @@ class TestApplyRule:
         assert apply_rule(config, g, 1, Rule.R_R) == ProcessState(Status.C, 0, 4)
 
 
-def all_states_for(g, u, d_values=(0, 1, 2, 3)):
-    pars = sorted(g.adjacency[u]) + [u]
-    return [
-        ProcessState(st, par, d)
-        for st in Status
-        for par in pars
-        for d in d_values
-    ]
-
-
-def test_guard_exclusivity_exhaustive_two_nodes():
-    g = build_graph([(0, 1, 2)], 2, 0)
-    for state in all_states_for(g, 1, d_values=range(5)):
-        config = (ROOT_STATE, state)
-        rules = enabled_rules(config, g, 1)
-        assert len(rules) <= 1
-        expected = rules[0] if rules else None
-        assert enabled_rule(config, g, 1) is expected
+@pytest.mark.parametrize(
+    "edges,n,d_cap",
+    [
+        ([(0, 1, 2)], 2, 4),
+        ([(0, 1, 1), (1, 2, 2)], 3, 2),
+        ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, 2),
+        ([(0, 1, 1), (1, 2, 2), (1, 3, 1)], 4, 2),  # non-root centre 1
+    ],
+    ids=["2-node", "3-path", "triangle", "4-node"],
+)
+def test_guard_agreement_exhaustive(edges, n, d_cap):
+    # Every enumerated configuration: both outcomes of each `<` and `>=`
+    # against d + w occur, and exactly the dispatched rule's guard holds.
+    g = build_graph(edges, n, 0)
+    for config in enumerate_initial_configs(g, d_cap):
+        for u in range(1, n):
+            assert reference_rules(config, g, u) == {enabled_rule(config, g, u)} - {None}, (config, u)
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,9 +182,7 @@ def test_guard_exclusivity_and_dispatch_agree(data):
         )
     config = tuple(states)
     for u in range(1, n):
-        rules = enabled_rules(config, g, u)
-        assert len(rules) <= 1
-        assert enabled_rule(config, g, u) is (rules[0] if rules else None)
+        assert reference_rules(config, g, u) == {enabled_rule(config, g, u)} - {None}
 
 
 @settings(max_examples=300, deadline=None)
