@@ -69,7 +69,7 @@ class _Explorer:
     def _successors(self, config: Configuration) -> list[Configuration]:
         g = self.g
         enabled = engine.enabled(config, g)
-        legit = analysis.legitimate_config(config, g).config_legitimate
+        legit = all(analysis.legitimate_state(config, g, u)[0] for u in range(g.node_count))
         if not enabled:
             if not legit:
                 self.illegitimate_terminals.append(config)
@@ -80,18 +80,17 @@ class _Explorer:
             raise BudgetExceededError(
                 f"enabled set of size {len(enabled)} exceeds limit {MAX_ENABLED}"
             )
-        new_states = [(u, protocol.apply_rule(config, g, u, rule)) for u, rule in enabled.items()]
-        succs = []
+        # Successors in bit-mask order (bit i = the i-th enabled process):
+        # the product over the nodes reversed varies the first enabled
+        # process fastest, and its first tuple is ``config`` itself.
+        choices = [(state,) for state in config]
+        for u, rule in enabled.items():
+            choices[u] = (config[u], protocol.apply_rule(config, g, u, rule))
+        succs = [c[::-1] for c in itertools.product(*reversed(choices))][1:]
         pre_aar = self._aar(config)
-        for mask in range(1, 1 << len(new_states)):
-            states = list(config)
-            for bit, (u, state) in enumerate(new_states):
-                if mask >> bit & 1:
-                    states[u] = state
-            succ = tuple(states)
+        for succ in succs:
             if not self._aar(succ) <= pre_aar:
                 self.aar_violations.append((config, succ))
-            succs.append(succ)
         return succs
 
     def explore_from(self, start: Configuration) -> None:
@@ -99,9 +98,10 @@ class _Explorer:
         ``max_visited`` configurations over the explorer's life."""
         if self.cycle_witness is not None or start in self.longest:
             return
+        longest, onstack = self.longest, self.onstack
         # frame: [config, successor list, next index, best child longest]
         stack: list[list] = [[start, None, 0, -1]]
-        self.onstack.add(start)
+        onstack.add(start)
         while stack:
             frame = stack[-1]
             config = frame[0]
@@ -116,22 +116,24 @@ class _Explorer:
             if frame[2] < len(succs):
                 nxt = succs[frame[2]]
                 frame[2] += 1
-                if nxt in self.onstack:
+                # A configuration on the stack is never in ``longest`` yet.
+                done = longest.get(nxt)
+                if done is not None:
+                    frame[3] = max(frame[3], done)
+                elif nxt in onstack:
                     self.cycle_witness = [f[0] for f in stack] + [nxt]
                     for f in stack:
-                        self.onstack.discard(f[0])
+                        onstack.discard(f[0])
                     return
-                if nxt in self.longest:
-                    frame[3] = max(frame[3], self.longest[nxt])
                 else:
-                    self.onstack.add(nxt)
+                    onstack.add(nxt)
                     stack.append([nxt, None, 0, -1])
                 continue
-            self.longest[config] = 0 if not succs else frame[3] + 1
-            self.onstack.discard(config)
+            done = longest[config] = 0 if not succs else frame[3] + 1
+            onstack.discard(config)
             stack.pop()
             if stack:
-                stack[-1][3] = max(stack[-1][3], self.longest[config])
+                stack[-1][3] = max(stack[-1][3], done)
 
     def explore(self, d_cap: int) -> None:
         """Explore from every enumerated initial configuration, stopping at

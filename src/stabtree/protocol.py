@@ -20,6 +20,10 @@ class Status(enum.Enum):
     EB = "EB"  # error broadcast wave, travelling down a broken tree
     EF = "EF"  # error feedback wave, travelling back up
 
+    # Members are singletons, so identity hashing is exact and skips
+    # Enum.__hash__, a Python-level call on every memo probe.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -30,6 +34,8 @@ class Rule(enum.Enum):
     R_EF = "R_EF"  # acknowledge the freeze once all children have
     R_I = "R_I"    # leave a dead tree with no live neighbor to join
     R_R = "R_R"    # (re)join a live tree through a correct neighbor
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 
-from stabtree import protocol
+from stabtree import analysis, engine, protocol
 from stabtree.analysis import step_bound_for
-from stabtree.engine import normal_initial_configuration, run
+from stabtree.engine import normal_initial_configuration, random_configuration, run
 from stabtree.daemon import SynchronousDaemon
 from stabtree.explorer import (
     BudgetExceededError,
@@ -81,6 +83,81 @@ class TestExplore:
         with pytest.raises(BudgetExceededError):
             ex.explore_from(config)
         assert ex.expanded == 1
+
+
+def _mask_successors(g, config):
+    """The former mask-loop successor generation, the reference for the
+    order of ``_Explorer._successors``: mask bit i selects the i-th
+    enabled process, so the first enabled process varies fastest.
+    Returns the successors and the steps creating an alive abnormal root."""
+    new_states = [
+        (u, protocol.apply_rule(config, g, u, rule)) for u, rule in engine.enabled(config, g).items()
+    ]
+    pre_aar = analysis.alive_abnormal_roots(config, g)
+    succs, violations = [], []
+    for mask in range(1, 1 << len(new_states)):
+        states = list(config)
+        for bit, (u, state) in enumerate(new_states):
+            if mask >> bit & 1:
+                states[u] = state
+        succ = tuple(states)
+        if not analysis.alive_abnormal_roots(succ, g) <= pre_aar:
+            violations.append((config, succ))
+        succs.append(succ)
+    return succs, violations
+
+
+UNIT_4PATH = [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+
+
+class TestSuccessorOrder:
+    @pytest.mark.parametrize(
+        "edges,n",
+        [
+            ([(0, 1, 1), (1, 2, 2)], 3),
+            ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3),
+            (UNIT_4PATH, 4),
+            ([(0, 1, 1), (0, 2, 1), (0, 3, 1)], 4),
+        ],
+        ids=["3-path", "triangle", "unit 4-path", "4-star"],
+    )
+    def test_matches_mask_loop(self, edges, n):
+        # Same successors in the same order: DFS order, cycle witnesses
+        # and budgeted partials depend on it.
+        g = build_graph(edges, n, 0)
+        widest = 0
+        for seed in range(300):
+            config = random_configuration(g, seed, 3)
+            ex = _Explorer(g, range(n), 1)
+            succs, violations = _mask_successors(g, config)
+            assert ex._successors(config) == succs, config
+            assert ex.aar_violations == violations
+            widest = max(widest, len(succs))
+        assert widest == 2 ** (n - 1) - 1  # some sample has every process enabled
+
+    @pytest.mark.parametrize(
+        "max_visited,partial",
+        [(10, (4, 10, 3)), (100, (8, 100, 10)), (1000, (485, 1000, 12))],
+    )
+    def test_budgeted_partials_are_pinned(self, max_visited, partial):
+        # (initial_configs, reachable, max_steps) when the budget runs out
+        # on the unit 4-path at d_cap 1, as recorded under the mask loop.
+        g = build_graph(UNIT_4PATH, 4, 0)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            certify_instance(g, 1, max_visited=max_visited)
+        got = exc_info.value.partial
+        assert (got.initial_configs, got.reachable_count, got.max_steps_any_path) == partial
+
+
+class TestConfigurationKeys:
+    def test_copies_hash_equal_and_hit_the_memo(self, triangle):
+        config = mk_config(triangle, n1=(Status.C, 2, 9), n2=(Status.EB, 1, 9))
+        ex = _explore(triangle, config)
+        for twin in (copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+            assert twin == config
+            assert hash(twin) == hash(config)
+            assert twin[2].status is Status.EB
+            assert ex.longest[twin] == ex.longest[config]
 
 
 class TestEnumerate:

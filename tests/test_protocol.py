@@ -131,6 +131,18 @@ class TestEnabledRule:
             enabled_rule(mk_config(chain), chain, 0)
 
 
+class TestEnumIdentity:
+    def test_identity_hash_keeps_enum_semantics(self):
+        # Members hash by identity; lookup by value, str() and .value are
+        # those of a plain Enum.
+        assert Status("C") is Status.C
+        assert Rule("R_EF") is Rule.R_EF
+        assert [str(s) for s in Status] == [s.value for s in Status] == ["I", "C", "EB", "EF"]
+        assert str(Rule.R_R) == Rule.R_R.value == "R_R"
+        assert hash(Rule.R_C) == object.__hash__(Rule.R_C)
+        assert hash(Status.EB) == object.__hash__(Status.EB)
+
+
 class TestApplyRule:
     def test_eb_only_writes_status(self, chain):
         config = mk_config(chain, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
