@@ -12,6 +12,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -126,10 +127,10 @@ def weighted_distance(g: WeightedGraph, u: int, v: int) -> int | float:
 
 
 def _lex_adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
-    """Per node, ``(neighbor, w * n + 1)``: the integer cost under which one
-    edge adds its weight and one hop (see :func:`_lex_dijkstra`)."""
+    """Per node ``u``, ``(v, (w * n + 1) * n + v - u)``: what a heap entry of
+    :func:`_lex_dijkstra` gains along the edge to ``v`` (weight, hop, id)."""
     n = g.node_count
-    return [[(v, w * n + 1) for v, w in adj.items()] for adj in g.adjacency]
+    return [[(v, (w * n + 1) * n + v - u) for v, w in adj.items()] for u, adj in enumerate(g.adjacency)]
 
 
 def _lex_dijkstra(adj: list[list[tuple[int, int]]], src: int) -> list[int | float]:
@@ -139,22 +140,24 @@ def _lex_dijkstra(adj: list[list[tuple[int, int]]], src: int) -> list[int | floa
 
     Weights are positive, so that path is simple: ``hops <= n - 1``, and
     ordering by the integer is ordering by (weight, hops). ``key % n``
-    recovers the hops.
+    recovers the hops. The heap holds single ints ``key * n + node``.
     """
-    best: list[int | float] = [INFINITY] * len(adj)
-    best[src] = 0
-    heap: list[tuple[int, int]] = [(0, src)]
+    n = len(adj)
+    best: list[int | float] = [INFINITY] * n
+    best[src] = src
+    heap = [src]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        ku, u = pop(heap)
-        if ku > best[u]:
+        e = pop(heap)
+        u = e % n
+        if e > best[u]:
             continue
-        for v, cost in adj[u]:
-            kv = ku + cost
-            if kv < best[v]:
-                best[v] = kv
-                push(heap, (kv, v))
-    return best
+        for v, step in adj[u]:
+            ev = e + step
+            if ev < best[v]:
+                best[v] = ev
+                push(heap, ev)
+    return [INFINITY if e == INFINITY else e // n for e in best]
 
 
 def _per_graph(oracle):
@@ -246,17 +249,34 @@ def component_info(g: WeightedGraph) -> ComponentInfo:
 @_per_graph
 def hop_diameter_root(g: WeightedGraph) -> int:
     """Hop diameter of the root's component (0 when the root is alone),
-    counting the edges of minimum-weight paths. Runs one Dijkstra per
-    node of that component, so only the round bound asks for it."""
-    root_nodes = component_info(g).root_component
-    diameter = 0
-    if len(root_nodes) > 1:
-        n = g.node_count
-        adj = _lex_adjacency(g)
-        for u in root_nodes:
-            keys = _lex_dijkstra(adj, u)
-            diameter = max(diameter, max(keys[v] % n for v in root_nodes))
-    return diameter
+    counting the edges of minimum-weight paths; only the round bound needs
+    it. Exact by eccentricity bounds: a sweep from ``w`` gives its
+    eccentricity, and ``ecc(u) <= (dist(u, w) + ecc_dist(w)) // w_min``
+    (a path of weight ``d`` has at most ``d // w_min`` edges) and
+    ``<= |V_r| - 1``. Sweeps start with the root's, read from its memoised
+    oracles, and go on from the largest bound (smallest id on ties) until
+    none beats the best eccentricity. Only a sweep with ``ecc_dist(w) //
+    w_min`` at most the best can prune, so only such a sweep sets bounds.
+    """
+    members = sorted(component_info(g).root_component)
+    if len(members) == 1:
+        return 0
+    n, m = g.node_count, len(members)
+    scale = n * min(min(g.adjacency[u].values()) for u in members)  # n * w_min
+    get = itemgetter(*members)
+    keys = [d * n + h for d, h in zip(get(root_distances(g)), get(root_hop_distances(g)))]
+    bound, diameter, i, adj = [m - 1] * m, 0, members.index(g.root_id), None
+    while True:
+        diameter = max(diameter, max(map(n.__rmod__, keys)))
+        far = max(keys) // n * n  # ecc_dist(w) * n; (key + far) // scale is the bound, as hops < n
+        if far // scale <= diameter:
+            bound = list(map(min, bound, map(scale.__rfloordiv__, map(far.__add__, keys))))
+        bound[i] = 0
+        i = bound.index(max(bound))
+        if bound[i] <= diameter:
+            return diameter
+        adj = adj or _lex_adjacency(g)
+        keys = get(_lex_dijkstra(adj, members[i]))
 
 
 def induced_subgraph(g: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:

@@ -166,6 +166,27 @@ def lex_floyd_warshall(g):
     return dist
 
 
+WEIGHT_REGIMES = {
+    "unit": lambda rng: 1,
+    "all-3": lambda rng: 3,
+    "2-to-5": lambda rng: rng.randint(2, 5),
+    "1-to-5": lambda rng: rng.randint(1, 5),
+}
+
+
+def _shape(kind, k):
+    """(edges, node count, a middle node) of a path or a star (centre k // 2)
+    on k nodes, a k x k grid, or the complete graph on k nodes."""
+    if kind == "path":
+        return [(i, i + 1) for i in range(k - 1)], k, k // 2
+    if kind == "star":
+        return [(k // 2, i) for i in range(k) if i != k // 2], k, k // 2
+    if kind == "grid":
+        right = [(u, u + 1) for u in range(k * k) if u % k < k - 1]
+        return right + [(u, u + k) for u in range(k * k - k)], k * k, (k // 2) * k + k // 2
+    return list(itertools.combinations(range(k), 2)), k, k // 2
+
+
 class TestHopOracles:
     def test_match_floyd_warshall(self):
         seen_split = seen_detour = 0
@@ -181,6 +202,57 @@ class TestHopOracles:
             seen_split += component_info(g).component_count > 1
             seen_detour += any(dist[u][v][1] > 1 for u in root_nodes for v in g.adjacency[u])
         assert seen_split and seen_detour  # some graphs split, some edges lose to a detour
+
+    @pytest.mark.parametrize("regime", sorted(WEIGHT_REGIMES))
+    def test_diameter_in_every_weight_regime(self, regime):
+        # The sweeps prune by (dist + ecc_dist) // w_min. Random weights in
+        # 1..5 alone let some wrong bounds through (the hop eccentricity in
+        # place of ecc_dist passes them), so uniform weights and weights
+        # above 1 are checked too.
+        rng = random.Random(f"hop-{regime}")
+        draw = WEIGHT_REGIMES[regime]
+        checked = 0
+        for kind, k in (("path", 9), ("star", 9), ("grid", 4), ("complete", 6)):
+            pairs, size, middle = _shape(kind, k)
+            # one to three components: the shape, then a 3-path, then an edge
+            for extra, extra_nodes in (([], 0), ([(0, 1), (1, 2)], 3), ([(0, 1), (1, 2), (3, 4)], 5)):
+                n = size + extra_nodes
+                edges = [(u, v, draw(rng)) for u, v in pairs + [(size + a, size + b) for a, b in extra]]
+                for root in (0, middle, size - 1):
+                    g = build_graph(edges, n, root)
+                    dist = lex_floyd_warshall(g)
+                    root_nodes = component_info(g).root_component
+                    diameter = max(dist[u][v][1] for u in root_nodes for v in root_nodes)
+                    assert hop_diameter_root(g) == diameter, (kind, extra, root)
+                    for _ in range(3):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        h = build_graph([(perm[u], perm[v], w) for u, v, w in edges], n, perm[root])
+                        assert hop_diameter_root(h) == diameter, (kind, extra, root, perm)
+                    checked += 1
+        assert checked == 36
+
+    def test_sweep_counts(self, monkeypatch):
+        """Sweeps made by hop_diameter_root beyond the root's memoised one:
+        none on a unit path rooted at an end (the root's eccentricity is
+        already |V_r| - 1), and 5 of the 899 possible on a unit 30x30 grid."""
+        real_lex, sweeps = graph_mod._lex_dijkstra, []
+
+        def lex(adj, src):
+            sweeps.append(src)
+            return real_lex(adj, src)
+
+        grid_pairs, _, _ = _shape("grid", 30)
+        cases = (
+            (build_graph([(i, i + 1, 1) for i in range(1999)], 2000, 0), 1999, 0),
+            (build_graph([(u, v, 1) for u, v in grid_pairs], 900, 0), 58, 5),
+        )
+        monkeypatch.setattr(graph_mod, "_lex_dijkstra", lex)
+        for g, diameter, count in cases:
+            root_hop_distances(g)
+            sweeps.clear()
+            assert hop_diameter_root(g) == diameter
+            assert len(sweeps) == count
 
 
 class TestInducedSubgraph:
@@ -224,7 +296,9 @@ class TestOracleMemo:
         monkeypatch.setattr(graph_mod, "_lex_dijkstra", lex)
         first = (component_info(g), root_distances(g), root_hop_distances(g), hop_diameter_root(g))
         after_first = dict(runs)
-        assert after_first == {"dijkstra": 1, "lex": 4}  # 3 for the diameter, 1 for hops
+        # One sweep, for the hops: the root's eccentricity (2) is already
+        # |V_r| - 1, so the diameter prunes every other source.
+        assert after_first == {"dijkstra": 1, "lex": 1}
         second = (component_info(g), root_distances(g), root_hop_distances(g), hop_diameter_root(g))
         assert runs == after_first
         assert all(a is b for a, b in zip(first, second))
