@@ -15,7 +15,6 @@ from .graph import (
     root_distances,
     root_hop_distances,
     save_graph,
-    weighted_distance,
 )
 from .protocol import ROOT_STATE, Configuration, ProcessState, Rule, Status
 from .engine import (

@@ -22,7 +22,7 @@ from .graph import (
     root_distances,
     root_hop_distances,
 )
-from .protocol import ProcessState, Rule, Status
+from .protocol import ROOT_STATE, ProcessState, Rule, Status
 
 
 class AnalysisError(Exception):
@@ -67,7 +67,6 @@ def round_bound_for(g: WeightedGraph) -> int:
 class LegitimacyReport:
     per_node: dict[int, tuple[bool, str | None]]
     config_legitimate: bool
-    spanning_tree_ok: bool | None  # None unless the configuration is legitimate
 
 
 def legitimate_state(
@@ -75,7 +74,9 @@ def legitimate_state(
 ) -> tuple[bool, str | None]:
     """Verdict for one process, with the failing clause on rejection."""
     if u == g.root_id:
-        return True, None
+        if config[u] == ROOT_STATE:
+            return True, None
+        return False, "root state is not (C, None, 0)"
     distances = root_distances(g)
     st, par, d = config[u]
     if distances[u] == INFINITY:
@@ -95,42 +96,19 @@ def legitimate_state(
 
 
 def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> LegitimacyReport:
+    """Per-process verdicts; the configuration is legitimate when all hold.
+
+    No separate spanning-tree check is needed: the per-process clauses
+    imply one. Every non-root process of V_r has its true distance and a
+    parent neighbour with ``d = d_par + w``; weights are positive, so each
+    parent chain strictly decreases in ``d``, cannot close a cycle, and can
+    only end at the root, whose state pins ``d = 0``. The chain's edge
+    weights then add up to the true distance, so the parent edges form a
+    shortest-path spanning tree of V_r; every process outside V_r is
+    isolated.
+    """
     per_node = {u: legitimate_state(config, g, u) for u in range(g.node_count)}
-    all_ok = all(ok for ok, _ in per_node.values())
-    spanning_ok: bool | None = None
-    if all_ok:
-        spanning_ok = _spanning_tree_ok(config, g)
-    return LegitimacyReport(per_node, all_ok, spanning_ok)
-
-
-def _spanning_tree_ok(config, g: WeightedGraph) -> bool:
-    # Parent edges over the root's component must chain every node to the
-    # root with total weight equal to its true distance. Chain weights are
-    # memoised, so every parent edge is walked once.
-    distances = root_distances(g)
-    chain = {g.root_id: 0}
-    for u in range(g.node_count):
-        if distances[u] == INFINITY:
-            continue
-        path: list[int] = []
-        onpath: set[int] = set()
-        v = u
-        while v not in chain:
-            if v in onpath:
-                return False  # the parent pointers close a cycle
-            par = config[v].par
-            if par not in g.adjacency[v]:
-                return False
-            path.append(v)
-            onpath.add(v)
-            v = par
-        weight = chain[v]
-        for v in reversed(path):
-            weight += g.adjacency[v][config[v].par]
-            chain[v] = weight
-        if chain[u] != distances[u]:
-            return False
-    return True
+    return LegitimacyReport(per_node, all(ok for ok, _ in per_node.values()))
 
 
 # --- forest structure -------------------------------------------------------
@@ -283,14 +261,6 @@ class BoundReport:
     uniform_ok: bool | None
     ok: bool
 
-    @property
-    def step_slack(self) -> int:
-        return self.step_limit - self.steps
-
-    @property
-    def round_slack(self) -> int:
-        return self.round_limit - self.rounds
-
 
 def check_bounds(trace, g: WeightedGraph) -> BoundReport:
     if not trace.terminated:
@@ -381,11 +351,10 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
         CheckResult("terminated", trace.terminated, f"steps={trace.step_count}")
     ]
     final = legitimate_config(trace.final, g)
-    final_ok = final.config_legitimate and final.spanning_tree_ok is not False
-    detail = "" if final_ok else "; ".join(
-        f"node {u}: {why}" for u, (ok, why) in final.per_node.items() if not ok
-    ) or "spanning tree check failed"
-    results.append(CheckResult("final_legitimate", trace.terminated and final_ok, detail))
+    detail = "; ".join(f"node {u}: {why}" for u, (ok, why) in final.per_node.items() if not ok)
+    results.append(
+        CheckResult("final_legitimate", trace.terminated and final.config_legitimate, detail)
+    )
     if trace.terminated:
         bounds = check_bounds(trace, g)
         results.append(

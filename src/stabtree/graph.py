@@ -101,31 +101,6 @@ def build_graph(
     )
 
 
-def dijkstra_from(g: WeightedGraph, src: int) -> list[int | float]:
-    """Single-source shortest-path weights; INFINITY for unreachable nodes."""
-    g.check_node(src)
-    dist: list[int | float] = [INFINITY] * g.node_count
-    dist[src] = 0
-    heap: list[tuple[int, int]] = [(0, src)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, w in g.adjacency[u].items():
-            dv = du + w
-            if dv < dist[v]:
-                dist[v] = dv
-                heapq.heappush(heap, (dv, v))
-    return dist
-
-
-def weighted_distance(g: WeightedGraph, u: int, v: int) -> int | float:
-    """Exact shortest-path weight between u and v; INFINITY across components."""
-    g.check_node(u)
-    g.check_node(v)
-    return dijkstra_from(g, u)[v]
-
-
 def _lex_adjacency(g: WeightedGraph) -> list[list[tuple[int, int]]]:
     """Per node ``u``, ``(v, (w * n + 1) * n + v - u)``: what a heap entry of
     :func:`_lex_dijkstra` gains along the edge to ``v`` (weight, hop, id)."""
@@ -139,8 +114,9 @@ def _lex_dijkstra(adj: list[list[tuple[int, int]]], src: int) -> list[int | floa
     ``src``; INFINITY for unreachable nodes. ``adj`` is :func:`_lex_adjacency`.
 
     Weights are positive, so that path is simple: ``hops <= n - 1``, and
-    ordering by the integer is ordering by (weight, hops). ``key % n``
-    recovers the hops. The heap holds single ints ``key * n + node``.
+    ordering by the integer is ordering by (weight, hops). ``key // n``
+    is the weight and ``key % n`` the hops. The heap holds single ints
+    ``key * n + node``. This is the package's only shortest-path routine.
     """
     n = len(adj)
     best: list[int | float] = [INFINITY] * n
@@ -176,17 +152,24 @@ def _per_graph(oracle):
 
 
 @_per_graph
+def _root_keys(g: WeightedGraph) -> tuple[int | float, ...]:
+    """The root's lex sweep: ``weight * n + hops`` per node, both root
+    oracles and the first sweep of :func:`hop_diameter_root` in one."""
+    return tuple(_lex_dijkstra(_lex_adjacency(g), g.root_id))
+
+
+@_per_graph
 def root_distances(g: WeightedGraph) -> tuple[int | float, ...]:
     """Weighted distance from every node to the root (the legitimacy oracle)."""
-    return tuple(dijkstra_from(g, g.root_id))
+    n = g.node_count
+    return tuple(INFINITY if k == INFINITY else k // n for k in _root_keys(g))
 
 
 @_per_graph
 def root_hop_distances(g: WeightedGraph) -> tuple[int | float, ...]:
     """Hop distance to the root: fewest edges among minimum-weight paths."""
     n = g.node_count
-    keys = _lex_dijkstra(_lex_adjacency(g), g.root_id)
-    return tuple(INFINITY if k == INFINITY else k % n for k in keys)
+    return tuple(INFINITY if k == INFINITY else k % n for k in _root_keys(g))
 
 
 @dataclass(frozen=True)
@@ -253,10 +236,10 @@ def hop_diameter_root(g: WeightedGraph) -> int:
     it. Exact by eccentricity bounds: a sweep from ``w`` gives its
     eccentricity, and ``ecc(u) <= (dist(u, w) + ecc_dist(w)) // w_min``
     (a path of weight ``d`` has at most ``d // w_min`` edges) and
-    ``<= |V_r| - 1``. Sweeps start with the root's, read from its memoised
-    oracles, and go on from the largest bound (smallest id on ties) until
-    none beats the best eccentricity. Only a sweep with ``ecc_dist(w) //
-    w_min`` at most the best can prune, so only such a sweep sets bounds.
+    ``<= |V_r| - 1``. Sweeps start with the root's memoised one and go on
+    from the largest bound (smallest id on ties) until none beats the best
+    eccentricity. Only a sweep with ``ecc_dist(w) // w_min`` at most the
+    best can prune, so only such a sweep sets bounds.
     """
     members = sorted(component_info(g).root_component)
     if len(members) == 1:
@@ -264,7 +247,7 @@ def hop_diameter_root(g: WeightedGraph) -> int:
     n, m = g.node_count, len(members)
     scale = n * min(min(g.adjacency[u].values()) for u in members)  # n * w_min
     get = itemgetter(*members)
-    keys = [d * n + h for d, h in zip(get(root_distances(g)), get(root_hop_distances(g)))]
+    keys = get(_root_keys(g))
     bound, diameter, i, adj = [m - 1] * m, 0, members.index(g.root_id), None
     while True:
         diameter = max(diameter, max(map(n.__rmod__, keys)))

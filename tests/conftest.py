@@ -1,6 +1,6 @@
 import pytest
 
-from stabtree.graph import build_graph
+from stabtree.graph import INFINITY, build_graph, root_distances
 from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, ab_root, children, p_correction
 
 
@@ -37,6 +37,39 @@ def mk_config(g, **overrides):
         else:
             states.append(ProcessState(Status.I, u, 0))
     return tuple(states)
+
+
+def spanning_tree_holds(config, g) -> bool:
+    """Test-side reference for the shortest-path spanning tree: walk the
+    parent chains that ``analysis.legitimate_config``'s per-process clauses
+    imply, independently of those clauses."""
+    # Parent edges over the root's component must chain every node to the
+    # root with total weight equal to its true distance. Chain weights are
+    # memoised, so every parent edge is walked once.
+    distances = root_distances(g)
+    chain = {g.root_id: 0}
+    for u in range(g.node_count):
+        if distances[u] == INFINITY:
+            continue
+        path: list[int] = []
+        onpath: set[int] = set()
+        v = u
+        while v not in chain:
+            if v in onpath:
+                return False  # the parent pointers close a cycle
+            par = config[v].par
+            if par not in g.adjacency[v]:
+                return False
+            path.append(v)
+            onpath.add(v)
+            v = par
+        weight = chain[v]
+        for v in reversed(path):
+            weight += g.adjacency[v][config[v].par]
+            chain[v] = weight
+        if chain[u] != distances[u]:
+            return False
+    return True
 
 
 def reference_rules(config, g, u):

@@ -17,7 +17,7 @@ from stabtree.explorer import certify_instance
 from stabtree.graph import build_graph, component_info
 from stabtree.protocol import enabled_rule
 
-from conftest import reference_rules
+from conftest import reference_rules, spanning_tree_holds
 
 CORPUS_SIZE = 1000
 CORPUS_SEED = 2024
@@ -99,7 +99,7 @@ def corpus():
                     uniform_weights=bounds.uniform_weights if bounds else False,
                     uniform_limit=bounds.uniform_step_limit if bounds else None,
                     final_ok=bool(
-                        final.config_legitimate and final.spanning_tree_ok
+                        final.config_legitimate and spanning_tree_holds(trace.final, g)
                     ),
                     aar_ok=segments.aar_monotone,
                     segments_ok=segments.ok,

@@ -32,10 +32,11 @@ from stabtree.engine import (
     run,
 )
 from stabtree.cli import EXIT_CHECK_FAILED, main
+from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
-from stabtree.protocol import ProcessState, Rule, Status, children
+from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, children
 
-from conftest import mk_config
+from conftest import mk_config, spanning_tree_holds
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ class TestLegitimacy:
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
         report = legitimate_config(config, path3)
         assert report.config_legitimate
-        assert report.spanning_tree_ok
+        assert spanning_tree_holds(config, path3)
 
     def test_wrong_distance_flagged(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 5))
@@ -99,6 +100,56 @@ class TestLegitimacy:
         g = build_graph([(0, 1, 1), (0, 2, 1), (1, 2, 1)], 3, 0)
         config = mk_config(g, n1=(Status.C, 0, 1), n2=(Status.C, 1, 1))
         assert not legitimate_config(config, g).config_legitimate
+
+    def test_per_node_clauses_imply_spanning_tree(self):
+        # legitimate_config makes no spanning-tree walk of its own: wherever
+        # every per-process clause holds, the reference walk must hold too.
+        # Every enumerated configuration at d_cap 2 of the guard-agreement
+        # graphs (test_protocol), the triangle also rooted at its last id,
+        # and the unit 3-path, where parents 1 <-> 2 with true distances
+        # pass every clause but the parent-distance one.
+        instances = [
+            ([(0, 1, 2)], 2, 0),
+            ([(0, 1, 1), (1, 2, 2)], 3, 0),
+            ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, 0),
+            ([(0, 1, 1), (1, 2, 2), (1, 3, 1)], 4, 0),
+            ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, 2),
+            ([(0, 1, 1), (1, 2, 1)], 3, 0),
+        ]
+        legitimate = []
+        for edges, n, root in instances:
+            g = build_graph(edges, n, root)
+            for config in enumerate_initial_configs(g, 2):
+                if legitimate_config(config, g).config_legitimate:
+                    assert spanning_tree_holds(config, g), (edges, root, config)
+                    legitimate.append((g, config))
+        # One each; none on the weighted 3-path or the 4-node graph, which
+        # need a d of 3.
+        assert len(legitimate) == 4
+        # Run finals on random graphs, some split, some rooted away from 0.
+        for trial in range(60):
+            n = 2 + trial % 9
+            g = generate_random_graph(
+                700 + trial, n, 0.45, 1 + trial % 4, component_hint=1 + trial % 3, root_id=trial % n
+            )
+            for daemon in (SynchronousDaemon(), CentralDaemon(trial)):
+                final = run(random_configuration(g, trial, 3 * n), g, daemon).final
+                assert legitimate_config(final, g).config_legitimate
+                assert spanning_tree_holds(final, g)
+                legitimate.append((g, final))
+        # The root's clause is its constant state: any other root state is
+        # illegitimate, though every other process is unchanged.
+        for g, config in legitimate:
+            root = g.root_id
+            for state in (
+                ProcessState(Status.C, None, 1),
+                ProcessState(Status.EB, None, 0),
+                ProcessState(Status.C, root, 0),
+            ):
+                bad = config[:root] + (state,) + config[root + 1:]
+                assert legitimate_state(bad, g, root)[0] is False
+                assert not legitimate_config(bad, g).config_legitimate
+            assert config[root] == ROOT_STATE
 
 
 class TestForestView:
@@ -136,7 +187,7 @@ class TestForestView:
         )
         report = legitimate_config(config, g)
         assert report.config_legitimate
-        assert report.spanning_tree_ok
+        assert spanning_tree_holds(config, g)
         view = forest_view(config, g)
         assert view.abnormal_roots == {}
         assert not any(view.illegal_membership.values())
@@ -171,7 +222,7 @@ class TestLabelIndependence:
                 h, image = relabelled(g, start, perm)
                 legit, legit_h = legitimate_config(start, g), legitimate_config(image, h)
                 assert legit_h.config_legitimate == legit.config_legitimate
-                assert legit_h.spanning_tree_ok == legit.spanning_tree_ok
+                assert spanning_tree_holds(image, h) == spanning_tree_holds(start, g)
                 assert {perm[u]: v for u, v in legit.per_node.items()} == legit_h.per_node
                 view, view_h = forest_view(start, g), forest_view(image, h)
                 assert {perm[u]: a for u, a in view.abnormal_roots.items()} == view_h.abnormal_roots

@@ -20,7 +20,6 @@ from stabtree.graph import (
     parse_graph,
     root_distances,
     root_hop_distances,
-    weighted_distance,
 )
 
 
@@ -77,32 +76,31 @@ class TestConstruction:
             build_graph([], 3, 7)
 
 
+def distance(g, u, v):
+    """Weighted distance from u to v: root_distances of g rooted at v."""
+    return root_distances(build_graph(list(g.edges()), g.node_count, v))[u]
+
+
 class TestDistances:
     def test_direct_edge_shortest(self, triangle):
-        assert weighted_distance(triangle, 2, 0) == 1
+        assert root_distances(triangle)[2] == 1
 
     def test_detour_beats_nothing(self, triangle):
         # direct edge of weight 2 beats the 3+1 path
-        assert weighted_distance(triangle, 1, 0) == 2
+        assert root_distances(triangle)[1] == 2
         assert brute_force_distance(triangle, 1, 0) == 2
 
     def test_disconnected_infinity(self, two_comp):
-        assert weighted_distance(two_comp, 1, 0) == INFINITY
-
-    def test_bad_node(self, triangle):
-        with pytest.raises(BadNodeIdError):
-            weighted_distance(triangle, 0, 9)
+        assert root_distances(two_comp)[1] == INFINITY
+        assert distance(two_comp, 0, 2) == distance(two_comp, 2, 0) == INFINITY
 
     def test_self_distance_zero_and_triangle_inequality(self):
-        rng = random.Random(11)
         for trial in range(20):
             g = generate_random_graph(trial, 6, 0.5, 4)
             for u in range(6):
-                assert weighted_distance(g, u, u) == 0
+                assert distance(g, u, u) == 0
             for u, v, w in itertools.permutations(range(6), 3):
-                assert weighted_distance(g, u, w) <= (
-                    weighted_distance(g, u, v) + weighted_distance(g, v, w)
-                )
+                assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
 
     def test_matches_brute_force_on_small_graphs(self):
         for trial in range(30):
@@ -110,7 +108,7 @@ class TestDistances:
             g = generate_random_graph(1000 + trial, n, 0.6, 5)
             for u in range(n):
                 for v in range(n):
-                    assert weighted_distance(g, u, v) == brute_force_distance(g, u, v)
+                    assert distance(g, u, v) == brute_force_distance(g, u, v)
 
 
 class TestComponentInfo:
@@ -197,6 +195,7 @@ class TestHopOracles:
             )
             dist = lex_floyd_warshall(g)
             root_nodes = component_info(g).root_component
+            assert root_distances(g) == tuple(dist[g.root_id][u][0] for u in range(n))
             assert root_hop_distances(g) == tuple(dist[g.root_id][u][1] for u in range(n))
             assert hop_diameter_root(g) == max(dist[u][v][1] for u in root_nodes for v in root_nodes)
             seen_split += component_info(g).component_count > 1
@@ -281,26 +280,21 @@ class TestInducedSubgraph:
 class TestOracleMemo:
     def test_second_call_does_not_recompute(self, monkeypatch):
         g = build_graph([(0, 1, 5), (0, 2, 2), (2, 1, 2), (3, 4, 1)], 5, 0)
-        runs = {"dijkstra": 0, "lex": 0}
-        real_dijkstra, real_lex = graph_mod.dijkstra_from, graph_mod._lex_dijkstra
-
-        def dijkstra(*args):
-            runs["dijkstra"] += 1
-            return real_dijkstra(*args)
+        sweeps = []
+        real_lex = graph_mod._lex_dijkstra
 
         def lex(*args):
-            runs["lex"] += 1
+            sweeps.append(args[1])
             return real_lex(*args)
 
-        monkeypatch.setattr(graph_mod, "dijkstra_from", dijkstra)
         monkeypatch.setattr(graph_mod, "_lex_dijkstra", lex)
         first = (component_info(g), root_distances(g), root_hop_distances(g), hop_diameter_root(g))
-        after_first = dict(runs)
-        # One sweep, for the hops: the root's eccentricity (2) is already
-        # |V_r| - 1, so the diameter prunes every other source.
-        assert after_first == {"dijkstra": 1, "lex": 1}
+        # One sweep, the root's, shared by the three oracles: the root's
+        # eccentricity (2) is already |V_r| - 1, so the diameter prunes
+        # every other source.
+        assert sweeps == [0]
         second = (component_info(g), root_distances(g), root_hop_distances(g), hop_diameter_root(g))
-        assert runs == after_first
+        assert sweeps == [0]
         assert all(a is b for a, b in zip(first, second))
         assert first == (component_info(build_graph(list(g.edges()), 5, 0)), (0, 4, 2, INFINITY, INFINITY), (0, 2, 1, INFINITY, INFINITY), 2)
 
