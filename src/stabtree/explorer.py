@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from . import analysis, engine, protocol
+from . import analysis, protocol
 from .graph import WeightedGraph, component_info, induced_subgraph
 from .protocol import ROOT_STATE, Configuration, ProcessState, Status
 
@@ -38,15 +39,35 @@ class BudgetExceededError(ExplorerError):
 MAX_ENABLED = 10
 
 
+def _local_facts(config: Configuration, g: WeightedGraph, u: int) -> tuple:
+    """``(enabled rule, new state or None, legitimate, alive abnormal
+    root)`` of non-root process ``u``: each reads only ``u`` and its
+    neighbours, so it is a function of the local view ``config[N[u]]``."""
+    rule = protocol.enabled_rule(config, g, u)
+    return (
+        rule,
+        None if rule is None else protocol.apply_rule(config, g, u, rule),
+        analysis.legitimate_state(config, g, u)[0],
+        analysis._alive_ab_root(config, g, u),
+    )
+
+
 class _Explorer:
     """DFS over the configuration graph of the subgraph induced by ``nodes``
     (for certification, one factor: a connected component plus the root),
     with a memo shared across starts. A configuration ``c`` is terminal iff
-    ``longest[c] == 0``."""
+    ``longest[c] == 0``.
+
+    Each non-root process's local facts are tabled by its local view, the
+    states of its closed neighbourhood N[u], and computed only on a miss.
+    A process whose N[u] holds every non-root node of the factor sees the
+    whole configuration, so a lookup could never hit: it gets no table and
+    is evaluated directly.
+    """
 
     def __init__(self, g: WeightedGraph, nodes: Iterable[int], max_visited: int):
         self.nodes = sorted(nodes)  # explorer node i is node nodes[i] of ``g``
-        self.g = induced_subgraph(g, self.nodes)
+        self.g = g = induced_subgraph(g, self.nodes)
         self.max_visited = max_visited
         self.longest: dict[Configuration, int] = {}
         self.onstack: set[Configuration] = set()
@@ -58,34 +79,71 @@ class _Explorer:
         self.initial_configs = 0
         self.max_steps = 0
         self._aar_cache: dict[Configuration, frozenset[int]] = {}
+        # (u, view getter, table) per non-root process in node order; the
+        # getter and table are None for an untabled process. Nothing here
+        # refers back to the explorer, so a finished one is freed at once.
+        non_root = {u for u in range(g.node_count) if u != g.root_id}
+        self._processes: list[tuple] = []
+        for u in sorted(non_root):
+            hood = sorted(g.adjacency[u])
+            if non_root <= {u, *hood}:
+                self._processes.append((u, None, None))
+            else:
+                self._processes.append((u, itemgetter(u, *hood), {}))
 
     def _aar(self, config: Configuration) -> frozenset[int]:
         cached = self._aar_cache.get(config)
         if cached is None:
-            cached = analysis.alive_abnormal_roots(config, self.g)
-            self._aar_cache[config] = cached
+            g = self.g
+            alive = []
+            for u, view, table in self._processes:
+                if table is None:
+                    flag = analysis._alive_ab_root(config, g, u)
+                else:
+                    key = view(config)
+                    fact = table.get(key)
+                    if fact is None:
+                        fact = table[key] = _local_facts(config, g, u)
+                    flag = fact[3]
+                if flag:
+                    alive.append(u)
+            cached = self._aar_cache[config] = frozenset(alive)
         return cached
 
     def _successors(self, config: Configuration) -> list[Configuration]:
         g = self.g
-        enabled = engine.enabled(config, g)
-        legit = all(analysis.legitimate_state(config, g, u)[0] for u in range(g.node_count))
-        if not enabled:
+        legit = analysis.legitimate_state(config, g, g.root_id)[0]
+        moves = []
+        for u, view, table in self._processes:
+            if table is None:
+                rule = protocol.enabled_rule(config, g, u)
+                new = None if rule is None else protocol.apply_rule(config, g, u, rule)
+                legit = legit and analysis.legitimate_state(config, g, u)[0]
+            else:
+                key = view(config)
+                fact = table.get(key)
+                if fact is None:
+                    fact = table[key] = _local_facts(config, g, u)
+                rule, new, ok, _ = fact
+                legit = legit and ok
+            if rule is not None:
+                moves.append((u, new))
+        if not moves:
             if not legit:
                 self.illegitimate_terminals.append(config)
             return []
         if legit:
             self.nonterminal_legitimate.append(config)
-        if len(enabled) > MAX_ENABLED:
+        if len(moves) > MAX_ENABLED:
             raise BudgetExceededError(
-                f"enabled set of size {len(enabled)} exceeds limit {MAX_ENABLED}"
+                f"enabled set of size {len(moves)} exceeds limit {MAX_ENABLED}"
             )
         # Successors in bit-mask order (bit i = the i-th enabled process):
         # the product over the nodes reversed varies the first enabled
         # process fastest, and its first tuple is ``config`` itself.
         choices = [(state,) for state in config]
-        for u, rule in enabled.items():
-            choices[u] = (config[u], protocol.apply_rule(config, g, u, rule))
+        for u, new in moves:
+            choices[u] = (config[u], new)
         succs = [c[::-1] for c in itertools.product(*reversed(choices))][1:]
         pre_aar = self._aar(config)
         for succ in succs:

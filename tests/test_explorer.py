@@ -15,7 +15,7 @@ from stabtree.explorer import (
     certify_instance,
     enumerate_initial_configs,
 )
-from stabtree.graph import build_graph
+from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import ROOT_STATE, ProcessState, Status
 
 from conftest import mk_config
@@ -123,15 +123,17 @@ class TestSuccessorOrder:
     )
     def test_matches_mask_loop(self, edges, n):
         # Same successors in the same order: DFS order, cycle witnesses
-        # and budgeted partials depend on it.
+        # and budgeted partials depend on it. One explorer serves every
+        # sample, so later samples read local facts tabled by earlier ones.
         g = build_graph(edges, n, 0)
+        ex = _Explorer(g, range(n), 1)
         widest = 0
         for seed in range(300):
             config = random_configuration(g, seed, 3)
-            ex = _Explorer(g, range(n), 1)
             succs, violations = _mask_successors(g, config)
+            before = len(ex.aar_violations)
             assert ex._successors(config) == succs, config
-            assert ex.aar_violations == violations
+            assert ex.aar_violations[before:] == violations
             widest = max(widest, len(succs))
         assert widest == 2 ** (n - 1) - 1  # some sample has every process enabled
 
@@ -147,6 +149,77 @@ class TestSuccessorOrder:
             certify_instance(g, 1, max_visited=max_visited)
         got = exc_info.value.partial
         assert (got.initial_configs, got.reachable_count, got.max_steps_any_path) == partial
+
+
+def _arbitrary_state(rng, g, v, d_cap=4):
+    """Any status and distance; the parent is a neighbour or ``v`` itself
+    half the time and any node otherwise, so some parents are
+    non-neighbours, which ``random_configuration`` never draws."""
+    if rng.random() < 0.5:
+        par = rng.choice(sorted(g.adjacency[v]) + [v])
+    else:
+        par = rng.randrange(g.node_count)
+    return ProcessState(rng.choice(list(Status)), par, rng.randint(0, d_cap))
+
+
+def _tabulated_facts(config, g, u):
+    rule = protocol.enabled_rule(config, g, u)
+    return (
+        rule,
+        None if rule is None else protocol.apply_rule(config, g, u, rule),
+        analysis.legitimate_state(config, g, u),
+        analysis._alive_ab_root(config, g, u),
+    )
+
+
+class TestLocalViews:
+    def test_facts_depend_only_on_the_closed_neighbourhood(self):
+        # The premise of the explorer's tables: redrawing every state
+        # outside N[u] changes none of the facts tabled for u.
+        rng = random.Random(2017)
+        far_parents = 0  # samples where u points at a non-neighbour other than itself
+        for seed in range(80):
+            n = rng.randint(2, 6)
+            g = generate_random_graph(
+                seed, n, rng.choice((0.3, 0.5, 0.8)), 3,
+                component_hint=rng.choice((None, 2)), root_id=rng.randrange(n),
+            )
+            for _ in range(10):
+                config = tuple(
+                    ROOT_STATE if v == g.root_id else _arbitrary_state(rng, g, v) for v in range(n)
+                )
+                for u in range(n):
+                    if u == g.root_id:
+                        continue
+                    hood = {u, *g.adjacency[u]}
+                    far_parents += config[u].par not in hood
+                    facts = _tabulated_facts(config, g, u)
+                    for _ in range(3):
+                        redrawn = tuple(
+                            state if v in hood else _arbitrary_state(rng, g, v)
+                            for v, state in enumerate(config)
+                        )
+                        assert _tabulated_facts(redrawn, g, u) == facts, (g, config, redrawn, u)
+        assert far_parents > 100
+
+    @pytest.mark.parametrize(
+        "edges,n,nodes,tabled",
+        [
+            ([(0, 1, 1), (0, 2, 1), (0, 3, 1)], 4, [0, 1, 2, 3], [1, 2, 3]),  # 4-star
+            (UNIT_4PATH, 4, [0, 1, 2, 3], [1, 3]),
+            ([(0, 1, 1), (1, 2, 2)], 3, [0, 1, 2], []),  # 3-path rooted at an end
+            ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, [0, 1, 2], []),  # triangle
+            ([(0, 1, 1), (2, 3, 2)], 4, [0, 1], []),  # 4-node 2 components
+            ([(0, 1, 1), (2, 3, 2)], 4, [0, 2, 3], []),
+            ([(0, 1, 1), (1, 2, 1)], 4, [0, 1, 2], []),  # 3-path and isolated node
+            ([(0, 1, 1), (1, 2, 1)], 4, [0, 3], []),
+        ],
+    )
+    def test_tables_only_where_a_view_can_repeat(self, edges, n, nodes, tabled):
+        # A process is tabled iff some non-root node of its factor lies
+        # outside N[u]; otherwise its view is the whole configuration.
+        ex = _Explorer(build_graph(edges, n, 0), nodes, 1)
+        assert [ex.nodes[u] for u, _, table in ex._processes if table is not None] == tabled
 
 
 class TestConfigurationKeys:
