@@ -16,7 +16,7 @@ from .graph import (
     root_hop_distances,
     save_graph,
 )
-from .protocol import ROOT_STATE, Configuration, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Rule, Status
 from .engine import (
     ExecutionTrace,
     enabled,

@@ -15,9 +15,8 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
-from . import protocol
 from .graph import WeightedGraph
-from .protocol import Rule
+from .protocol import Move, Rule
 
 
 class DaemonSpecError(ValueError):
@@ -27,15 +26,16 @@ class DaemonSpecError(ValueError):
 class DaemonPolicy:
     """Strategy mapping (configuration, enabled processes) to a selection.
 
-    ``enabled`` is a mapping from node id to its enabled rule; the returned
-    set must be a nonempty subset of its keys. A policy instance is bound
-    to a single execution at a time (it keeps a step counter).
+    ``enabled`` maps each enabled node id to its :class:`~.protocol.Move`:
+    the rule it would fire and the state that rule would write. The
+    returned set must be a nonempty subset of its keys. A policy instance
+    is bound to a single execution at a time (it keeps a step counter).
     """
 
     name = "daemon"
     seed: int | None = None
 
-    def select(self, config, g: WeightedGraph, enabled: Mapping[int, Rule]) -> frozenset[int]:
+    def select(self, config, g: WeightedGraph, enabled: Mapping[int, Move]) -> frozenset[int]:
         raise NotImplementedError
 
 
@@ -103,23 +103,24 @@ class AdversarialDaemon(_SeededPolicy):
 
     def select(self, config, g, enabled):
         if self.strategy == "starve-cleanup":
-            corrections = [u for u, rule in enabled.items() if rule is Rule.R_C]
+            corrections = [u for u, move in enabled.items() if move.rule is Rule.R_C]
             if corrections:
                 self._step += 1  # keep the counter in lockstep with draws
                 return frozenset(corrections)
             return frozenset({self._rng().choice(sorted(enabled))})
-        # max-churn
-        best: tuple[int, int, int] | None = None  # (delta, -u, u)
-        for u, rule in enabled.items():
-            if rule is Rule.R_C or rule is Rule.R_R:
-                new = protocol.compute_path(config, g, u)
-                delta = abs(new.d - config[u].d)
-                cand = (delta, -u, u)
+        # max-churn: each move carries its new distance. The rules are
+        # bound to locals, as an enum attribute lookup per move would cost
+        # as much as the rest of the loop.
+        r_c, r_r = Rule.R_C, Rule.R_R
+        best: tuple[int, int] | None = None  # (delta, -u)
+        for u, (rule, state) in enabled.items():
+            if rule is r_c or rule is r_r:
+                cand = (abs(state.d - config[u].d), -u)
                 if best is None or cand > best:
                     best = cand
         if best is not None:
             self._step += 1
-            return frozenset({best[2]})
+            return frozenset({-best[1]})
         return frozenset({self._rng().choice(sorted(enabled))})
 
 

@@ -14,7 +14,7 @@ from typing import IO, Iterable, Mapping
 
 from . import protocol
 from .graph import WeightedGraph
-from .protocol import ROOT_STATE, Configuration, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Rule, Status
 
 
 class EngineError(Exception):
@@ -78,47 +78,46 @@ def validate_configuration(config: Configuration, g: WeightedGraph) -> None:
             raise ConfigurationError(f"node {u}: bad distance {state.d!r}")
 
 
-def enabled(config: Configuration, g: WeightedGraph) -> dict[int, Rule]:
-    """The enabled rule of every enabled process, in node order; empty
+def enabled(config: Configuration, g: WeightedGraph) -> dict[int, Move]:
+    """The enabled move of every enabled process, in node order; empty
     exactly when ``config`` is terminal."""
     root = g.root_id
-    rules: dict[int, Rule] = {}
+    moves: dict[int, Move] = {}
     for u in range(g.node_count):
         if u != root:
-            rule = protocol.enabled_rule(config, g, u)
-            if rule is not None:
-                rules[u] = rule
-    return rules
+            move = protocol.enabled_rule(config, g, u)
+            if move is not None:
+                moves[u] = move
+    return moves
 
 
 def _fire(
     config: Configuration,
-    g: WeightedGraph,
     selection: frozenset[int],
-    rules: Mapping[int, Rule],
+    moves: Mapping[int, Move],
 ) -> tuple[Configuration, dict[int, Rule]]:
-    """Check ``selection`` against the enabled ``rules`` of ``config`` and
-    apply it atomically: every selected process reads the pre-step
-    configuration. Returns the new configuration and the fired rules."""
+    """Check ``selection`` against the enabled ``moves`` of ``config`` and
+    apply it atomically: every selected process writes the state its move
+    computed from the pre-step configuration. Returns the new configuration
+    and the fired rules."""
     if not selection:
         raise EmptySelectionError("selection must be nonempty")
+    new = list(config)
     fired: dict[int, Rule] = {}
     for u in selection:
-        rule = rules.get(u)
-        if rule is None:
+        move = moves.get(u)
+        if move is None:
             raise NotEnabledError(
-                f"selected processes {sorted(v for v in selection if v not in rules)} are not enabled"
+                f"selected processes {sorted(v for v in selection if v not in moves)} are not enabled"
             )
-        fired[u] = rule
-    new = list(config)
-    for u, rule in fired.items():
-        new[u] = protocol.apply_rule(config, g, u, rule)
+        fired[u] = move.rule
+        new[u] = move.state
     return tuple(new), fired
 
 
 def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> Configuration:
     """Apply one atomic step to ``selection``; all reads precede all writes."""
-    return _fire(config, g, frozenset(selection), enabled(config, g))[0]
+    return _fire(config, frozenset(selection), enabled(config, g))[0]
 
 
 @dataclass
@@ -178,34 +177,34 @@ def run(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     root = g.root_id
-    rules = enabled(config, g)
-    pending = set(rules)
+    moves = enabled(config, g)
+    pending = set(moves)
     configs = [config]
     steps: list[dict[int, Rule]] = []
     round_ends: list[int] = []
-    while rules and len(steps) < max_steps:
-        selection = frozenset(policy.select(config, g, dict(rules)))
-        config, fired = _fire(config, g, selection, rules)
+    while moves and len(steps) < max_steps:
+        selection = frozenset(policy.select(config, g, dict(moves)))
+        config, fired = _fire(config, selection, moves)
         pending -= selection
-        # Guards read only the process and its neighbors, so only the
-        # selected nodes and their neighbors can change enabledness.
+        # Guards and actions read only the process and its neighbors, so
+        # only the moves of the selected nodes and their neighbors change.
         affected = set(selection)
         for u in selection:
             affected.update(g.adjacency[u])
         affected.discard(root)
         for u in affected:
-            rule = protocol.enabled_rule(config, g, u)
-            if rule is None:
-                rules.pop(u, None)
+            move = protocol.enabled_rule(config, g, u)
+            if move is None:
+                moves.pop(u, None)
                 pending.discard(u)  # neutralized: enabled before, disabled now
             else:
-                rules[u] = rule
+                moves[u] = move
         steps.append(fired)
         configs.append(config)
         if not pending:
             round_ends.append(len(steps))
-            pending = set(rules)
-    return ExecutionTrace(configs=configs, steps=steps, terminated=not rules, round_ends=round_ends)
+            pending = set(moves)
+    return ExecutionTrace(configs=configs, steps=steps, terminated=not moves, round_ends=round_ends)
 
 
 # --- configuration file format ---------------------------------------------

@@ -40,13 +40,11 @@ MAX_ENABLED = 10
 
 
 def _local_facts(config: Configuration, g: WeightedGraph, u: int) -> tuple:
-    """``(enabled rule, new state or None, legitimate, alive abnormal
-    root)`` of non-root process ``u``: each reads only ``u`` and its
-    neighbours, so it is a function of the local view ``config[N[u]]``."""
-    rule = protocol.enabled_rule(config, g, u)
+    """``(enabled move or None, legitimate, alive abnormal root)`` of
+    non-root process ``u``: each reads only ``u`` and its neighbours, so it
+    is a function of the local view ``config[N[u]]``."""
     return (
-        rule,
-        None if rule is None else protocol.apply_rule(config, g, u, rule),
+        protocol.enabled_rule(config, g, u),
         analysis.legitimate_state(config, g, u)[0],
         analysis._alive_ab_root(config, g, u),
     )
@@ -78,7 +76,7 @@ class _Explorer:
         self.expanded = 0  # configurations whose successors were generated
         self.initial_configs = 0
         self.max_steps = 0
-        self._aar_cache: dict[Configuration, frozenset[int]] = {}
+        self._aar_cache: dict[Configuration, int] = {}
         # (u, view getter, table) per non-root process in node order; the
         # getter and table are None for an untabled process. Nothing here
         # refers back to the explorer, so a finished one is freed at once.
@@ -91,11 +89,12 @@ class _Explorer:
             else:
                 self._processes.append((u, itemgetter(u, *hood), {}))
 
-    def _aar(self, config: Configuration) -> frozenset[int]:
+    def _aar(self, config: Configuration) -> int:
+        """The alive abnormal roots of ``config`` as a bitmask over nodes."""
         cached = self._aar_cache.get(config)
         if cached is None:
             g = self.g
-            alive = []
+            alive = 0
             for u, view, table in self._processes:
                 if table is None:
                     flag = analysis._alive_ab_root(config, g, u)
@@ -104,10 +103,10 @@ class _Explorer:
                     fact = table.get(key)
                     if fact is None:
                         fact = table[key] = _local_facts(config, g, u)
-                    flag = fact[3]
+                    flag = fact[2]
                 if flag:
-                    alive.append(u)
-            cached = self._aar_cache[config] = frozenset(alive)
+                    alive |= 1 << u
+            cached = self._aar_cache[config] = alive
         return cached
 
     def _successors(self, config: Configuration) -> list[Configuration]:
@@ -116,18 +115,17 @@ class _Explorer:
         moves = []
         for u, view, table in self._processes:
             if table is None:
-                rule = protocol.enabled_rule(config, g, u)
-                new = None if rule is None else protocol.apply_rule(config, g, u, rule)
+                move = protocol.enabled_rule(config, g, u)
                 legit = legit and analysis.legitimate_state(config, g, u)[0]
             else:
                 key = view(config)
                 fact = table.get(key)
                 if fact is None:
                     fact = table[key] = _local_facts(config, g, u)
-                rule, new, ok, _ = fact
+                move, ok, _ = fact
                 legit = legit and ok
-            if rule is not None:
-                moves.append((u, new))
+            if move is not None:
+                moves.append((u, move.state))
         if not moves:
             if not legit:
                 self.illegitimate_terminals.append(config)
@@ -147,7 +145,7 @@ class _Explorer:
         succs = [c[::-1] for c in itertools.product(*reversed(choices))][1:]
         pre_aar = self._aar(config)
         for succ in succs:
-            if not self._aar(succ) <= pre_aar:
+            if self._aar(succ) & ~pre_aar:
                 self.aar_violations.append((config, succ))
         return succs
 

@@ -61,10 +61,6 @@ class RootQueriedError(ProtocolError):
     """A rule predicate was evaluated at the root, which has no rules."""
 
 
-class NoCandidateParentError(ProtocolError):
-    """compute_path called without any correct neighbor (caller bug)."""
-
-
 def children(config: Configuration, g: WeightedGraph, u: int) -> frozenset[int]:
     """Neighbors of ``u`` that currently count as its tree children."""
     su, _, du = config[u]
@@ -101,73 +97,47 @@ def ab_root(config: Configuration, g: WeightedGraph, u: int) -> bool:
     return su is not sp and sp is not Status.EB
 
 
-def p_correction(config: Configuration, g: WeightedGraph, u: int) -> bool:
-    if u == g.root_id:
-        raise RootQueriedError(u)
-    du = config[u].d
-    for v, w in g.adjacency[u].items():
-        sv, _, dv = config[v]
-        if sv is Status.C and dv + w < du:
-            return True
-    return False
+class Move(NamedTuple):
+    """An enabled rule and the state that firing it writes."""
+
+    rule: Rule
+    state: ProcessState
 
 
-def compute_path(config: Configuration, g: WeightedGraph, u: int) -> ProcessState:
-    """Adopt the correct neighbor minimizing the resulting distance.
+def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Move | None:
+    """The unique enabled move of ``u``, or None.
 
-    Ties are broken toward the smallest neighbor id so that executions are
-    reproducible.
+    The guards split by status. Within a status, one scan over the
+    neighbours finds the cheapest correct neighbour ``(d_v + w, v)``, ties
+    broken toward the smallest id so that executions are reproducible. That
+    one result decides ``R_C`` (it beats ``d_u``), whether ``R_R`` can fire
+    (it exists), and the state both of them write.
     """
     if u == g.root_id:
         raise RootQueriedError(u)
-    best: tuple[int, int] | None = None
-    for v, w in g.adjacency[u].items():
-        sv, _, dv = config[v]
-        if sv is Status.C:
-            cand = (dv + w, v)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise NoCandidateParentError(u)
-    d, v = best
-    return ProcessState(Status.C, v, d)
-
-
-def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Rule | None:
-    """The unique enabled rule of ``u``, or None. The guards split by
-    status, and within a status by ``p_correction`` or a correct neighbor."""
-    if u == g.root_id:
-        raise RootQueriedError(u)
-    su, pu, _ = config[u]
-    adj = g.adjacency[u]
-    if su is Status.C:
-        if p_correction(config, g, u):
-            return Rule.R_C
-        if ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB):
-            return Rule.R_EB
-        return None
+    su, pu, du = config[u]
     if su is Status.EB:
         for v in children(config, g, u):
             if config[v].status is not Status.EF:
                 return None
-        return Rule.R_EF
-    has_c = any(config[v].status is Status.C for v in adj)
-    if su is Status.EF:
-        if not ab_root(config, g, u):
-            return None
-        return Rule.R_R if has_c else Rule.R_I
-    # su is Status.I
-    return Rule.R_R if has_c else None
-
-
-def apply_rule(config: Configuration, g: WeightedGraph, u: int, rule: Rule) -> ProcessState:
-    """New state of ``u`` after firing ``rule``, which must be the rule
-    enabled at ``u``: the guard is not checked again."""
-    if rule is Rule.R_C or rule is Rule.R_R:
-        return compute_path(config, g, u)
-    st, pu, du = config[u]
-    if rule is Rule.R_EB:
-        return ProcessState(Status.EB, pu, du)
-    if rule is Rule.R_EF:
-        return ProcessState(Status.EF, pu, du)
-    return ProcessState(Status.I, pu, du)
+        return Move(Rule.R_EF, ProcessState(Status.EF, pu, du))
+    if su is Status.EF and not ab_root(config, g, u):
+        return None
+    adj = g.adjacency[u]
+    best_d = best_v = None
+    for v, w in adj.items():
+        sv, _, dv = config[v]
+        if sv is Status.C:
+            dv += w
+            if best_d is None or dv < best_d or (dv == best_d and v < best_v):
+                best_d, best_v = dv, v
+    if su is Status.C:
+        if best_d is not None and best_d < du:
+            return Move(Rule.R_C, ProcessState(Status.C, best_v, best_d))
+        if ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB):
+            return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
+        return None
+    # su is Status.EF at an abnormal root, or Status.I
+    if best_d is not None:
+        return Move(Rule.R_R, ProcessState(Status.C, best_v, best_d))
+    return Move(Rule.R_I, ProcessState(Status.I, pu, du)) if su is Status.EF else None

@@ -1,7 +1,7 @@
 import pytest
 
 from stabtree.graph import INFINITY, build_graph, root_distances
-from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, ab_root, children, p_correction
+from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, children
 
 
 @pytest.fixture
@@ -72,13 +72,40 @@ def spanning_tree_holds(config, g) -> bool:
     return True
 
 
+def reference_correction(config, g, u) -> bool:
+    """The paper's ``P_correction(u)``: some correct neighbour offers a
+    strictly smaller distance than ``u``'s."""
+    du = config[u].d
+    for v, w in g.adjacency[u].items():
+        sv, _, dv = config[v]
+        if sv is Status.C and dv + w < du:
+            return True
+    return False
+
+
+def reference_path(config, g, u) -> ProcessState:
+    """The paper's ``compute_path(u)``: adopt the correct neighbour
+    minimising the resulting distance, ties to the smallest id. ``u`` must
+    have a correct neighbour."""
+    best = None
+    for v, w in g.adjacency[u].items():
+        sv, _, dv = config[v]
+        if sv is Status.C:
+            cand = (dv + w, v)
+            if best is None or cand < best:
+                best = cand
+    assert best is not None, f"compute_path({u}) without a correct neighbour"
+    d, v = best
+    return ProcessState(Status.C, v, d)
+
+
 def reference_rules(config, g, u):
     """The rules whose guards hold at non-root ``u``: the paper's five
     guards, each evaluated on its own, as the reference that
     ``protocol.enabled_rule`` must agree with."""
     su, pu, _ = config[u]
     adj = g.adjacency[u]
-    correction = p_correction(config, g, u)
+    correction = reference_correction(config, g, u)
     reset = su is Status.EF and ab_root(config, g, u)
     has_c = any(config[v].status is Status.C for v in adj)
     guards = {
@@ -92,3 +119,19 @@ def reference_rules(config, g, u):
         Rule.R_R: (reset or su is Status.I) and has_c,
     }
     return {rule for rule, holds in guards.items() if holds}
+
+
+def reference_move(config, g, u):
+    """The move that ``protocol.enabled_rule`` must return at non-root
+    ``u``: the rule whose guard holds (None if none does), and the state
+    the paper's action for it writes. Shares no scan with the package."""
+    rules = reference_rules(config, g, u)
+    assert len(rules) <= 1, f"guards not exclusive at {u}: {rules}"
+    if not rules:
+        return None
+    (rule,) = rules
+    if rule is Rule.R_C or rule is Rule.R_R:
+        return Move(rule, reference_path(config, g, u))
+    _, pu, du = config[u]
+    status = {Rule.R_EB: Status.EB, Rule.R_EF: Status.EF, Rule.R_I: Status.I}[rule]
+    return Move(rule, ProcessState(status, pu, du))

@@ -17,7 +17,7 @@ from stabtree.explorer import certify_instance
 from stabtree.graph import build_graph, component_info
 from stabtree.protocol import enabled_rule
 
-from conftest import reference_rules, spanning_tree_holds
+from conftest import reference_move, spanning_tree_holds
 
 CORPUS_SIZE = 1000
 CORPUS_SEED = 2024
@@ -51,15 +51,16 @@ class Corpus:
 
 def _guards_agree_everywhere(trace, g) -> bool:
     """In every configuration of the trace, exactly the guard of each
-    process's enabled rule (if any) holds. Every guard reads only a process
-    and its neighbors, so after a step only the fired processes and their
+    process's enabled rule (if any) holds, and the move writes the state of
+    the paper's action for it. Guards and actions read only a process and
+    its neighbors, so after a step only the fired processes and their
     neighbors can change verdict and are checked again."""
     todo = range(g.node_count)
     for i, config in enumerate(trace.configs):
         if i:
             todo = {v for u in trace.steps[i - 1] for v in (u, *g.adjacency[u])}
         for u in todo:
-            if u != g.root_id and reference_rules(config, g, u) != {enabled_rule(config, g, u)} - {None}:
+            if u != g.root_id and reference_move(config, g, u) != enabled_rule(config, g, u):
                 return False
     return True
 
@@ -211,5 +212,5 @@ class TestAcceptance:
         _verdict(
             not bad,
             "8. exactly the enabled rule's guard holds per process in every "
-            "corpus configuration",
+            "corpus configuration, and its move writes the paper's action",
         )

@@ -11,10 +11,10 @@ from stabtree.daemon import (
     parse_daemon_spec,
 )
 from stabtree.engine import enabled, normal_initial_configuration, random_configuration, run
-from stabtree.graph import build_graph
+from stabtree.graph import build_graph, component_info, generate_random_graph
 from stabtree.protocol import Rule, Status
 
-from conftest import mk_config
+from conftest import mk_config, reference_path
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ class TestAdversarial:
     def test_starve_prefers_corrections(self, star):
         config = mk_config(star, n1=(Status.C, 0, 5), n2=(Status.EB, 0, 1))
         rules = enabled(config, star)
-        assert rules == {1: Rule.R_C, 2: Rule.R_EF}
+        assert {u: move.rule for u, move in rules.items()} == {1: Rule.R_C, 2: Rule.R_EF}
         assert AdversarialDaemon(0, "starve-cleanup").select(config, star, rules) == {1}
 
     def test_starve_falls_back_to_singleton(self, star):
@@ -93,7 +93,7 @@ class TestAdversarial:
         # node 1 would jump from 10 to 1, node 2 only from 3 to 1
         config = mk_config(star, n1=(Status.C, 0, 10), n2=(Status.C, 0, 3))
         rules = enabled(config, star)
-        assert set(rules.values()) == {Rule.R_C}
+        assert {move.rule for move in rules.values()} == {Rule.R_C}
         assert AdversarialDaemon(0, "max-churn").select(config, star, rules) == {1}
 
     def test_churn_tie_breaks_to_smallest_id(self, star):
@@ -104,6 +104,55 @@ class TestAdversarial:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DaemonSpecError):
             AdversarialDaemon(0, "zigzag")
+
+
+class _ReferenceAdversarial(AdversarialDaemon):
+    """The adversarial selections as written before moves carried the
+    state they write: max-churn runs ``compute_path`` itself on every
+    enabled ``R_C``/``R_R`` process."""
+
+    def select(self, config, g, enabled):
+        if self.strategy == "starve-cleanup":
+            corrections = [u for u, move in enabled.items() if move.rule is Rule.R_C]
+            if corrections:
+                self._step += 1
+                return frozenset(corrections)
+            return frozenset({self._rng().choice(sorted(enabled))})
+        best = None  # (delta, -u, u)
+        for u, move in enabled.items():
+            if move.rule is Rule.R_C or move.rule is Rule.R_R:
+                new = reference_path(config, g, u)
+                cand = (abs(new.d - config[u].d), -u, u)
+                if best is None or cand > best:
+                    best = cand
+        if best is not None:
+            self._step += 1
+            return frozenset({best[2]})
+        return frozenset({self._rng().choice(sorted(enabled))})
+
+
+class TestAdversarialReference:
+    @pytest.mark.parametrize("strategy", AdversarialDaemon.STRATEGIES)
+    def test_executions_match_reference_selection(self, strategy):
+        # Same configurations, steps and round ends as the reference on
+        # random graphs whose root is not node 0, some with several
+        # components; a max-churn that measured the shift from the pre-step
+        # distance would pick differently and diverge.
+        split = 0
+        for trial in range(30):
+            n = 3 + trial % 10
+            g = generate_random_graph(
+                trial, n, 0.5, 4, component_hint=1 + trial % 3, root_id=1 + trial % (n - 1)
+            )
+            split += component_info(g).component_count > 1
+            config = random_configuration(g, trial, 4 * n)
+            for seed in range(3):
+                got = run(config, g, AdversarialDaemon(seed, strategy))
+                want = run(config, g, _ReferenceAdversarial(seed, strategy))
+                assert got.configs == want.configs, (trial, seed)
+                assert got.steps == want.steps, (trial, seed)
+                assert got.round_ends == want.round_ends, (trial, seed)
+        assert split >= 10
 
 
 class TestSpecStrings:

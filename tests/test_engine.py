@@ -19,7 +19,7 @@ from stabtree.engine import (
     write_trace,
 )
 from stabtree.graph import build_graph, generate_random_graph, root_distances
-from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, enabled_rule
+from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
 from conftest import mk_config
 
@@ -27,7 +27,7 @@ from conftest import mk_config
 class TestEnabledSet:
     def test_normal_initial_on_path(self, path3):
         config = normal_initial_configuration(path3)
-        assert enabled(config, path3) == {1: Rule.R_R}
+        assert enabled(config, path3) == {1: Move(Rule.R_R, ProcessState(Status.C, 0, 1))}
 
     def test_terminal_configuration(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
@@ -71,7 +71,7 @@ class TestStep:
 
     def test_rootless_pair_freezes_first(self, two_comp):
         config = mk_config(two_comp, n1=(Status.C, 2, 2), n2=(Status.C, 1, 1))
-        assert enabled(config, two_comp) == {2: Rule.R_EB}
+        assert enabled(config, two_comp) == {2: Move(Rule.R_EB, ProcessState(Status.EB, 1, 1))}
         after = step(config, two_comp, {2})
         assert after[2] == ProcessState(Status.EB, 1, 1)
         assert after[1] == config[1]
@@ -128,10 +128,11 @@ class TestRun:
         config = random_configuration(triangle, 5, 6)
         trace = run(config, triangle, CentralDaemon(7))
         for i, fired in enumerate(trace.steps):
-            rules = enabled(trace.configs[i], triangle)
+            moves = enabled(trace.configs[i], triangle)
             assert fired
-            assert fired.keys() <= rules.keys()
-            assert all(rule is rules[u] for u, rule in fired.items())
+            assert fired.keys() <= moves.keys()
+            assert all(rule is moves[u].rule for u, rule in fired.items())
+            assert all(trace.configs[i + 1][u] == moves[u].state for u in fired)
 
     def test_steps_change_only_fired_nodes(self):
         # configs[i + 1] differs from configs[i] only at steps[i]'s keys;

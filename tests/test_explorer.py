@@ -90,9 +90,7 @@ def _mask_successors(g, config):
     order of ``_Explorer._successors``: mask bit i selects the i-th
     enabled process, so the first enabled process varies fastest.
     Returns the successors and the steps creating an alive abnormal root."""
-    new_states = [
-        (u, protocol.apply_rule(config, g, u, rule)) for u, rule in engine.enabled(config, g).items()
-    ]
+    new_states = [(u, move.state) for u, move in engine.enabled(config, g).items()]
     pre_aar = analysis.alive_abnormal_roots(config, g)
     succs, violations = [], []
     for mask in range(1, 1 << len(new_states)):
@@ -163,10 +161,8 @@ def _arbitrary_state(rng, g, v, d_cap=4):
 
 
 def _tabulated_facts(config, g, u):
-    rule = protocol.enabled_rule(config, g, u)
     return (
-        rule,
-        None if rule is None else protocol.apply_rule(config, g, u, rule),
+        protocol.enabled_rule(config, g, u),
         analysis.legitimate_state(config, g, u),
         analysis._alive_ab_root(config, g, u),
     )
@@ -332,8 +328,14 @@ class TestByComponent:
         assert partial.initial_configs == 16 * 65
 
     def test_cycle_witness_is_lifted_to_whole_graph(self, monkeypatch):
-        # A mutant whose rules leave the state unchanged loops at once.
-        monkeypatch.setattr(protocol, "apply_rule", lambda config, g, u, rule: config[u])
+        # A mutant whose moves leave the state unchanged loops at once.
+        real = protocol.enabled_rule
+
+        def idle_move(config, g, u):
+            move = real(config, g, u)
+            return None if move is None else move._replace(state=config[u])
+
+        monkeypatch.setattr(protocol, "enabled_rule", idle_move)
         g = build_graph([(2, 3, 2)], 4, 1)  # factors {0, 1} and {1, 2, 3}
         result = certify_instance(g, 1)
         assert result.verdict == "FAIL"

@@ -2,24 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from stabtree import protocol
 from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import (
     ROOT_STATE,
-    NoCandidateParentError,
+    Move,
     ProcessState,
     RootQueriedError,
     Rule,
     Status,
     ab_root,
-    apply_rule,
     children,
-    compute_path,
     enabled_rule,
-    p_correction,
 )
 
-from conftest import mk_config, reference_rules
+from conftest import mk_config, reference_move, reference_rules
 
 
 @pytest.fixture
@@ -77,54 +75,58 @@ class TestAbRoot:
 class TestPredicates:
     def test_p_correction_arithmetic(self, chain):
         config = mk_config(chain, n1=(Status.C, 0, 1), n2=(Status.C, 1, 5))
-        assert p_correction(config, chain, 2)  # 1 + 2 < 5
+        # 1 + 2 < 5
+        assert enabled_rule(config, chain, 2) == Move(Rule.R_C, ProcessState(Status.C, 1, 3))
 
     def test_p_correction_requires_status_c(self, chain):
         config = mk_config(chain, n1=(Status.EB, 0, 0), n2=(Status.C, 1, 3))
-        assert not p_correction(config, chain, 2)
+        # 0 + 2 < 3, but node 1 is not correct: no R_C; its EB spreads instead.
+        assert enabled_rule(config, chain, 2) == Move(Rule.R_EB, ProcessState(Status.EB, 1, 3))
 
 
 class TestComputePath:
+    """The state ``R_R`` and ``R_C`` write: the cheapest correct neighbour."""
+
     def test_tie_broken_to_smallest_id(self):
         # v1=node1 (d=2, w=3) and v2=node2 (d=4, w=1) both sum to 5.
         g = build_graph([(0, 1, 1), (1, 3, 3), (2, 3, 1), (0, 2, 1)], 4, 0)
         config = mk_config(g, n1=(Status.C, 0, 2), n2=(Status.C, 0, 4), n3=(Status.I, 3, 0))
-        assert compute_path(config, g, 3) == ProcessState(Status.C, 1, 5)
+        assert enabled_rule(config, g, 3) == Move(Rule.R_R, ProcessState(Status.C, 1, 5))
 
     def test_strict_minimum(self):
         g = build_graph([(0, 1, 1), (1, 3, 1), (2, 3, 1), (0, 2, 1)], 4, 0)
         config = mk_config(g, n1=(Status.C, 0, 2), n2=(Status.C, 0, 4), n3=(Status.I, 3, 0))
-        assert compute_path(config, g, 3) == ProcessState(Status.C, 1, 3)
+        assert enabled_rule(config, g, 3) == Move(Rule.R_R, ProcessState(Status.C, 1, 3))
 
     def test_only_correct_neighbors_are_candidates(self):
         g = build_graph([(0, 1, 1), (1, 3, 1), (2, 3, 2), (0, 2, 1)], 4, 0)
         config = mk_config(g, n1=(Status.EB, 0, 0), n2=(Status.C, 0, 7), n3=(Status.I, 3, 0))
-        assert compute_path(config, g, 3) == ProcessState(Status.C, 2, 9)
+        assert enabled_rule(config, g, 3) == Move(Rule.R_R, ProcessState(Status.C, 2, 9))
 
-    def test_no_candidate_raises(self, chain):
+    def test_no_candidate_no_move(self, chain):
+        # No correct neighbour: an isolated process has nothing to join.
         config = mk_config(chain, n1=(Status.I, 1, 0), n2=(Status.I, 2, 0))
-        with pytest.raises(NoCandidateParentError):
-            compute_path(config, chain, 2)
+        assert enabled_rule(config, chain, 2) is None
 
     def test_result_exceeds_parent_distance(self, chain):
         config = mk_config(chain, n1=(Status.C, 0, 1), n2=(Status.I, 2, 0))
-        new = compute_path(config, chain, 2)
+        new = enabled_rule(config, chain, 2).state
         assert new.d > config[new.par].d
 
 
 class TestEnabledRule:
     def test_isolated_with_correct_neighbor_rejoins(self, chain):
         config = mk_config(chain, n1=(Status.I, 1, 0))
-        assert enabled_rule(config, chain, 1) is Rule.R_R
+        assert enabled_rule(config, chain, 1).rule is Rule.R_R
 
     def test_eb_with_no_children_feeds_back(self, chain):
         config = mk_config(chain, n1=(Status.EB, 0, 1), n2=(Status.I, 2, 0))
-        assert enabled_rule(config, chain, 1) is Rule.R_EF
+        assert enabled_rule(config, chain, 1) == Move(Rule.R_EF, ProcessState(Status.EF, 0, 1))
 
     def test_abnormal_root_without_correction_broadcasts(self, chain):
         # node 2: d=2 < d_1 + w = 3, and no cheaper correct neighbor
         config = mk_config(chain, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
-        assert enabled_rule(config, chain, 2) is Rule.R_EB
+        assert enabled_rule(config, chain, 2).rule is Rule.R_EB
 
     def test_root_rejected(self, chain):
         with pytest.raises(RootQueriedError):
@@ -144,37 +146,82 @@ class TestEnumIdentity:
 
 
 class TestApplyRule:
+    """The state each move writes."""
+
     def test_eb_only_writes_status(self, chain):
         config = mk_config(chain, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
-        assert apply_rule(config, chain, 2, Rule.R_EB) == ProcessState(Status.EB, 1, 2)
+        assert enabled_rule(config, chain, 2) == Move(Rule.R_EB, ProcessState(Status.EB, 1, 2))
 
     def test_isolate_only_writes_status(self, chain):
         config = mk_config(chain, n1=(Status.I, 1, 0), n2=(Status.EF, 2, 9))
-        assert apply_rule(config, chain, 2, Rule.R_I) == ProcessState(Status.I, 2, 9)
+        assert enabled_rule(config, chain, 2) == Move(Rule.R_I, ProcessState(Status.I, 2, 9))
 
     def test_rejoin_runs_compute_path(self):
         g = build_graph([(0, 1, 4)], 2, 0)
         config = mk_config(g, n1=(Status.I, 1, 0))
-        assert apply_rule(config, g, 1, Rule.R_R) == ProcessState(Status.C, 0, 4)
+        assert enabled_rule(config, g, 1) == Move(Rule.R_R, ProcessState(Status.C, 0, 4))
+
+
+AGREEMENT_INSTANCES = [
+    ([(0, 1, 2)], 2, 4),
+    ([(0, 1, 1), (1, 2, 2)], 3, 2),
+    ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, 2),
+    ([(0, 1, 1), (1, 2, 2), (1, 3, 1)], 4, 2),  # non-root centre 1
+]
+
+
+def _disagreements(edges, n, d_cap):
+    """Every (configuration, process) of the instance where
+    ``protocol.enabled_rule``, looked up at call time so that a
+    monkeypatched mutant is the one tested, differs from the reference
+    move: in the rule, or in the state it writes."""
+    g = build_graph(edges, n, 0)
+    return [
+        (config, u)
+        for config in enumerate_initial_configs(g, d_cap)
+        for u in range(1, n)
+        if reference_move(config, g, u) != protocol.enabled_rule(config, g, u)
+    ]
 
 
 @pytest.mark.parametrize(
-    "edges,n,d_cap",
-    [
-        ([(0, 1, 2)], 2, 4),
-        ([(0, 1, 1), (1, 2, 2)], 3, 2),
-        ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, 2),
-        ([(0, 1, 1), (1, 2, 2), (1, 3, 1)], 4, 2),  # non-root centre 1
-    ],
-    ids=["2-node", "3-path", "triangle", "4-node"],
+    "edges,n,d_cap", AGREEMENT_INSTANCES, ids=["2-node", "3-path", "triangle", "4-node"]
 )
 def test_guard_agreement_exhaustive(edges, n, d_cap):
     # Every enumerated configuration: both outcomes of each `<` and `>=`
-    # against d + w occur, and exactly the dispatched rule's guard holds.
+    # against d + w occur, exactly the dispatched rule's guard holds, and
+    # the move writes the state of the paper's action.
+    assert _disagreements(edges, n, d_cap) == []
+
+
+def _reversed_tie_break(enabled_rule):
+    """Mutant of ``enabled_rule``: among correct neighbours with equal
+    ``d_v + w``, adopt the largest id instead of the smallest."""
+
+    def mutant(config, g, u):
+        move = enabled_rule(config, g, u)
+        if move is None or move.state.status is not Status.C:
+            return move
+        tied = [
+            v
+            for v, w in g.adjacency[u].items()
+            if config[v].status is Status.C and config[v].d + w == move.state.d
+        ]
+        return move._replace(state=move.state._replace(par=max(tied)))
+
+    return mutant
+
+
+def test_action_agreement_catches_reversed_tie_break(monkeypatch):
+    # The mutant fires the same rules everywhere, so guard agreement alone
+    # passes it; only the written state tells it apart.
+    monkeypatch.setattr(protocol, "enabled_rule", _reversed_tie_break(enabled_rule))
+    edges, n, d_cap = AGREEMENT_INSTANCES[2]  # the triangle: 2 can tie 0 and 1 at w 2
     g = build_graph(edges, n, 0)
-    for config in enumerate_initial_configs(g, d_cap):
-        for u in range(1, n):
-            assert reference_rules(config, g, u) == {enabled_rule(config, g, u)} - {None}, (config, u)
+    caught = _disagreements(edges, n, d_cap)
+    assert caught
+    for config, u in caught:
+        assert reference_rules(config, g, u) == {protocol.enabled_rule(config, g, u).rule}
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,7 +241,7 @@ def test_guard_exclusivity_and_dispatch_agree(data):
         )
     config = tuple(states)
     for u in range(1, n):
-        assert reference_rules(config, g, u) == {enabled_rule(config, g, u)} - {None}
+        assert reference_move(config, g, u) == enabled_rule(config, g, u)
 
 
 @settings(max_examples=300, deadline=None)
