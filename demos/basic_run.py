@@ -27,14 +27,13 @@ def main():
     g = build_graph([(0, 1, 1), (1, 2, 2), (0, 2, 4)], 3, 0)
     print("true distances:", list(root_distances(g)))
 
-    config = normal_initial_configuration(g)
-    show(config, "start")
-
-    trace = run(config, g, SynchronousDaemon())
-    for i, rules in enumerate(trace.steps):
-        fired = {u: r.value for u, r in rules.items()}
+    trace = run(normal_initial_configuration(g), g, SynchronousDaemon())
+    configs = trace.configurations()
+    show(next(configs), "start")
+    for i, (moves, after) in enumerate(zip(trace.steps, configs)):
+        fired = {u: m.rule.value for u, m in moves.items()}
         print(f"step {i}: fired {fired}")
-        show(trace.configs[i + 1], f"  config {i + 1}")
+        show(after, f"  config {i + 1}")
 
     report = legitimate_config(trace.final, g)
     print(f"terminated in {trace.step_count} steps; legitimate: {report.config_legitimate}")

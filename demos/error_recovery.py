@@ -30,8 +30,8 @@ def main():
     )
 
     trace = run(config, g, CentralDaemon(seed=7))
-    for i, rules in enumerate(trace.steps):
-        fired = {u: r.value for u, r in rules.items()}
+    for i, moves in enumerate(trace.steps):
+        fired = {u: m.rule.value for u, m in moves.items()}
         print(f"step {i}: {fired}")
 
     print(f"\nfinal after {trace.step_count} steps:")

@@ -118,7 +118,6 @@ def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> Legit
 class ForestView:
     abnormal_roots: dict[int, bool]  # node -> alive?
     illegal_membership: dict[int, bool]
-    depth: dict[int, int]  # branch depth, only for nodes in some branch
     acyclic: bool  # False when parent pointers close a cycle
 
 
@@ -142,43 +141,33 @@ def forest_view(config, g: WeightedGraph) -> ForestView:
             continue
         if protocol.ab_root(config, g, u):
             ab_roots[u] = config[u].status is not Status.EF
-    depth: dict[int, int] = {}
     illegal = {u: False for u in range(g.node_count)}
+    resolved: set[int] = set()
     acyclic = True
     for u in range(g.node_count):
         if u != root and config[u].status is Status.I:
             continue
-        # Walk up the parent chain to a resolved node or a branch root,
-        # then resolve the walked nodes top-down.
-        path: list[int] = []
-        onpath: set[int] = set()
+        # Walk up the parent chain to a resolved node, a branch root or a
+        # node walked before; every walked node gets that node's verdict.
+        walked: set[int] = set()
         v = u
-        while v not in depth:
-            if v in onpath:
+        while v not in resolved:
+            if v in walked:
                 # A parent cycle needs a faulty protocol: under the real
-                # ab_root, distances fall strictly up a branch. v heads it as
-                # an illegal branch. The cycle's nodes above v are unresolved
-                # non-I nodes, so they come later in node order and resolve
-                # from v in their turn.
-                del path[path.index(v):]
-                depth[v] = 1
+                # ab_root, distances fall strictly up a branch. The cycle
+                # heads an illegal branch.
                 illegal[v] = True
                 acyclic = False
                 break
+            walked.add(v)
             if v == root or v in ab_roots:
-                depth[v] = 1
                 illegal[v] = v != root
                 break
-            path.append(v)
-            onpath.add(v)
             v = config[v].par
-        for w in reversed(path):
-            depth[w] = depth[v] + 1
+        for w in walked:
             illegal[w] = illegal[v]
-            v = w
-    return ForestView(
-        abnormal_roots=ab_roots, illegal_membership=illegal, depth=depth, acyclic=acyclic
-    )
+        resolved |= walked
+    return ForestView(abnormal_roots=ab_roots, illegal_membership=illegal, acyclic=acyclic)
 
 
 # --- trace properties -------------------------------------------------------
@@ -216,15 +205,16 @@ def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
     comp_of = info.component_of
     adjacency = g.adjacency
     root = g.root_id
-    aar = set(alive_abnormal_roots(trace.configs[0], g))
+    configs = trace.configurations()
+    aar = set(alive_abnormal_roots(next(configs), g))
     monotone = True
     segment = [0] * info.component_count  # current segment of each component
     words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
-    for fired, post in zip(trace.steps, trace.configs[1:]):
+    for fired, post in zip(trace.steps, configs):
         touched = set(fired)
-        for u, rule in fired.items():
+        for u, move in fired.items():
             key = (u, segment[comp_of[u]])
-            words[key] = words.get(key, "") + _RULE_CHAR[rule]
+            words[key] = words.get(key, "") + _RULE_CHAR[move.rule]
             touched.update(adjacency[u])
         touched.discard(root)
         ended = set()
@@ -305,7 +295,7 @@ def check_round_milestones(trace, g: WeightedGraph) -> MilestoneReport:
     hops = root_hop_distances(g)
     nm = info.n_max_cc
     ok_c = ok_cleared = ok_hop = ok_acyclic = True
-    for idx, config in enumerate(trace.configs):
+    for idx, config in enumerate(trace.configurations()):
         completed = bisect_right(trace.round_ends, idx)
         if completed < nm:
             continue

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from . import protocol
 from .graph import WeightedGraph
-from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Status
 
 
 class EngineError(Exception):
@@ -95,22 +95,22 @@ def _fire(
     config: Configuration,
     selection: frozenset[int],
     moves: Mapping[int, Move],
-) -> tuple[Configuration, dict[int, Rule]]:
+) -> tuple[Configuration, dict[int, Move]]:
     """Check ``selection`` against the enabled ``moves`` of ``config`` and
     apply it atomically: every selected process writes the state its move
     computed from the pre-step configuration. Returns the new configuration
-    and the fired rules."""
+    and the fired moves."""
     if not selection:
         raise EmptySelectionError("selection must be nonempty")
     new = list(config)
-    fired: dict[int, Rule] = {}
+    fired: dict[int, Move] = {}
     for u in selection:
         move = moves.get(u)
         if move is None:
             raise NotEnabledError(
                 f"selected processes {sorted(v for v in selection if v not in moves)} are not enabled"
             )
-        fired[u] = move.rule
+        fired[u] = move
         new[u] = move.state
     return tuple(new), fired
 
@@ -122,24 +122,30 @@ def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> C
 
 @dataclass
 class ExecutionTrace:
-    """``steps[i]`` maps each process selected at step ``i`` to the rule it
-    fired, taking ``configs[i]`` to ``configs[i + 1]``; the two differ only
-    at the keys of ``steps[i]``, so a check can update per-node facts at the
-    fired nodes and their neighbors instead of rescanning. ``round_ends``
-    lists the configuration indices at which each round closes."""
+    """An execution as the trace file holds it: the initial configuration
+    and, per step, the move each selected process fired. ``steps[i]`` maps
+    each process selected at step ``i`` to its rule and the state it wrote.
+    ``configurations()`` replays them, so configuration ``i + 1`` differs
+    from configuration ``i`` only at the keys of ``steps[i]`` by
+    construction, and a check can update per-node facts at the fired nodes
+    and their neighbors instead of rescanning. ``final`` is the last
+    configuration. ``round_ends`` lists the configuration indices at which
+    each round closes."""
 
-    configs: list[Configuration]
-    steps: list[dict[int, Rule]]
+    initial: Configuration
+    steps: list[dict[int, Move]]
+    final: Configuration
     terminated: bool
     round_ends: list[int]
 
-    @property
-    def initial(self) -> Configuration:
-        return self.configs[0]
-
-    @property
-    def final(self) -> Configuration:
-        return self.configs[-1]
+    def configurations(self) -> Iterator[Configuration]:
+        """``initial``, then the configuration after each step."""
+        config = list(self.initial)
+        yield self.initial
+        for fired in self.steps:
+            for u, move in fired.items():
+                config[u] = move.state
+            yield tuple(config)
 
     @property
     def step_count(self) -> int:
@@ -179,8 +185,8 @@ def run(
     root = g.root_id
     moves = enabled(config, g)
     pending = set(moves)
-    configs = [config]
-    steps: list[dict[int, Rule]] = []
+    initial = config
+    steps: list[dict[int, Move]] = []
     round_ends: list[int] = []
     while moves and len(steps) < max_steps:
         selection = frozenset(policy.select(config, g, dict(moves)))
@@ -200,11 +206,12 @@ def run(
             else:
                 moves[u] = move
         steps.append(fired)
-        configs.append(config)
         if not pending:
             round_ends.append(len(steps))
             pending = set(moves)
-    return ExecutionTrace(configs=configs, steps=steps, terminated=not moves, round_ends=round_ends)
+    return ExecutionTrace(
+        initial=initial, steps=steps, final=config, terminated=not moves, round_ends=round_ends
+    )
 
 
 # --- configuration file format ---------------------------------------------
@@ -290,15 +297,16 @@ def write_trace(
         "initial": [_state_json(s) for s in trace.initial],
     }
     fh.write(json.dumps(header) + "\n")
-    for i, (fired, post) in enumerate(zip(trace.steps, trace.configs[1:])):
+    for i, fired in enumerate(trace.steps):
+        moves = sorted(fired.items())
         fh.write(
             json.dumps(
                 {
                     "type": "step",
                     "index": i,
-                    "selected": sorted(fired),
-                    "fired": {str(u): r.value for u, r in sorted(fired.items())},
-                    "post": {str(u): _state_json(post[u]) for u in sorted(fired)},
+                    "selected": [u for u, _ in moves],
+                    "fired": {str(u): m.rule.value for u, m in moves},
+                    "post": {str(u): _state_json(m.state) for u, m in moves},
                 }
             )
             + "\n"

@@ -56,7 +56,7 @@ def _guards_agree_everywhere(trace, g) -> bool:
     its neighbors, so after a step only the fired processes and their
     neighbors can change verdict and are checked again."""
     todo = range(g.node_count)
-    for i, config in enumerate(trace.configs):
+    for i, config in enumerate(trace.configurations()):
         if i:
             todo = {v for u in trace.steps[i - 1] for v in (u, *g.adjacency[u])}
         for u in todo:

@@ -34,7 +34,7 @@ from stabtree.engine import (
 from stabtree.cli import EXIT_CHECK_FAILED, main
 from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
-from stabtree.protocol import ROOT_STATE, ProcessState, Rule, Status, children
+from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, children
 
 from conftest import mk_config, spanning_tree_holds
 
@@ -173,7 +173,6 @@ class TestForestView:
         assert view.illegal_membership[1]
         assert view.illegal_membership[2]
         assert not view.illegal_membership[0]
-        assert view.depth[2] == 2
 
     def test_long_chain_toward_high_labelled_root(self):
         # A legitimate configuration whose parent chains are 1199 edges
@@ -191,7 +190,6 @@ class TestForestView:
         view = forest_view(config, g)
         assert view.abnormal_roots == {}
         assert not any(view.illegal_membership.values())
-        assert view.depth[0] == max(view.depth.values()) == n
         assert len(branch_edges(config, g)) == n - 1
 
 
@@ -229,8 +227,6 @@ class TestLabelIndependence:
                 edges, edges_h = branch_edges(start, g), branch_edges(image, h)
                 assert {(perm[u], perm[v]) for u, v in edges} == edges_h
                 assert {perm[u]: i for u, i in view.illegal_membership.items()} == view_h.illegal_membership
-                assert {perm[u]: d for u, d in view.depth.items()} == view_h.depth
-                assert max(view_h.depth.values()) == max(view.depth.values())
 
 
 class TestRounds:
@@ -293,7 +289,7 @@ def replayed_round_ends(trace, g):
     """Configuration indices at which each round closes, replayed from the
     enabled set of every configuration: a round closes once every process
     enabled at its start has fired or been disabled by a step."""
-    sets = [enabled(c, g).keys() for c in trace.configs]
+    sets = [enabled(c, g).keys() for c in trace.configurations()]
     ends = []
     pending = set(sets[0])
     for i, fired in enumerate(trace.steps):
@@ -322,11 +318,17 @@ class TestAarMonotone:
 
 
 def fabricated_trace(configs, fired_maps):
-    # Each step fires every enabled process, so each step closes a round.
-    steps = [dict(fired) for fired in fired_maps]
+    # Each fired process writes its state in the next configuration; no
+    # other process may change, or the replay would hide the change. Each
+    # step fires every enabled process, so each step closes a round.
+    steps = []
+    for pre, post, fired in zip(configs, configs[1:], fired_maps):
+        assert {u for u in range(len(pre)) if pre[u] != post[u]} <= fired.keys()
+        steps.append({u: Move(rule, post[u]) for u, rule in fired.items()})
     return ExecutionTrace(
-        configs=list(configs),
+        initial=configs[0],
         steps=steps,
+        final=configs[-1],
         terminated=True,
         round_ends=list(range(1, len(steps) + 1)),
     )
@@ -389,13 +391,13 @@ def segments_by_rescan(trace, g):
     abnormal roots of every configuration."""
     info = component_info(g)
     comp_of = info.component_of
-    aars = [alive_abnormal_roots(c, g) for c in trace.configs]
+    aars = [alive_abnormal_roots(c, g) for c in trace.configurations()]
     segment = [0] * info.component_count
     words = {}
     for i, fired in enumerate(trace.steps):
-        for u, rule in fired.items():
+        for u, move in fired.items():
             key = (u, segment[comp_of[u]])
-            words[key] = words.get(key, "") + _RULE_CHAR[rule]
+            words[key] = words.get(key, "") + _RULE_CHAR[move.rule]
         for c in {comp_of[u] for u in aars[i] - aars[i + 1]}:
             segment[c] += 1
     bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
@@ -521,7 +523,7 @@ class TestTerminalLegitimateEquivalence:
         for seed in range(6):
             config = random_configuration(triangle, 100 + seed, 10)
             trace = run(config, triangle, parse_daemon_spec("rand:p=0.5", seed))
-            for c in trace.configs:
+            for c in trace.configurations():
                 terminal = not enabled(c, triangle)
                 legit = legitimate_config(c, triangle).config_legitimate
                 assert terminal == legit

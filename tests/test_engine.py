@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from stabtree.engine import (
     step,
     write_trace,
 )
-from stabtree.graph import build_graph, generate_random_graph, root_distances
+from stabtree.graph import build_graph, component_info, generate_random_graph, root_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
 from conftest import mk_config
@@ -99,7 +100,7 @@ class TestRun:
         config = mk_config(g, n1=(Status.C, 0, 1))
         trace = run(config, g, SynchronousDaemon())
         assert trace.terminated
-        assert [trace.steps[i][1] for i in range(3)] == [
+        assert [trace.steps[i][1].rule for i in range(3)] == [
             Rule.R_EB,
             Rule.R_EF,
             Rule.R_R,
@@ -117,7 +118,7 @@ class TestRun:
     def test_root_state_constant_throughout(self, triangle):
         config = random_configuration(triangle, 99, 6)
         trace = run(config, triangle, CentralDaemon(1))
-        assert all(c[0] == ROOT_STATE for c in trace.configs)
+        assert all(c[0] == ROOT_STATE for c in trace.configurations())
 
     def test_max_steps_truncates(self, path3):
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1)
@@ -127,26 +128,36 @@ class TestRun:
     def test_step_records_are_consistent(self, triangle):
         config = random_configuration(triangle, 5, 6)
         trace = run(config, triangle, CentralDaemon(7))
-        for i, fired in enumerate(trace.steps):
-            moves = enabled(trace.configs[i], triangle)
+        configs = list(trace.configurations())
+        for fired, pre, post in zip(trace.steps, configs, configs[1:]):
+            moves = enabled(pre, triangle)
             assert fired
             assert fired.keys() <= moves.keys()
-            assert all(rule is moves[u].rule for u, rule in fired.items())
-            assert all(trace.configs[i + 1][u] == moves[u].state for u in fired)
+            assert all(move.rule is moves[u].rule for u, move in fired.items())
+            assert all(post[u] == moves[u].state for u in fired)
 
     def test_steps_change_only_fired_nodes(self):
-        # configs[i + 1] differs from configs[i] only at steps[i]'s keys;
-        # the segment check's incremental series relies on it.
+        # Every recorded move is the whole enabled move of its process in
+        # the replayed pre-step configuration, and the replay ends at
+        # ``final``; the replay writes only the fired nodes, so the segment
+        # check's incremental series can rely on that.
         daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
         for trial in range(30):
             n = 3 + trial % 9
-            g = generate_random_graph(trial, n, 0.5, 4, component_hint=1 + trial % 3, root_id=trial % n)
+            g = generate_random_graph(
+                trial, n, 0.5, 4, component_hint=1 + trial % 3, root_id=1 + trial % (n - 1)
+            )
             config = random_configuration(g, trial, 4 * n)
             for spec in daemons:
                 trace = run(config, g, parse_daemon_spec(spec, trial))
-                assert len(trace.configs) == trace.step_count + 1
-                for fired, pre, post in zip(trace.steps, trace.configs, trace.configs[1:]):
-                    assert {u for u in range(n) if pre[u] != post[u]} <= fired.keys()
+                configs = list(trace.configurations())
+                assert len(configs) == trace.step_count + 1
+                assert configs[0] == trace.initial == config
+                assert configs[-1] == trace.final
+                for fired, pre in zip(trace.steps, configs):
+                    moves = enabled(pre, g)
+                    assert fired
+                    assert all(move == moves[u] for u, move in fired.items())
 
     def test_composite_atomicity_merge_property(self):
         rng = random.Random(0)
@@ -189,6 +200,22 @@ class TestRun:
         assert "component_info" in g._oracles
         assert "hop_diameter_root" not in g._oracles
 
+    def test_trace_holds_no_per_step_configurations(self):
+        # 1000 nodes and 1106 steps: one stored configuration per step
+        # peaks at about 9.6 MiB; the moves and the two end configurations
+        # at about 1.6 MiB.
+        n = 1000
+        g = build_graph([(u, u + 1, 1) for u in range(n - 1)], n, 0)
+        start = random_configuration(g, 3, n)
+        tracemalloc.start()
+        try:
+            trace = run(start, g, SynchronousDaemon())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.terminated and trace.step_count > n
+        assert peak < 4 * 2**20
+
     def test_invalid_initial_config_rejected(self, path3):
         bad = (ROOT_STATE, ProcessState(Status.C, 0, -1), ProcessState(Status.I, 2, 0))
         with pytest.raises(ConfigurationError):
@@ -227,3 +254,39 @@ class TestTraceOutput:
         assert len(lines) == 1 + trace.step_count
         assert lines[1]["selected"] == [1]
         assert lines[1]["fired"] == {"1": "R_R"}
+
+    def test_file_holds_the_in_memory_trace(self):
+        # Read back, the file gives the initial configuration and each
+        # step's fired rules and written states: the same data as the trace.
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        split = 0
+        for trial in range(20):
+            n = 4 + trial % 8
+            g = generate_random_graph(trial, n, 0.5, 4, component_hint=2 + trial % 2, root_id=trial % n)
+            split += component_info(g).component_count > 1
+            config = random_configuration(g, trial, 4 * n)
+            for spec in daemons:
+                trace = run(config, g, parse_daemon_spec(spec, trial))
+                buf = io.StringIO()
+                write_trace(trace, buf)
+                initial, steps = read_back(buf.getvalue())
+                assert initial == trace.initial
+                assert steps == [{u: (m.rule, m.state) for u, m in fired.items()} for fired in trace.steps]
+        assert split >= 10
+
+
+def read_back(text):
+    """The initial configuration and each step's ``{u: (rule, post state)}``,
+    parsed from ``write_trace``'s JSON lines."""
+
+    def state(fields):
+        return ProcessState(Status(fields[0]), fields[1], fields[2])
+
+    header, *records = (json.loads(line) for line in text.splitlines())
+    steps = []
+    for i, record in enumerate(records):
+        assert record["type"] == "step" and record["index"] == i
+        keys = [str(u) for u in record["selected"]]
+        assert list(record["fired"]) == list(record["post"]) == keys
+        steps.append({int(u): (Rule(record["fired"][u]), state(record["post"][u])) for u in keys})
+    return tuple(state(fields) for fields in header["initial"]), steps
