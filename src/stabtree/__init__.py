@@ -35,13 +35,12 @@ from .daemon import (
 )
 from .analysis import (
     check_bounds,
-    check_round_milestones,
+    check_trace,
     forest_view,
     full_trace_report,
     legitimate_config,
     legitimate_state,
     round_bound,
-    segment_language_check,
     step_bound,
     uniform_step_bound,
 )

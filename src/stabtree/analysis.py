@@ -1,16 +1,17 @@
 """Trace- and configuration-level verdicts.
 
 Legitimacy is judged against the graph module's distance oracle, never
-against protocol state; the round checks read the round ends that
-``engine.run`` records; segment decomposition and the step/round bound
-formulas turn the protocol's worst-case guarantees into runtime checks.
+against protocol state; the bound formulas and one walk over a trace
+(segments, alive abnormal roots, and round milestones counted from the
+round ends that ``engine.run`` records) turn the protocol's worst-case
+guarantees into runtime checks.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from . import protocol
@@ -30,7 +31,8 @@ class AnalysisError(Exception):
 
 
 class TraceNotTerminatedError(AnalysisError):
-    """Bound/milestone checks require a terminated trace."""
+    """The bound check requires a terminated trace; the trace walk takes
+    any, and leaves the milestones of one that did not terminate None."""
 
 
 # --- bound formulas ---------------------------------------------------------
@@ -128,11 +130,6 @@ def _alive_ab_root(config, g: WeightedGraph, u: int) -> bool:
     return status is not Status.I and status is not Status.EF and protocol.ab_root(config, g, u)
 
 
-def alive_abnormal_roots(config, g: WeightedGraph) -> frozenset[int]:
-    root = g.root_id
-    return frozenset(u for u in range(g.node_count) if u != root and _alive_ab_root(config, g, u))
-
-
 def forest_view(config, g: WeightedGraph) -> ForestView:
     root = g.root_id
     ab_roots: dict[int, bool] = {}
@@ -178,39 +175,57 @@ _SEGMENT_RE = re.compile(r"I?R?C*B?F?")
 
 
 @dataclass
-class SegmentReport:
+class TraceReport:
     per_node_ok: dict[int, bool]
     segment_counts: dict[int, int]
-    ok: bool
-    aar_monotone: bool  # no step creates an alive abnormal root
+    segments_ok: bool
+    aar_monotone: bool                        # no step creates an alive abnormal root
+    # The milestones, None on a trace that did not terminate:
+    no_status_c_in_illegal_ok: bool | None    # holds after n_max_cc completed rounds
+    illegal_cleared_ok: bool | None           # after 3*n_max_cc rounds, plus non-root
+    hop_legitimacy_ok: bool | None            # after 3*n_max_cc + i rounds, hop <= i
+    acyclic_ok: bool | None                   # no parent cycle after n_max_cc rounds
+    milestones_ok: bool | None
 
 
-def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
-    """Per node, split the trace into segments and match the rule pattern.
+def check_trace(trace, g: WeightedGraph) -> TraceReport:
+    """One walk over the trace's one replay: segments, alive-abnormal-root
+    monotonicity and round milestones.
 
-    A segment of a component ends at the first step where one of its alive
-    abnormal roots stops being one; within a segment a node may fire at
-    most: one isolate, one rejoin, any number of corrections, one freeze
-    broadcast, one freeze acknowledgement, in that order. The number of
-    segments never exceeds n_max_cc + 1. The same series of alive abnormal
-    root sets also yields ``aar_monotone``.
+    Per node, the trace splits into segments matched against the rule
+    pattern. A segment of a component ends at the first step where one of
+    its alive abnormal roots stops being one; within a segment a node may
+    fire at most: one isolate, one rejoin, any number of corrections, one
+    freeze broadcast, one freeze acknowledgement, in that order. The number
+    of segments never exceeds n_max_cc + 1. The same series of alive
+    abnormal root sets also yields ``aar_monotone``.
 
     The set is taken once, at the initial configuration, and then kept up
     to date: a step changes only the nodes it fires, and whether ``u`` is
     an alive abnormal root reads only ``u`` and its parent, a neighbor. So
     after each step only the fired nodes and their neighbors can enter or
-    leave the set.
+    leave the set. A round counter follows ``trace.round_ends``: each
+    configuration of a terminated trace must meet the milestones of the
+    rounds completed when it is reached.
     """
     info = component_info(g)
     comp_of = info.component_of
     adjacency = g.adjacency
     root = g.root_id
-    configs = trace.configurations()
-    aar = set(alive_abnormal_roots(next(configs), g))
+    nodes = range(g.node_count)
+    distances = root_distances(g)
+    hops = root_hop_distances(g)
+    nm = info.n_max_cc
+    aar = {u for u in nodes if u != root and _alive_ab_root(trace.initial, g, u)}
     monotone = True
     segment = [0] * info.component_count  # current segment of each component
     words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
-    for fired, post in zip(trace.steps, configs):
+    ends = iter(trace.round_ends)
+    next_end = next(ends, None)
+    completed = 0  # rounds completed when the current configuration is reached
+    ok_c = ok_cleared = ok_hop = ok_acyclic = True if trace.terminated else None
+    # The initial configuration is reached by no step.
+    for idx, (fired, config) in enumerate(zip(chain([{}], trace.steps), trace.configurations())):
         touched = set(fired)
         for u, move in fired.items():
             key = (u, segment[comp_of[u]])
@@ -219,7 +234,7 @@ def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
         touched.discard(root)
         ended = set()
         for u in touched:
-            if _alive_ab_root(post, g, u):
+            if _alive_ab_root(config, g, u):
                 if u not in aar:
                     aar.add(u)
                     monotone = False
@@ -228,14 +243,46 @@ def segment_language_check(trace, g: WeightedGraph) -> SegmentReport:
                 ended.add(comp_of[u])
         for c in ended:
             segment[c] += 1
+        if idx == next_end:
+            completed += 1
+            next_end = next(ends, None)
+        if not trace.terminated or completed < nm:
+            continue
+        view = forest_view(config, g)
+        ok_acyclic = ok_acyclic and view.acyclic
+        for u, in_illegal in view.illegal_membership.items():
+            if in_illegal and config[u].status is Status.C:
+                ok_c = False
+        if completed < 3 * nm:
+            continue
+        if any(view.illegal_membership.values()):
+            ok_cleared = False
+        budget = completed - 3 * nm
+        for u in nodes:
+            outside = distances[u] == INFINITY
+            if (outside or hops[u] <= budget) and not legitimate_state(config, g, u)[0]:
+                if outside:
+                    ok_cleared = False
+                else:
+                    ok_hop = False
     bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
-    for u in range(g.node_count):
+    for u in nodes:
         if u != root:
             counts[u] = segment[comp_of[u]] + 1
-            per_node_ok[u] = u not in bad and counts[u] <= info.n_max_cc + 1
-    return SegmentReport(per_node_ok, counts, all(per_node_ok.values()), monotone)
+            per_node_ok[u] = u not in bad and counts[u] <= nm + 1
+    return TraceReport(
+        per_node_ok=per_node_ok,
+        segment_counts=counts,
+        segments_ok=all(per_node_ok.values()),
+        aar_monotone=monotone,
+        no_status_c_in_illegal_ok=ok_c,
+        illegal_cleared_ok=ok_cleared,
+        hop_legitimacy_ok=ok_hop,
+        acyclic_ok=ok_acyclic,
+        milestones_ok=ok_c and ok_cleared and ok_hop and ok_acyclic,
+    )
 
 
 @dataclass
@@ -278,53 +325,6 @@ def check_bounds(trace, g: WeightedGraph) -> BoundReport:
     )
 
 
-@dataclass
-class MilestoneReport:
-    no_status_c_in_illegal_ok: bool    # holds after n_max_cc completed rounds
-    illegal_cleared_ok: bool           # after 3*n_max_cc rounds, plus non-root
-    hop_legitimacy_ok: bool            # after 3*n_max_cc + i rounds, hop <= i
-    acyclic_ok: bool                   # no parent cycle after n_max_cc rounds
-    ok: bool
-
-
-def check_round_milestones(trace, g: WeightedGraph) -> MilestoneReport:
-    if not trace.terminated:
-        raise TraceNotTerminatedError("milestone check requires a terminated trace")
-    info = component_info(g)
-    distances = root_distances(g)
-    hops = root_hop_distances(g)
-    nm = info.n_max_cc
-    ok_c = ok_cleared = ok_hop = ok_acyclic = True
-    for idx, config in enumerate(trace.configurations()):
-        completed = bisect_right(trace.round_ends, idx)
-        if completed < nm:
-            continue
-        view = forest_view(config, g)
-        ok_acyclic = ok_acyclic and view.acyclic
-        for u, in_illegal in view.illegal_membership.items():
-            if in_illegal and config[u].status is Status.C:
-                ok_c = False
-        if completed < 3 * nm:
-            continue
-        if any(view.illegal_membership.values()):
-            ok_cleared = False
-        for u in range(g.node_count):
-            if distances[u] == INFINITY and not legitimate_state(config, g, u)[0]:
-                ok_cleared = False
-        budget = completed - 3 * nm
-        for u in range(g.node_count):
-            if hops[u] != INFINITY and hops[u] <= budget:
-                if not legitimate_state(config, g, u)[0]:
-                    ok_hop = False
-    return MilestoneReport(
-        no_status_c_in_illegal_ok=ok_c,
-        illegal_cleared_ok=ok_cleared,
-        hop_legitimacy_ok=ok_hop,
-        acyclic_ok=ok_acyclic,
-        ok=ok_c and ok_cleared and ok_hop and ok_acyclic,
-    )
-
-
 # --- aggregate report -------------------------------------------------------
 
 
@@ -345,6 +345,7 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
     results.append(
         CheckResult("final_legitimate", trace.terminated and final.config_legitimate, detail)
     )
+    walk = check_trace(trace, g)
     if trace.terminated:
         bounds = check_bounds(trace, g)
         results.append(
@@ -366,27 +367,25 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
                 f"rounds={bounds.rounds} limit={bounds.round_limit}",
             )
         )
-        milestones = check_round_milestones(trace, g)
         results.append(
             CheckResult(
                 "round_milestones",
-                milestones.ok,
-                f"statusC={milestones.no_status_c_in_illegal_ok} "
-                f"cleared={milestones.illegal_cleared_ok} hops={milestones.hop_legitimacy_ok}"
-                + ("" if milestones.acyclic_ok else " acyclic=False"),
+                walk.milestones_ok,
+                f"statusC={walk.no_status_c_in_illegal_ok} "
+                f"cleared={walk.illegal_cleared_ok} hops={walk.hop_legitimacy_ok}"
+                + ("" if walk.acyclic_ok else " acyclic=False"),
             )
         )
     else:
         results.append(CheckResult("step_bound", False, "NonTerminated"))
         results.append(CheckResult("round_bound", False, "NonTerminated"))
         results.append(CheckResult("round_milestones", False, "NonTerminated"))
-    segments = segment_language_check(trace, g)
-    results.append(CheckResult("aar_monotone", segments.aar_monotone))
+    results.append(CheckResult("aar_monotone", walk.aar_monotone))
     results.append(
         CheckResult(
             "segment_language",
-            segments.ok,
-            f"max_segments={max(segments.segment_counts.values(), default=0)}",
+            walk.segments_ok,
+            f"max_segments={max(walk.segment_counts.values(), default=0)}",
         )
     )
     return results

@@ -1,6 +1,17 @@
+from bisect import bisect_right
+
 import pytest
 
-from stabtree.graph import INFINITY, build_graph, root_distances
+from stabtree.analysis import (
+    _RULE_CHAR,
+    _SEGMENT_RE,
+    TraceNotTerminatedError,
+    _alive_ab_root,
+    check_trace,
+    forest_view,
+    legitimate_state,
+)
+from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, children
 
 
@@ -135,3 +146,111 @@ def reference_move(config, g, u):
     _, pu, du = config[u]
     status = {Rule.R_EB: Status.EB, Rule.R_EF: Status.EF, Rule.R_I: Status.I}[rule]
     return Move(rule, ProcessState(status, pu, du))
+
+
+def alive_abnormal_roots(config, g) -> frozenset[int]:
+    """The alive abnormal roots of ``config``, read off ``forest_view``'s
+    scan of every process."""
+    return frozenset(u for u, alive in forest_view(config, g).abnormal_roots.items() if alive)
+
+
+def segment_language_check(trace, g) -> dict:
+    """Test-side reference for ``analysis.check_trace``'s segment fields and
+    ``aar_monotone``, on a replay of its own: the alive-abnormal-root set
+    of the initial configuration, then kept up to date at the fired nodes
+    and their neighbors only."""
+    info = component_info(g)
+    comp_of = info.component_of
+    adjacency = g.adjacency
+    root = g.root_id
+    configs = trace.configurations()
+    aar = set(alive_abnormal_roots(next(configs), g))
+    monotone = True
+    segment = [0] * info.component_count  # current segment of each component
+    words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
+    for fired, post in zip(trace.steps, configs):
+        touched = set(fired)
+        for u, move in fired.items():
+            key = (u, segment[comp_of[u]])
+            words[key] = words.get(key, "") + _RULE_CHAR[move.rule]
+            touched.update(adjacency[u])
+        touched.discard(root)
+        ended = set()
+        for u in touched:
+            if _alive_ab_root(post, g, u):
+                if u not in aar:
+                    aar.add(u)
+                    monotone = False
+            elif u in aar:
+                aar.remove(u)
+                ended.add(comp_of[u])
+        for c in ended:
+            segment[c] += 1
+    bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
+    per_node_ok: dict[int, bool] = {}
+    counts: dict[int, int] = {}
+    for u in range(g.node_count):
+        if u != root:
+            counts[u] = segment[comp_of[u]] + 1
+            per_node_ok[u] = u not in bad and counts[u] <= info.n_max_cc + 1
+    return {
+        "per_node_ok": per_node_ok,
+        "segment_counts": counts,
+        "segments_ok": all(per_node_ok.values()),
+        "aar_monotone": monotone,
+    }
+
+
+def check_round_milestones(trace, g) -> dict:
+    """Test-side reference for ``analysis.check_trace``'s milestone fields,
+    on a replay of its own: each configuration's completed rounds by
+    bisection in ``trace.round_ends``, and one legitimacy loop for the
+    processes outside V_r and another for those within the hop budget."""
+    if not trace.terminated:
+        raise TraceNotTerminatedError("milestone check requires a terminated trace")
+    info = component_info(g)
+    distances = root_distances(g)
+    hops = root_hop_distances(g)
+    nm = info.n_max_cc
+    ok_c = ok_cleared = ok_hop = ok_acyclic = True
+    for idx, config in enumerate(trace.configurations()):
+        completed = bisect_right(trace.round_ends, idx)
+        if completed < nm:
+            continue
+        view = forest_view(config, g)
+        ok_acyclic = ok_acyclic and view.acyclic
+        for u, in_illegal in view.illegal_membership.items():
+            if in_illegal and config[u].status is Status.C:
+                ok_c = False
+        if completed < 3 * nm:
+            continue
+        if any(view.illegal_membership.values()):
+            ok_cleared = False
+        for u in range(g.node_count):
+            if distances[u] == INFINITY and not legitimate_state(config, g, u)[0]:
+                ok_cleared = False
+        budget = completed - 3 * nm
+        for u in range(g.node_count):
+            if hops[u] != INFINITY and hops[u] <= budget:
+                if not legitimate_state(config, g, u)[0]:
+                    ok_hop = False
+    return {
+        "no_status_c_in_illegal_ok": ok_c,
+        "illegal_cleared_ok": ok_cleared,
+        "hop_legitimacy_ok": ok_hop,
+        "acyclic_ok": ok_acyclic,
+        "milestones_ok": ok_c and ok_cleared and ok_hop and ok_acyclic,
+    }
+
+
+def walk_matches_references(trace, g) -> bool:
+    """``analysis.check_trace`` gives, field by field, what the two
+    reference replays give; on a trace that did not terminate, its
+    milestone fields are all None."""
+    report = vars(check_trace(trace, g))
+    reference = segment_language_check(trace, g)
+    if trace.terminated:
+        reference |= check_round_milestones(trace, g)
+    else:
+        reference |= dict.fromkeys(report.keys() - reference.keys())
+    return report == reference

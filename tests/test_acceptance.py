@@ -17,7 +17,7 @@ from stabtree.explorer import certify_instance
 from stabtree.graph import build_graph, component_info
 from stabtree.protocol import enabled_rule
 
-from conftest import reference_move, spanning_tree_holds
+from conftest import reference_move, spanning_tree_holds, walk_matches_references
 
 CORPUS_SIZE = 1000
 CORPUS_SEED = 2024
@@ -41,6 +41,7 @@ class RunRecord:
     segments_ok: bool
     milestones_ok: bool
     guards_agree: bool
+    walk_agrees: bool
 
 
 @dataclass
@@ -80,13 +81,8 @@ def corpus():
             policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
             trace = engine.run(init, g, policy)
             final = analysis.legitimate_config(trace.final, g)
-            segments = analysis.segment_language_check(trace, g)
-            if trace.terminated:
-                bounds = analysis.check_bounds(trace, g)
-                milestones_ok = analysis.check_round_milestones(trace, g).ok
-            else:
-                bounds = None
-                milestones_ok = False
+            walk = analysis.check_trace(trace, g)
+            bounds = analysis.check_bounds(trace, g) if trace.terminated else None
             result.runs.append(
                 RunRecord(
                     instance=idx,
@@ -102,10 +98,11 @@ def corpus():
                     final_ok=bool(
                         final.config_legitimate and spanning_tree_holds(trace.final, g)
                     ),
-                    aar_ok=segments.aar_monotone,
-                    segments_ok=segments.ok,
-                    milestones_ok=milestones_ok,
+                    aar_ok=walk.aar_monotone,
+                    segments_ok=walk.segments_ok,
+                    milestones_ok=trace.terminated and walk.milestones_ok,
                     guards_agree=_guards_agree_everywhere(trace, g),
+                    walk_agrees=walk_matches_references(trace, g),
                 )
             )
     result.elapsed = time.monotonic() - start
@@ -214,3 +211,9 @@ class TestAcceptance:
             "8. exactly the enabled rule's guard holds per process in every "
             "corpus configuration, and its move writes the paper's action",
         )
+
+
+def test_corpus_walk_matches_references(corpus):
+    # The one trace walk against the two reference replays, on every
+    # corpus trace.
+    assert all(r.walk_agrees for r in corpus.runs)

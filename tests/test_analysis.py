@@ -8,16 +8,15 @@ from stabtree.analysis import (
     _RULE_CHAR,
     _SEGMENT_RE,
     TraceNotTerminatedError,
-    alive_abnormal_roots,
+    _alive_ab_root,
     check_bounds,
-    check_round_milestones,
+    check_trace,
     forest_view,
     full_trace_report,
     legitimate_config,
     legitimate_state,
     round_bound,
     round_bound_for,
-    segment_language_check,
     step_bound,
     step_bound_for,
     uniform_step_bound,
@@ -36,7 +35,14 @@ from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, children
 
-from conftest import mk_config, spanning_tree_holds
+from conftest import (
+    alive_abnormal_roots,
+    check_round_milestones,
+    mk_config,
+    segment_language_check,
+    spanning_tree_holds,
+    walk_matches_references,
+)
 
 
 @pytest.fixture
@@ -157,7 +163,7 @@ class TestForestView:
         config = mk_config(path3, n1=(Status.EF, 1, 5), n2=(Status.EB, 2, 4))
         view = forest_view(config, path3)
         assert view.abnormal_roots == {1: False, 2: True}
-        assert alive_abnormal_roots(config, path3) == {2}
+        assert {u for u in (1, 2) if _alive_ab_root(config, path3, u)} == {2}
 
     def test_legitimate_configuration_is_clean(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
@@ -306,13 +312,13 @@ class TestAarMonotone:
         for seed in range(5):
             config = random_configuration(triangle, seed, 8)
             trace = run(config, triangle, parse_daemon_spec("rand:p=0.5", seed))
-            assert segment_language_check(trace, triangle).aar_monotone
+            assert check_trace(trace, triangle).aar_monotone
 
     def test_fabricated_regression_fails(self, path3):
         clean = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
         broken = mk_config(path3, n1=(Status.C, 1, 5), n2=(Status.C, 1, 2))
         trace = fabricated_trace([clean, broken], [{1: Rule.R_C}])
-        assert not segment_language_check(trace, path3).aar_monotone
+        assert not check_trace(trace, path3).aar_monotone
         by_name = {r.name: r for r in full_trace_report(trace, path3)}
         assert not by_name["aar_monotone"].ok
 
@@ -338,14 +344,14 @@ class TestSegments:
     def test_freeze_cycle_uses_two_segments(self, weight2):
         config = mk_config(weight2, n1=(Status.C, 0, 1))
         trace = run(config, weight2, SynchronousDaemon())
-        report = segment_language_check(trace, weight2)
-        assert report.ok
+        report = check_trace(trace, weight2)
+        assert report.segments_ok
         assert report.segment_counts[1] == 2
 
     def test_quiet_node_passes(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
         trace = run(config, path3, SynchronousDaemon())
-        assert segment_language_check(trace, path3).ok
+        assert check_trace(trace, path3).segments_ok
 
     def test_rejoin_then_isolate_in_one_segment_fails(self, path3):
         # a node may isolate before rejoining within a segment, never after
@@ -354,9 +360,9 @@ class TestSegments:
             [config, config, config],
             [{1: Rule.R_R}, {1: Rule.R_I}],
         )
-        report = segment_language_check(trace, path3)
+        report = check_trace(trace, path3)
         assert not report.per_node_ok[1]
-        assert not report.ok
+        assert not report.segments_ok
 
     def test_double_broadcast_fails(self, path3):
         config = normal_initial_configuration(path3)
@@ -364,7 +370,7 @@ class TestSegments:
             [config, config, config],
             [{2: Rule.R_EB}, {2: Rule.R_EB}],
         )
-        assert not segment_language_check(trace, path3).per_node_ok[2]
+        assert not check_trace(trace, path3).per_node_ok[2]
 
     def test_other_component_boundary_does_not_split(self):
         # Components A = {r, 1} and B = {2, 3}. A's alive abnormal root
@@ -379,16 +385,16 @@ class TestSegments:
         trace = fabricated_trace(
             [broken, fixed, fixed], [{1: Rule.R_C, 2: Rule.R_EB}, {2: Rule.R_EB}]
         )
-        report = segment_language_check(trace, g)
+        report = check_trace(trace, g)
         assert report.segment_counts == {1: 2, 2: 1, 3: 1}
         assert not report.per_node_ok[2]
         assert report.per_node_ok[1] and report.per_node_ok[3]
-        assert not report.ok
+        assert not report.segments_ok
 
 
 def segments_by_rescan(trace, g):
     """Reference: the segment check by full rescan, rebuilding the alive
-    abnormal roots of every configuration."""
+    abnormal roots of every configuration from ``forest_view``."""
     info = component_info(g)
     comp_of = info.component_of
     aars = [alive_abnormal_roots(c, g) for c in trace.configurations()]
@@ -426,11 +432,68 @@ class TestSegmentReference:
                 full = run(start, h, parse_daemon_spec(spec, trial))
                 cut = run(start, h, parse_daemon_spec(spec, trial), max_steps=max(1, full.step_count // 2))
                 for trace in (full, cut):
-                    report = segment_language_check(trace, h)
-                    got = (report.per_node_ok, report.segment_counts, report.ok, report.aar_monotone)
+                    report = check_trace(trace, h)
+                    got = (report.per_node_ok, report.segment_counts, report.segments_ok, report.aar_monotone)
                     assert got == segments_by_rescan(trace, h)
+                    assert walk_matches_references(trace, h)
                     several_segments += max(report.segment_counts.values(), default=1) > 1
         assert split and several_segments  # components split, and segments end
+
+
+class TestTraceWalk:
+    def test_one_replay_per_report(self, monkeypatch, triangle):
+        # A terminated run that reaches the milestones: every check runs.
+        trace = run(random_configuration(triangle, 16, 10), triangle, parse_daemon_spec("adv:churn", 16))
+        assert trace.terminated and trace.rounds > component_info(triangle).n_max_cc
+        replay = ExecutionTrace.configurations
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return replay(self)
+
+        monkeypatch.setattr(ExecutionTrace, "configurations", counted)
+        full_trace_report(trace, triangle)
+        assert calls == [trace]
+
+    def test_first_configuration_of_round_n_max_cc_is_judged(self, path3):
+        # The only configuration with status C in an illegal branch sits at
+        # index round_ends[n_max_cc - 1], when n_max_cc rounds have just
+        # completed: the walk must fail it. One index earlier, only
+        # n_max_cc - 1 rounds have completed: the walk must pass it.
+        nm = component_info(path3).n_max_cc
+        clean = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
+        bad = mk_config(path3, n1=(Status.C, 1, 5), n2=(Status.C, 1, 6))
+        assert forest_view(bad, path3).illegal_membership[1]
+        fired = {1: Rule.R_C, 2: Rule.R_C}
+        for at, ok in ((nm, False), (nm - 1, True)):
+            configs = [clean] * (nm + 2)
+            configs[at] = bad
+            trace = fabricated_trace(configs, [fired] * (nm + 1))
+            assert trace.round_ends[nm - 1] == nm
+            report = check_trace(trace, path3)
+            assert report.no_status_c_in_illegal_ok is ok
+            assert report.milestones_ok is ok
+            assert walk_matches_references(trace, path3)
+
+    def test_faulty_protocol_matches_references(self, monkeypatch):
+        # Under the mutant ab_root parent pointers can close a cycle, and
+        # some milestones fail; the walk must still agree with both
+        # reference replays, on full runs and on runs cut short.
+        monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        failed = 0
+        for trial in range(80):
+            n = 2 + trial % 5
+            g = generate_random_graph(trial, n, 0.6, 3, component_hint=1 + trial % 2, root_id=trial % n)
+            start = random_configuration(g, trial, 2 * n)
+            for spec in daemons:
+                full = run(start, g, parse_daemon_spec(spec, trial), max_steps=60)
+                cut = run(start, g, parse_daemon_spec(spec, trial), max_steps=max(1, full.step_count // 2))
+                for trace in (full, cut):
+                    assert walk_matches_references(trace, g)
+                failed += full.terminated and not check_trace(full, g).milestones_ok
+        assert failed  # the mutant breaks milestones
 
 
 class TestBoundsCheck:
@@ -460,25 +523,28 @@ class TestBoundsCheck:
             check_bounds(trace, path3)
         with pytest.raises(TraceNotTerminatedError):
             check_round_milestones(trace, path3)
+        assert check_trace(trace, path3).milestones_ok is None
+        milestones = {r.name: r for r in full_trace_report(trace, path3)}["round_milestones"]
+        assert (milestones.ok, milestones.detail) == (False, "NonTerminated")
 
 
 class TestMilestones:
     def test_freeze_cycle(self, weight2):
         config = mk_config(weight2, n1=(Status.C, 0, 1))
         trace = run(config, weight2, SynchronousDaemon())
-        assert check_round_milestones(trace, weight2).ok
+        assert check_trace(trace, weight2).milestones_ok
 
     def test_rootless_component(self, two_comp):
         config = mk_config(two_comp, n1=(Status.C, 2, 2), n2=(Status.C, 1, 1))
         trace = run(config, two_comp, CentralDaemon(3))
-        assert check_round_milestones(trace, two_comp).ok
+        assert check_trace(trace, two_comp).milestones_ok
 
     def test_random_instances(self, triangle):
         for seed in range(8):
             config = random_configuration(triangle, seed, 10)
             trace = run(config, triangle, parse_daemon_spec("adv:churn", seed))
             assert trace.terminated
-            assert check_round_milestones(trace, triangle).ok
+            assert check_trace(trace, triangle).milestones_ok
 
 
 def ab_root_without_distance(config, g, u):
@@ -507,7 +573,7 @@ class TestFaultyProtocol:
         by_name = {r.name: r for r in full_trace_report(trace, g)}
         assert not by_name["round_milestones"].ok
         assert by_name["round_milestones"].detail.endswith(" acyclic=False")
-        assert not check_round_milestones(trace, g).acyclic_ok
+        assert not check_trace(trace, g).acyclic_ok
         view = forest_view(trace.final, g)
         assert not view.acyclic
         assert view.illegal_membership == {0: True, 1: True, 2: False}

@@ -18,7 +18,7 @@ from stabtree.explorer import (
 from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import ROOT_STATE, ProcessState, Status
 
-from conftest import mk_config
+from conftest import alive_abnormal_roots, mk_config
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ def _mask_successors(g, config):
     enabled process, so the first enabled process varies fastest.
     Returns the successors and the steps creating an alive abnormal root."""
     new_states = [(u, move.state) for u, move in engine.enabled(config, g).items()]
-    pre_aar = analysis.alive_abnormal_roots(config, g)
+    pre_aar = alive_abnormal_roots(config, g)
     succs, violations = [], []
     for mask in range(1, 1 << len(new_states)):
         states = list(config)
@@ -99,7 +99,7 @@ def _mask_successors(g, config):
             if mask >> bit & 1:
                 states[u] = state
         succ = tuple(states)
-        if not analysis.alive_abnormal_roots(succ, g) <= pre_aar:
+        if not alive_abnormal_roots(succ, g) <= pre_aar:
             violations.append((config, succ))
         succs.append(succ)
     return succs, violations
