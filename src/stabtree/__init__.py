@@ -36,7 +36,6 @@ from .daemon import (
 from .analysis import (
     check_bounds,
     check_trace,
-    forest_view,
     full_trace_report,
     legitimate_config,
     legitimate_state,

@@ -1,10 +1,11 @@
 """Trace- and configuration-level verdicts.
 
 Legitimacy is judged against the graph module's distance oracle, never
-against protocol state; the bound formulas and one walk over a trace
-(segments, alive abnormal roots, and round milestones counted from the
-round ends that ``engine.run`` records) turn the protocol's worst-case
-guarantees into runtime checks.
+against protocol state; the bound formulas and one walk over a trace turn
+the protocol's worst-case guarantees into runtime checks. The walk keeps
+segments, alive abnormal roots and the facts behind the round milestones
+(counted from the round ends that ``engine.run`` records) up to date from
+each process's local view: no check walks a parent chain.
 """
 
 from __future__ import annotations
@@ -113,14 +114,7 @@ def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> Legit
     return LegitimacyReport(per_node, all(ok for ok, _ in per_node.values()))
 
 
-# --- forest structure -------------------------------------------------------
-
-
-@dataclass
-class ForestView:
-    abnormal_roots: dict[int, bool]  # node -> alive?
-    illegal_membership: dict[int, bool]
-    acyclic: bool  # False when parent pointers close a cycle
+# --- local facts -----------------------------------------------------------
 
 
 def _alive_ab_root(config, g: WeightedGraph, u: int) -> bool:
@@ -130,41 +124,17 @@ def _alive_ab_root(config, g: WeightedGraph, u: int) -> bool:
     return status is not Status.I and status is not Status.EF and protocol.ab_root(config, g, u)
 
 
-def forest_view(config, g: WeightedGraph) -> ForestView:
-    root = g.root_id
-    ab_roots: dict[int, bool] = {}
-    for u in range(g.node_count):
-        if u == root or config[u].status is Status.I:
-            continue
-        if protocol.ab_root(config, g, u):
-            ab_roots[u] = config[u].status is not Status.EF
-    illegal = {u: False for u in range(g.node_count)}
-    resolved: set[int] = set()
-    acyclic = True
-    for u in range(g.node_count):
-        if u != root and config[u].status is Status.I:
-            continue
-        # Walk up the parent chain to a resolved node, a branch root or a
-        # node walked before; every walked node gets that node's verdict.
-        walked: set[int] = set()
-        v = u
-        while v not in resolved:
-            if v in walked:
-                # A parent cycle needs a faulty protocol: under the real
-                # ab_root, distances fall strictly up a branch. The cycle
-                # heads an illegal branch.
-                illegal[v] = True
-                acyclic = False
-                break
-            walked.add(v)
-            if v == root or v in ab_roots:
-                illegal[v] = v != root
-                break
-            v = config[v].par
-        for w in walked:
-            illegal[w] = illegal[v]
-        resolved |= walked
-    return ForestView(abnormal_roots=ab_roots, illegal_membership=illegal, acyclic=acyclic)
+def _local_facts(config, g: WeightedGraph, u: int) -> tuple[bool, bool, bool]:
+    """Whether non-root ``u`` is an abnormal root, a C head and a loose
+    link (see ``check_trace``). Reads only ``u`` and its parent when that
+    is a neighbour."""
+    su, pu, du = config[u]
+    if su is Status.I:
+        return False, False, False
+    ab = protocol.ab_root(config, g, u)
+    sp, _, dp = config[pu] if pu in g.adjacency[u] else (None, None, du)
+    head = su is Status.C and (ab or sp is Status.EB)
+    return ab, head, not ab and (dp >= du or sp not in (su, Status.EB))
 
 
 # --- trace properties -------------------------------------------------------
@@ -184,7 +154,7 @@ class TraceReport:
     no_status_c_in_illegal_ok: bool | None    # holds after n_max_cc completed rounds
     illegal_cleared_ok: bool | None           # after 3*n_max_cc rounds, plus non-root
     hop_legitimacy_ok: bool | None            # after 3*n_max_cc + i rounds, hop <= i
-    acyclic_ok: bool | None                   # no parent cycle after n_max_cc rounds
+    acyclic_ok: bool | None                   # no loose link (nor cycle) after n_max_cc rounds
     milestones_ok: bool | None
 
 
@@ -200,13 +170,35 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     of segments never exceeds n_max_cc + 1. The same series of alive
     abnormal root sets also yields ``aar_monotone``.
 
-    The set is taken once, at the initial configuration, and then kept up
-    to date: a step changes only the nodes it fires, and whether ``u`` is
-    an alive abnormal root reads only ``u`` and its parent, a neighbor. So
-    after each step only the fired nodes and their neighbors can enter or
-    leave the set. A round counter follows ``trace.round_ends``: each
+    Each set the walk keeps holds the processes with some local fact, one
+    that reads only the process and its parent, a neighbour. So a set is
+    taken once (the alive abnormal roots at the initial configuration, the
+    ``_local_facts`` once n_max_cc rounds complete) and then kept up to
+    date at the fired nodes and their neighbours, the only nodes a step
+    can change. A round counter follows ``trace.round_ends``: each
     configuration of a terminated trace must meet the milestones of the
     rounds completed when it is reached.
+
+    The milestones speak of illegal branches, parent chains that end at an
+    abnormal root or close a cycle, yet need no walk up a chain. Lemma: if
+    a non-root process ``u`` not in status I has ``ab_root(u)`` false, its
+    parent is a neighbour not in status I, ``d_par <= d_u - w < d_u``, and
+    ``status(par)`` is ``status(u)`` or EB. So parent chains strictly
+    descend in ``d`` and close no cycle; read from a branch head down,
+    statuses are EB*, then C* or EF*; some status-C process lies in an
+    illegal branch iff some status-C process is an abnormal root or has a
+    status-EB parent (a C head); and some illegal branch exists iff some
+    non-I process is an abnormal root.
+
+    A loose link is a non-I process, not an abnormal root, whose parent
+    lacks a smaller ``d`` or a compatible status. The real ``ab_root``
+    leaves none; under a faulty one the lemma holds wherever none exists.
+    ``statusC`` fails while a C head exists, ``acyclic`` on a loose link
+    (so on every parent cycle, and possibly sooner), and ``cleared`` on an
+    abnormal root, a loose link or an illegitimate process outside V_r.
+    The illegitimate processes are kept from ``3*n_max_cc`` rounds on, and
+    judged whole when a round end raises the hop budget, at the updated
+    nodes otherwise.
     """
     info = component_info(g)
     comp_of = info.component_of
@@ -217,6 +209,8 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     hops = root_hop_distances(g)
     nm = info.n_max_cc
     aar = {u for u in nodes if u != root and _alive_ab_root(trace.initial, g, u)}
+    facts = None  # abnormal roots, C heads, loose links: kept from n_max_cc rounds on
+    illegit = None  # illegitimate processes: kept from 3 * n_max_cc rounds on
     monotone = True
     segment = [0] * info.component_count  # current segment of each component
     words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
@@ -243,28 +237,34 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
                 ended.add(comp_of[u])
         for c in ended:
             segment[c] += 1
-        if idx == next_end:
+        grew = idx == next_end  # a round ends here and raises the hop budget
+        if grew:
             completed += 1
             next_end = next(ends, None)
         if not trace.terminated or completed < nm:
             continue
-        view = forest_view(config, g)
-        ok_acyclic = ok_acyclic and view.acyclic
-        for u, in_illegal in view.illegal_membership.items():
-            if in_illegal and config[u].status is Status.C:
-                ok_c = False
+        if facts is None:
+            facts, touched = (set(), set(), set()), set(nodes) - {root}
+        for u in touched:
+            for held, flag in zip(facts, _local_facts(config, g, u)):
+                (held.add if flag else held.discard)(u)
+        ab_roots, heads, loose = facts
+        ok_c = ok_c and not heads
+        ok_acyclic = ok_acyclic and not loose
         if completed < 3 * nm:
             continue
-        if any(view.illegal_membership.values()):
+        if ab_roots or loose:
             ok_cleared = False
+        if illegit is None:
+            illegit, touched, grew = set(), nodes, True
+        for u in touched:
+            (illegit.discard if legitimate_state(config, g, u)[0] else illegit.add)(u)
         budget = completed - 3 * nm
-        for u in nodes:
-            outside = distances[u] == INFINITY
-            if (outside or hops[u] <= budget) and not legitimate_state(config, g, u)[0]:
-                if outside:
-                    ok_cleared = False
-                else:
-                    ok_hop = False
+        for u in illegit if grew else touched & illegit:
+            if distances[u] == INFINITY:
+                ok_cleared = False
+            elif hops[u] <= budget:
+                ok_hop = False
     bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}

@@ -1,14 +1,15 @@
 from bisect import bisect_right
+from dataclasses import dataclass
 
 import pytest
 
+from stabtree import protocol
 from stabtree.analysis import (
     _RULE_CHAR,
     _SEGMENT_RE,
     TraceNotTerminatedError,
     _alive_ab_root,
     check_trace,
-    forest_view,
     legitimate_state,
 )
 from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
@@ -146,6 +147,55 @@ def reference_move(config, g, u):
     _, pu, du = config[u]
     status = {Rule.R_EB: Status.EB, Rule.R_EF: Status.EF, Rule.R_I: Status.I}[rule]
     return Move(rule, ProcessState(status, pu, du))
+
+
+@dataclass
+class ForestView:
+    abnormal_roots: dict[int, bool]  # node -> alive?
+    illegal_membership: dict[int, bool]
+    acyclic: bool  # False when parent pointers close a cycle
+
+
+def forest_view(config, g) -> ForestView:
+    """Test-side reference for the illegal branches that
+    ``analysis.check_trace`` reads from local facts: every parent chain
+    walked up to the root, an abnormal root or a cycle. Calls
+    ``protocol.ab_root`` through the module, so a monkeypatched mutant
+    reaches it."""
+    root = g.root_id
+    ab_roots: dict[int, bool] = {}
+    for u in range(g.node_count):
+        if u == root or config[u].status is Status.I:
+            continue
+        if protocol.ab_root(config, g, u):
+            ab_roots[u] = config[u].status is not Status.EF
+    illegal = {u: False for u in range(g.node_count)}
+    resolved: set[int] = set()
+    acyclic = True
+    for u in range(g.node_count):
+        if u != root and config[u].status is Status.I:
+            continue
+        # Walk up the parent chain to a resolved node, a branch root or a
+        # node walked before; every walked node gets that node's verdict.
+        walked: set[int] = set()
+        v = u
+        while v not in resolved:
+            if v in walked:
+                # A parent cycle needs a faulty protocol: under the real
+                # ab_root, distances fall strictly up a branch. The cycle
+                # heads an illegal branch.
+                illegal[v] = True
+                acyclic = False
+                break
+            walked.add(v)
+            if v == root or v in ab_roots:
+                illegal[v] = v != root
+                break
+            v = config[v].par
+        for w in walked:
+            illegal[w] = illegal[v]
+        resolved |= walked
+    return ForestView(abnormal_roots=ab_roots, illegal_membership=illegal, acyclic=acyclic)
 
 
 def alive_abnormal_roots(config, g) -> frozenset[int]:

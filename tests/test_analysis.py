@@ -9,9 +9,9 @@ from stabtree.analysis import (
     _SEGMENT_RE,
     TraceNotTerminatedError,
     _alive_ab_root,
+    _local_facts,
     check_bounds,
     check_trace,
-    forest_view,
     full_trace_report,
     legitimate_config,
     legitimate_state,
@@ -38,6 +38,7 @@ from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, chil
 from conftest import (
     alive_abnormal_roots,
     check_round_milestones,
+    forest_view,
     mk_config,
     segment_language_check,
     spanning_tree_holds,
@@ -478,8 +479,12 @@ class TestTraceWalk:
 
     def test_faulty_protocol_matches_references(self, monkeypatch):
         # Under the mutant ab_root parent pointers can close a cycle, and
-        # some milestones fail; the walk must still agree with both
-        # reference replays, on full runs and on runs cut short.
+        # some milestones fail. The segment fields and aar_monotone must
+        # equal both references' on full runs and on runs cut short. The
+        # walk's acyclic_ok fails on a loose link, which every cycle needs
+        # but which can come without one: wherever it holds, the milestone
+        # fields equal the reference's, and wherever the reference fails
+        # the milestones, so does the walk.
         monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
         daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
         failed = 0
@@ -491,9 +496,56 @@ class TestTraceWalk:
                 full = run(start, g, parse_daemon_spec(spec, trial), max_steps=60)
                 cut = run(start, g, parse_daemon_spec(spec, trial), max_steps=max(1, full.step_count // 2))
                 for trace in (full, cut):
-                    assert walk_matches_references(trace, g)
+                    report = vars(check_trace(trace, g))
+                    segments = segment_language_check(trace, g)
+                    assert {key: report[key] for key in segments} == segments
+                    if not trace.terminated:
+                        assert all(report[key] is None for key in report.keys() - segments.keys())
+                        continue
+                    milestones = check_round_milestones(trace, g)
+                    if report["acyclic_ok"] is not False:
+                        assert {key: report[key] for key in milestones} == milestones
+                    if milestones["milestones_ok"] is False:
+                        assert report["milestones_ok"] is False
                 failed += full.terminated and not check_trace(full, g).milestones_ok
         assert failed  # the mutant breaks milestones
+
+    def test_hop_budget_judges_untouched_processes(self):
+        # Node 1 (hop 1) has a wrong distance and no step touches it: only
+        # node 2, which is not its neighbour, fires. The round end that
+        # raises the hop budget to 1 must fail it; one round earlier the
+        # budget is 0 and the same trace passes.
+        g = build_graph([(0, 1, 1), (0, 2, 1)], 3, 0)
+        nm = component_info(g).n_max_cc
+        config = mk_config(g, n1=(Status.C, 0, 5), n2=(Status.C, 0, 1))
+        assert not legitimate_state(config, g, 1)[0]
+        for rounds, ok in ((3 * nm + 1, False), (3 * nm, True)):
+            trace = fabricated_trace([config] * (rounds + 1), [{2: Rule.R_C}] * rounds)
+            report = check_trace(trace, g)
+            assert report.hop_legitimacy_ok is ok
+            assert report.no_status_c_in_illegal_ok and report.illegal_cleared_ok and report.acyclic_ok
+            assert walk_matches_references(trace, g)
+
+    def test_abnormal_root_calls_bounded_by_touched_nodes(self, monkeypatch):
+        # The walk evaluates ab_root at most twice per process and per
+        # node a step touches (fired or a neighbour of one): no
+        # configuration is scanned whole once n_max_cc rounds complete.
+        n = 300
+        g = build_graph([(i, i + 1, 1) for i in range(n - 1)], n, 0)
+        trace = run(random_configuration(g, 3, n), g, SynchronousDaemon())
+        assert trace.terminated and trace.rounds > component_info(g).n_max_cc
+        touched = sum(len(set(fired).union(*(g.adjacency[u] for u in fired))) for fired in trace.steps)
+        real = protocol.ab_root
+        calls = 0
+
+        def counted(config, g, u):
+            nonlocal calls
+            calls += 1
+            return real(config, g, u)
+
+        monkeypatch.setattr(protocol, "ab_root", counted)
+        check_trace(trace, g)
+        assert 0 < calls <= 2 * (n + touched)
 
 
 class TestBoundsCheck:
@@ -558,6 +610,64 @@ def ab_root_without_distance(config, g, u):
     if pu not in adj or config[pu].status is Status.I:
         return True
     return su is not config[pu].status and config[pu].status is not Status.EB
+
+
+def local_flags(config, g):
+    """Whether a C head, an abnormal root and a loose link exist, from
+    ``analysis._local_facts`` alone."""
+    facts = (_local_facts(config, g, u) for u in range(g.node_count) if u != g.root_id)
+    ab, head, loose = map(any, zip(*facts))
+    return head, ab, loose
+
+
+def forest_flags(config, g):
+    """Whether status C lies in an illegal branch, whether any process
+    does, and whether the parent pointers are acyclic, from the
+    reference's parent-chain walk."""
+    view = forest_view(config, g)
+    illegal = view.illegal_membership
+    c_illegal = any(illegal[u] and config[u].status is Status.C for u in illegal)
+    return c_illegal, any(illegal.values()), view.acyclic
+
+
+class TestLocalFacts:
+    @pytest.mark.parametrize("mutant", [False, True])
+    def test_lemma_on_every_small_configuration(self, monkeypatch, mutant):
+        # The argument in check_trace's docstring, exhaustively: every
+        # enumerated configuration, self-pointer parents included, of the
+        # 3-path rooted at an end and in the middle, the weighted
+        # triangle, the 4-star and a 4-node graph with 2 components. The
+        # real ab_root leaves no loose link; under the mutant the local
+        # flags still equal the walk's wherever none exists, and every
+        # parent cycle has one.
+        if mutant:
+            monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        instances = [
+            ([(0, 1, 1), (1, 2, 1)], 3, 0),
+            ([(0, 1, 1), (1, 2, 1)], 3, 1),
+            ([(0, 1, 2), (1, 2, 3), (2, 0, 1)], 3, 0),
+            ([(0, 1, 1), (0, 2, 1), (0, 3, 1)], 4, 0),
+            ([(0, 1, 1), (2, 3, 2)], 4, 0),
+        ]
+        seen = {"c_illegal": 0, "illegal": 0, "loose": 0, "cycle": 0}
+        for edges, n, root in instances:
+            g = build_graph(edges, n, root)
+            for d_cap in (1, 2):
+                for config in enumerate_initial_configs(g, d_cap):
+                    c_head, ab, loose = local_flags(config, g)
+                    c_illegal, illegal, acyclic = forest_flags(config, g)
+                    assert loose or acyclic, config
+                    if not loose:
+                        assert (c_head, ab) == (c_illegal, illegal), config
+                    seen["c_illegal"] += c_illegal
+                    seen["illegal"] += illegal
+                    seen["loose"] += loose
+                    seen["cycle"] += not acyclic
+        assert seen["c_illegal"] and seen["illegal"]
+        if mutant:
+            assert 0 < seen["cycle"] < seen["loose"]
+        else:
+            assert seen["loose"] == 0
 
 
 class TestFaultyProtocol:
