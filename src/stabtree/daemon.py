@@ -28,8 +28,10 @@ class DaemonPolicy:
 
     ``enabled`` maps each enabled node id to its :class:`~.protocol.Move`:
     the rule it would fire and the state that rule would write. The
-    returned set must be a nonempty subset of its keys. A policy instance
-    is bound to a single execution at a time (it keeps a step counter).
+    returned set must be a nonempty subset of its keys. Both ``config`` and
+    ``enabled`` are the engine's live state, read-only (``enabled`` rejects
+    writes) and valid only during the call. A policy instance is bound to
+    a single execution at a time (it keeps a step counter).
     """
 
     name = "daemon"

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
 
 from . import protocol
 from .graph import WeightedGraph
-from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Status
+from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Rule, Status
 
 
 class EngineError(Exception):
@@ -92,17 +93,16 @@ def enabled(config: Configuration, g: WeightedGraph) -> dict[int, Move]:
 
 
 def _fire(
-    config: Configuration,
+    config: list[ProcessState],
     selection: frozenset[int],
     moves: Mapping[int, Move],
-) -> tuple[Configuration, dict[int, Move]]:
-    """Check ``selection`` against the enabled ``moves`` of ``config`` and
-    apply it atomically: every selected process writes the state its move
-    computed from the pre-step configuration. Returns the new configuration
-    and the fired moves."""
+) -> dict[int, Move]:
+    """Check ``selection`` against the enabled ``moves`` and apply it in
+    place: every selected process writes the state its move computed from
+    the pre-step ``config``, which both callers drop on an error. Returns
+    the fired moves."""
     if not selection:
         raise EmptySelectionError("selection must be nonempty")
-    new = list(config)
     fired: dict[int, Move] = {}
     for u in selection:
         move = moves.get(u)
@@ -111,13 +111,15 @@ def _fire(
                 f"selected processes {sorted(v for v in selection if v not in moves)} are not enabled"
             )
         fired[u] = move
-        new[u] = move.state
-    return tuple(new), fired
+        config[u] = move.state
+    return fired
 
 
 def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> Configuration:
-    """Apply one atomic step to ``selection``; all reads precede all writes."""
-    return _fire(config, frozenset(selection), enabled(config, g))[0]
+    """One atomic step of ``selection`` on a copy of ``config``; all reads precede all writes."""
+    new = list(config)
+    _fire(new, frozenset(selection), enabled(config, g))
+    return tuple(new)
 
 
 @dataclass
@@ -138,14 +140,15 @@ class ExecutionTrace:
     terminated: bool
     round_ends: list[int]
 
-    def configurations(self) -> Iterator[Configuration]:
-        """``initial``, then the configuration after each step."""
+    def configurations(self) -> Iterator[list[ProcessState]]:
+        """``initial``, then each step's configuration, written into one live
+        list: read-only, valid until the next item; ``tuple(c)`` keeps one."""
         config = list(self.initial)
-        yield self.initial
+        yield config
         for fired in self.steps:
             for u, move in fired.items():
                 config[u] = move.state
-            yield tuple(config)
+            yield config
 
     @property
     def step_count(self) -> int:
@@ -184,13 +187,14 @@ def run(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     root = g.root_id
     moves = enabled(config, g)
+    view = MappingProxyType(moves)
     pending = set(moves)
-    initial = config
+    initial, config = config, list(config)
     steps: list[dict[int, Move]] = []
     round_ends: list[int] = []
     while moves and len(steps) < max_steps:
-        selection = frozenset(policy.select(config, g, dict(moves)))
-        config, fired = _fire(config, selection, moves)
+        selection = frozenset(policy.select(config, g, view))
+        fired = _fire(config, selection, moves)
         pending -= selection
         # Guards and actions read only the process and its neighbors, so
         # only the moves of the selected nodes and their neighbors change.
@@ -210,7 +214,7 @@ def run(
             round_ends.append(len(steps))
             pending = set(moves)
     return ExecutionTrace(
-        initial=initial, steps=steps, final=config, terminated=not moves, round_ends=round_ends
+        initial=initial, steps=steps, final=tuple(config), terminated=not moves, round_ends=round_ends
     )
 
 
@@ -276,8 +280,12 @@ def save_configuration(config: Configuration, g: WeightedGraph, path) -> None:
 # selection, the fired rules, and the post-step states of selected nodes.
 
 
+_RULE_NAME = {rule: rule.value for rule in Rule}
+_STATUS_NAME = {status: status.value for status in Status}
+
+
 def _state_json(state: ProcessState) -> list:
-    return [state.status.value, state.par, state.d]
+    return [_STATUS_NAME[state.status], state.par, state.d]
 
 
 def write_trace(
@@ -297,17 +305,17 @@ def write_trace(
         "initial": [_state_json(s) for s in trace.initial],
     }
     fh.write(json.dumps(header) + "\n")
+    # Every step field is an int or a fixed ASCII name, so the records are
+    # formatted directly, byte for byte as ``json.dumps`` would write them.
     for i, fired in enumerate(trace.steps):
         moves = sorted(fired.items())
         fh.write(
-            json.dumps(
-                {
-                    "type": "step",
-                    "index": i,
-                    "selected": [u for u, _ in moves],
-                    "fired": {str(u): m.rule.value for u, m in moves},
-                    "post": {str(u): _state_json(m.state) for u, m in moves},
-                }
+            '{"type": "step", "index": %d, "selected": [%s], "fired": {%s}, "post": {%s}}\n'
+            % (
+                i,
+                ", ".join([str(u) for u, _ in moves]),
+                ", ".join(['"%d": "%s"' % (u, _RULE_NAME[rule]) for u, (rule, _) in moves]),
+                ", ".join(['"%d": ["%s", %d, %d]' % (u, _STATUS_NAME[status], par, d)
+                           for u, (_, (status, par, d)) in moves]),
             )
-            + "\n"
         )

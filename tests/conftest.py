@@ -1,3 +1,4 @@
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -304,3 +305,35 @@ def walk_matches_references(trace, g) -> bool:
     else:
         reference |= dict.fromkeys(report.keys() - reference.keys())
     return report == reference
+
+
+def reference_write_trace(trace, fh, *, graph_name="", seed=None, daemon="") -> None:
+    """Test-side reference for ``engine.write_trace``: every record, header
+    and steps alike, encoded by ``json.dumps``."""
+
+    def state_json(state):
+        return [state.status.value, state.par, state.d]
+
+    header = {
+        "type": "header",
+        "graph": graph_name,
+        "seed": seed,
+        "daemon": daemon,
+        "terminated": trace.terminated,
+        "initial": [state_json(s) for s in trace.initial],
+    }
+    fh.write(json.dumps(header) + "\n")
+    for i, fired in enumerate(trace.steps):
+        moves = sorted(fired.items())
+        fh.write(
+            json.dumps(
+                {
+                    "type": "step",
+                    "index": i,
+                    "selected": [u for u, _ in moves],
+                    "fired": {str(u): m.rule.value for u, m in moves},
+                    "post": {str(u): state_json(m.state) for u, m in moves},
+                }
+            )
+            + "\n"
+        )

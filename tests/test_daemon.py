@@ -149,7 +149,8 @@ class TestAdversarialReference:
             for seed in range(3):
                 got = run(config, g, AdversarialDaemon(seed, strategy))
                 want = run(config, g, _ReferenceAdversarial(seed, strategy))
-                assert list(got.configurations()) == list(want.configurations()), (trial, seed)
+                got_configs = [tuple(c) for c in got.configurations()]
+                assert got_configs == [tuple(c) for c in want.configurations()], (trial, seed)
                 assert got.steps == want.steps, (trial, seed)
                 assert got.round_ends == want.round_ends, (trial, seed)
         assert split >= 10
@@ -178,7 +179,8 @@ class TestTraceDeterminism:
         config = random_configuration(triangle, 17, 8)
         first = run(config, triangle, parse_daemon_spec(spec, 9))
         second = run(config, triangle, parse_daemon_spec(spec, 9))
-        assert list(first.configurations()) == list(second.configurations())
+        first_configs = [tuple(c) for c in first.configurations()]
+        assert first_configs == [tuple(c) for c in second.configurations()]
         assert first.steps == second.steps
 
     def test_every_selection_respects_enablement(self, triangle):

@@ -22,7 +22,7 @@ from stabtree.engine import (
 from stabtree.graph import build_graph, component_info, generate_random_graph, root_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
-from conftest import mk_config
+from conftest import mk_config, reference_write_trace
 
 
 class TestEnabledSet:
@@ -77,6 +77,14 @@ class TestStep:
         assert after[2] == ProcessState(Status.EB, 1, 1)
         assert after[1] == config[1]
 
+    def test_input_untouched_and_tuple_returned(self, triangle):
+        config = random_configuration(triangle, 5, 6)
+        before = list(config)
+        for arg in (config, before):
+            after = step(arg, triangle, enabled(config, triangle))
+            assert isinstance(after, tuple) and after != config
+            assert list(config) == before == list(arg)
+
     def test_empty_selection_rejected(self, path3):
         with pytest.raises(EmptySelectionError):
             step(normal_initial_configuration(path3), path3, set())
@@ -128,7 +136,7 @@ class TestRun:
     def test_step_records_are_consistent(self, triangle):
         config = random_configuration(triangle, 5, 6)
         trace = run(config, triangle, CentralDaemon(7))
-        configs = list(trace.configurations())
+        configs = [tuple(c) for c in trace.configurations()]
         for fired, pre, post in zip(trace.steps, configs, configs[1:]):
             moves = enabled(pre, triangle)
             assert fired
@@ -150,7 +158,7 @@ class TestRun:
             config = random_configuration(g, trial, 4 * n)
             for spec in daemons:
                 trace = run(config, g, parse_daemon_spec(spec, trial))
-                configs = list(trace.configurations())
+                configs = [tuple(c) for c in trace.configurations()]
                 assert len(configs) == trace.step_count + 1
                 assert configs[0] == trace.initial == config
                 assert configs[-1] == trace.final
@@ -216,6 +224,42 @@ class TestRun:
         assert trace.terminated and trace.step_count > n
         assert peak < 4 * 2**20
 
+    def test_stale_selection_rejected(self, path3):
+        # A node enabled at an earlier step is checked against the moves of
+        # the current configuration, not the one the policy first saw.
+        class Stale(DaemonPolicy):
+            first = None
+
+            def select(self, config, g, enabled):
+                self.first = self.first or frozenset(enabled)
+                return self.first
+
+        start = normal_initial_configuration(path3)
+        assert enabled(start, path3).keys() == {1}
+        with pytest.raises(NotEnabledError):
+            run(start, path3, Stale())
+
+    def test_policy_cannot_write_enabled(self, path3):
+        class Meddler(DaemonPolicy):
+            def select(self, config, g, enabled):
+                enabled[2] = enabled[1]
+                return frozenset(enabled)
+
+        with pytest.raises(TypeError):
+            run(normal_initial_configuration(path3), path3, Meddler())
+
+    def test_configurations_are_one_live_list(self):
+        g = generate_random_graph(4, 9, 0.5, 3, component_hint=2, root_id=5)
+        trace = run(random_configuration(g, 4, 27), g, parse_daemon_spec("rand:p=0.5", 4))
+        assert trace.step_count > 1
+        seen, snapshots = set(), []
+        for c in trace.configurations():
+            seen.add(id(c))
+            snapshots.append(tuple(c))
+        assert len(seen) == 1
+        assert len(snapshots) == trace.step_count + 1
+        assert snapshots[0] == trace.initial and snapshots[-1] == trace.final
+
     def test_invalid_initial_config_rejected(self, path3):
         bad = (ROOT_STATE, ProcessState(Status.C, 0, -1), ProcessState(Status.I, 2, 0))
         with pytest.raises(ConfigurationError):
@@ -273,6 +317,40 @@ class TestTraceOutput:
                 assert initial == trace.initial
                 assert steps == [{u: (m.rule, m.state) for u, m in fired.items()} for fired in trace.steps]
         assert split >= 10
+
+    def test_records_match_json_reference(self):
+        # The step records are formatted directly; the reference encodes
+        # every record with json.dumps. The set covers split graphs, roots
+        # off node 0, node ids of two digits, every rule and every daemon,
+        # and a graph name that the header must escape.
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        names = ["", "path.g", 'we"ird gr\u00e2ph \u2713.g']
+        split = rooted_off_zero = traces = 0
+        rules, top = set(), 0
+        for trial in range(24):
+            n = 6 + trial % 20
+            g = generate_random_graph(
+                trial, n, 0.4, 5, component_hint=1 + trial % 3, root_id=(3 * trial + 1) % n
+            )
+            split += component_info(g).component_count > 1
+            rooted_off_zero += g.root_id != 0
+            config = random_configuration(g, trial, 5 * n)
+            for k, spec in enumerate(daemons):
+                trace = run(config, g, parse_daemon_spec(spec, trial))
+                kwargs = {
+                    "graph_name": names[(trial + k) % 3],
+                    "seed": trial if k % 2 else None,
+                    "daemon": spec,
+                }
+                got, want = io.StringIO(), io.StringIO()
+                write_trace(trace, got, **kwargs)
+                reference_write_trace(trace, want, **kwargs)
+                assert got.getvalue() == want.getvalue(), (trial, spec)
+                traces += 1
+                rules.update(m.rule for fired in trace.steps for m in fired.values())
+                top = max([top, *(u for fired in trace.steps for u in fired)])
+        assert traces >= 100 and split >= 10 and rooted_off_zero >= 20
+        assert rules == set(Rule) and top >= 10
 
 
 def read_back(text):
