@@ -39,7 +39,7 @@ class BudgetExceededError(ExplorerError):
 MAX_ENABLED = 10
 
 
-def _local_facts(config: Configuration, g: WeightedGraph, u: int) -> tuple:
+def _view_facts(config: Configuration, g: WeightedGraph, u: int) -> tuple:
     """``(enabled move or None, legitimate, alive abnormal root)`` of
     non-root process ``u``: each reads only ``u`` and its neighbours, so it
     is a function of the local view ``config[N[u]]``."""
@@ -61,6 +61,12 @@ class _Explorer:
     A process whose N[u] holds every non-root node of the factor sees the
     whole configuration, so a lookup could never hit: it gets no table and
     is evaluated directly.
+
+    An expansion reads each process's facts once and keeps the alive
+    abnormal roots of the configuration. The search checks each step where
+    it walks it: at once if the successor is done, else when the successor
+    is expanded. A search stopped by a cycle has checked only the steps
+    walked before it.
     """
 
     def __init__(self, g: WeightedGraph, nodes: Iterable[int], max_visited: int):
@@ -76,7 +82,7 @@ class _Explorer:
         self.expanded = 0  # configurations whose successors were generated
         self.initial_configs = 0
         self.max_steps = 0
-        self._aar_cache: dict[Configuration, int] = {}
+        self._aar: dict[Configuration, int] = {}  # expanded -> alive abnormal roots bitmask
         # (u, view getter, table) per non-root process in node order; the
         # getter and table are None for an untabled process. Nothing here
         # refers back to the explorer, so a finished one is freed at once.
@@ -89,43 +95,26 @@ class _Explorer:
             else:
                 self._processes.append((u, itemgetter(u, *hood), {}))
 
-    def _aar(self, config: Configuration) -> int:
-        """The alive abnormal roots of ``config`` as a bitmask over nodes."""
-        cached = self._aar_cache.get(config)
-        if cached is None:
-            g = self.g
-            alive = 0
-            for u, view, table in self._processes:
-                if table is None:
-                    flag = analysis._alive_ab_root(config, g, u)
-                else:
-                    key = view(config)
-                    fact = table.get(key)
-                    if fact is None:
-                        fact = table[key] = _local_facts(config, g, u)
-                    flag = fact[2]
-                if flag:
-                    alive |= 1 << u
-            cached = self._aar_cache[config] = alive
-        return cached
-
     def _successors(self, config: Configuration) -> list[Configuration]:
         g = self.g
-        legit = analysis.legitimate_state(config, g, g.root_id)[0]
+        legit = True  # the root is pinned at ROOT_STATE, which is legitimate
+        alive = 0
         moves = []
         for u, view, table in self._processes:
             if table is None:
-                move = protocol.enabled_rule(config, g, u)
-                legit = legit and analysis.legitimate_state(config, g, u)[0]
+                move, ok, flag = _view_facts(config, g, u)
             else:
                 key = view(config)
                 fact = table.get(key)
                 if fact is None:
-                    fact = table[key] = _local_facts(config, g, u)
-                move, ok, _ = fact
-                legit = legit and ok
+                    fact = table[key] = _view_facts(config, g, u)
+                move, ok, flag = fact
+            legit = legit and ok
+            if flag:
+                alive |= 1 << u
             if move is not None:
                 moves.append((u, move.state))
+        self._aar[config] = alive
         if not moves:
             if not legit:
                 self.illegitimate_terminals.append(config)
@@ -142,21 +131,17 @@ class _Explorer:
         choices = [(state,) for state in config]
         for u, new in moves:
             choices[u] = (config[u], new)
-        succs = [c[::-1] for c in itertools.product(*reversed(choices))][1:]
-        pre_aar = self._aar(config)
-        for succ in succs:
-            if self._aar(succ) & ~pre_aar:
-                self.aar_violations.append((config, succ))
-        return succs
+        return [c[::-1] for c in itertools.product(*reversed(choices))][1:]
 
     def explore_from(self, start: Configuration) -> None:
         """Visit everything reachable from ``start``; expands at most
         ``max_visited`` configurations over the explorer's life."""
         if self.cycle_witness is not None or start in self.longest:
             return
-        longest, onstack = self.longest, self.onstack
-        # frame: [config, successor list, next index, best child longest]
-        stack: list[list] = [[start, None, 0, -1]]
+        longest, onstack, aar = self.longest, self.onstack, self._aar
+        # frame: [config, successor list, next index, best child longest,
+        # alive abnormal roots]
+        stack: list[list] = [[start, None, 0, -1, 0]]
         onstack.add(start)
         while stack:
             frame = stack[-1]
@@ -168,6 +153,10 @@ class _Explorer:
                     )
                 frame[1] = self._successors(config)
                 self.expanded += 1
+                frame[4] = aar[config]
+                # The step from the frame below, walked when it was pushed.
+                if len(stack) > 1 and frame[4] & ~stack[-2][4]:
+                    self.aar_violations.append((stack[-2][0], config))
             succs = frame[1]
             if frame[2] < len(succs):
                 nxt = succs[frame[2]]
@@ -176,6 +165,8 @@ class _Explorer:
                 done = longest.get(nxt)
                 if done is not None:
                     frame[3] = max(frame[3], done)
+                    if aar[nxt] & ~frame[4]:
+                        self.aar_violations.append((config, nxt))
                 elif nxt in onstack:
                     self.cycle_witness = [f[0] for f in stack] + [nxt]
                     for f in stack:
@@ -183,7 +174,7 @@ class _Explorer:
                     return
                 else:
                     onstack.add(nxt)
-                    stack.append([nxt, None, 0, -1])
+                    stack.append([nxt, None, 0, -1, 0])
                 continue
             done = longest[config] = 0 if not succs else frame[3] + 1
             onstack.discard(config)

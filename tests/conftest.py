@@ -112,6 +112,19 @@ def reference_path(config, g, u) -> ProcessState:
     return ProcessState(Status.C, v, d)
 
 
+def ab_root_without_distance(config, g, u):
+    """A faulty ``protocol.ab_root`` without the ``d_u < d_par + w`` clause:
+    a node whose distance is too small for its parent is not flagged, so
+    parent pointers can close a cycle."""
+    su, pu, du = config[u]
+    if su is Status.I:
+        return False
+    adj = g.adjacency[u]
+    if pu not in adj or config[pu].status is Status.I:
+        return True
+    return su is not config[pu].status and config[pu].status is not Status.EB
+
+
 def reference_rules(config, g, u):
     """The rules whose guards hold at non-root ``u``: the paper's five
     guards, each evaluated on its own, as the reference that

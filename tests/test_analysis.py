@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -36,6 +38,7 @@ from stabtree.graph import build_graph, component_info, format_graph, generate_r
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, children
 
 from conftest import (
+    ab_root_without_distance,
     alive_abnormal_roots,
     check_round_milestones,
     forest_view,
@@ -598,18 +601,49 @@ class TestMilestones:
             assert trace.terminated
             assert check_trace(trace, triangle).milestones_ok
 
+    @pytest.mark.parametrize("status,rule", [(Status.EB, Rule.R_EB), (Status.EF, Rule.R_EF)])
+    def test_abnormal_root_left_outside_the_root_component(self, two_comp, status, rule):
+        # Node 1 of the rootless component {1, 2} heads a broken tree (its
+        # parent is itself) at every step of a trace that closes a round
+        # per step. Once 3 * n_max_cc rounds complete, cleared fails on
+        # both counts: an abnormal root remains, and so does an
+        # illegitimate process outside V_r. One configuration earlier,
+        # cleared still holds.
+        nm = component_info(two_comp).n_max_cc
+        stuck = mk_config(two_comp, n1=(status, 1, 3))
+        assert protocol.ab_root(stuck, two_comp, 1)
+        assert not legitimate_state(stuck, two_comp, 1)[0]
+        lines, first = inspect.getsourcelines(check_trace)
+        cleared = {first + i for i, line in enumerate(lines) if line.strip() == "ok_cleared = False"}
+        assert len(cleared) == 2
+        for count, ok in ((3 * nm + 1, False), (3 * nm, True)):
+            trace = fabricated_trace([stuck] * count, [{1: rule}] * (count - 1))
+            report, ran = lines_run(check_trace, trace, two_comp)
+            assert report.illegal_cleared_ok is ok
+            assert report.no_status_c_in_illegal_ok and report.acyclic_ok
+            assert cleared & ran == (set() if ok else cleared)
+            assert check_round_milestones(trace, two_comp)["illegal_cleared_ok"] is ok
+            assert walk_matches_references(trace, two_comp)
 
-def ab_root_without_distance(config, g, u):
-    """A faulty ``protocol.ab_root`` without the ``d_u < d_par + w`` clause:
-    a node whose distance is too small for its parent is not flagged, so
-    parent pointers can close a cycle."""
-    su, pu, du = config[u]
-    if su is Status.I:
-        return False
-    adj = g.adjacency[u]
-    if pu not in adj or config[pu].status is Status.I:
-        return True
-    return su is not config[pu].status and config[pu].status is not Status.EB
+
+def lines_run(func, *args):
+    """``func(*args)`` and the line numbers of ``func``'s own code that ran."""
+    ran = set()
+
+    def in_func(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return in_func
+
+    def on_call(frame, event, arg):
+        return in_func if frame.f_code is func.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        return func(*args), ran
+    finally:
+        sys.settrace(previous)
 
 
 def local_flags(config, g):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stabtree import protocol
 from stabtree.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -15,7 +16,7 @@ from stabtree.cli import (
 )
 from stabtree.engine import normal_initial_configuration
 from stabtree.graph import format_graph, save_graph
-from stabtree.protocol import Status
+from stabtree.protocol import Rule, Status
 
 from conftest import mk_config
 
@@ -180,6 +181,26 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "violations=0" in out
+
+    def test_mutant_fails_with_a_line_per_run(self, monkeypatch, capsys):
+        # A protocol whose EB processes never acknowledge the freeze stops
+        # with an EB process left: every run ends illegitimate.
+        real = protocol.enabled_rule
+
+        def never_ef(config, g, u):
+            move = real(config, g, u)
+            return None if move is not None and move.rule is Rule.R_EF else move
+
+        monkeypatch.setattr(protocol, "enabled_rule", never_ef)
+        code = main(["bench", "--count", "2", "--seed", "1", "--max-n", "6", "--daemons", "sync,adv:churn"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == EXIT_CHECK_FAILED
+        assert out[0] == "runs=4 violations=4"
+        assert out[2:] == [
+            f"instance={i} daemon={d} failures=final_legitimate"
+            for i in range(2)
+            for d in ("sync", "adv:churn")
+        ]
 
     def test_bad_daemon_list(self, capsys):
         assert main(["bench", "--count", "1", "--daemons", "sync,what"]) == EXIT_PARSE_ERROR

@@ -12,10 +12,12 @@ from stabtree.engine import (
     NotEnabledError,
     enabled,
     format_configuration,
+    load_configuration,
     normal_initial_configuration,
     parse_configuration,
     random_configuration,
     run,
+    save_configuration,
     step,
     write_trace,
 )
@@ -271,6 +273,17 @@ class TestConfigFiles:
         config = random_configuration(triangle, 4, 6)
         text = format_configuration(config, triangle)
         assert parse_configuration(text, triangle) == config
+
+    def test_file_roundtrip(self, tmp_path):
+        # Roots off node 0 and a second component, so parents and
+        # statuses of every kind reach the file.
+        for seed in range(5):
+            g = generate_random_graph(seed, 7, 0.5, 4, component_hint=2, root_id=seed + 1)
+            config = random_configuration(g, seed, 9)
+            path = tmp_path / f"c{seed}.cfg"
+            save_configuration(config, g, path)
+            assert path.read_text(encoding="utf-8") == format_configuration(config, g)
+            assert load_configuration(path, g) == config
 
     def test_missing_process(self, triangle):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,9 +17,9 @@ from stabtree.explorer import (
     enumerate_initial_configs,
 )
 from stabtree.graph import build_graph, generate_random_graph
-from stabtree.protocol import ROOT_STATE, ProcessState, Status
+from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
 
-from conftest import alive_abnormal_roots, mk_config
+from conftest import ab_root_without_distance, alive_abnormal_roots, mk_config
 
 
 @pytest.fixture
@@ -128,10 +129,8 @@ class TestSuccessorOrder:
         widest = 0
         for seed in range(300):
             config = random_configuration(g, seed, 3)
-            succs, violations = _mask_successors(g, config)
-            before = len(ex.aar_violations)
+            succs, _ = _mask_successors(g, config)
             assert ex._successors(config) == succs, config
-            assert ex.aar_violations[before:] == violations
             widest = max(widest, len(succs))
         assert widest == 2 ** (n - 1) - 1  # some sample has every process enabled
 
@@ -147,6 +146,103 @@ class TestSuccessorOrder:
             certify_instance(g, 1, max_visited=max_visited)
         got = exc_info.value.partial
         assert (got.initial_configs, got.reachable_count, got.max_steps_any_path) == partial
+
+
+_real_enabled_rule = protocol.enabled_rule
+
+
+def restless_enabled_rule(config, g, u):
+    """A faulty ``protocol.enabled_rule``: a status-C process with no move
+    fires ``R_EB`` all the same, so a legitimate configuration is not
+    terminal and a freeze can loop back through a rejoin."""
+    move = _real_enabled_rule(config, g, u)
+    if move is None and config[u].status is Status.C:
+        _, pu, du = config[u]
+        return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
+    return move
+
+
+# Instances on which ``ab_root_without_distance`` leaves terminal
+# configurations illegitimate and lets steps create alive abnormal roots
+# at d_cap 1, with no cycle.
+MUTANT_INSTANCES = [
+    ([(0, 1, 1), (1, 2, 1)], 3),  # unit 3-path
+    ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3),  # triangle
+    ([(1, 2, 1)], 3),  # the root alone plus an edge
+    ([(0, 1, 1), (2, 3, 2)], 4),  # 4-node 2 components
+]
+MUTANT_IDS = ["unit 3-path", "triangle", "root plus edge", "4-node 2 components"]
+
+
+class TestMutantViolations:
+    @pytest.mark.parametrize(
+        "instance,terminals,steps",
+        zip(MUTANT_INSTANCES, (14, 23, 12, 17), (46, 72, 38, 52)),
+        ids=MUTANT_IDS,
+    )
+    def test_ab_root_mutant_counts_are_pinned(self, monkeypatch, instance, terminals, steps):
+        monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        result = certify_instance(build_graph(*instance, 0), 1)
+        assert result.verdict == "FAIL"
+        assert not result.cycle_found
+        assert result.violations == [
+            f"{terminals} illegitimate terminal configuration(s)",
+            f"{steps} step(s) creating an alive abnormal root",
+        ]
+
+    @pytest.mark.parametrize("instance", MUTANT_INSTANCES, ids=MUTANT_IDS)
+    def test_walked_steps_match_mask_reference(self, monkeypatch, instance):
+        # A search that runs to completion walks every step of every
+        # expanded configuration once: the steps it flags are, as a
+        # multiset, those the mask loop flags from every configuration.
+        monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        g = build_graph(*instance, 0)
+        ex = _Explorer(g, range(g.node_count), 2_000_000)
+        ex.explore(1)
+        assert ex.cycle_witness is None
+        reference = Counter(v for c in ex.longest for v in _mask_successors(g, c)[1])
+        assert reference
+        assert Counter(ex.aar_violations) == reference
+
+    def test_restless_mutant_on_edge(self, monkeypatch, edge):
+        # (C, 0, 1) is legitimate yet fires R_EB, creating an alive
+        # abnormal root; the freeze, its acknowledgement and a rejoin
+        # lead back to it.
+        monkeypatch.setattr(protocol, "enabled_rule", restless_enabled_rule)
+        result = certify_instance(edge, 1)
+        assert result.verdict == "FAIL"
+        assert result.violations == [
+            "cycle in configuration graph (silence violated)",
+            "1 legitimate non-terminal configuration(s)",
+            "1 step(s) creating an alive abnormal root",
+        ]
+        assert [c[1] for c in result.witness] == [
+            ProcessState(Status.I, 0, 0),
+            ProcessState(Status.C, 0, 1),
+            ProcessState(Status.EB, 0, 1),
+            ProcessState(Status.EF, 0, 1),
+            ProcessState(Status.C, 0, 1),
+        ]
+
+    def test_cycle_stops_the_step_checks(self, monkeypatch, path3):
+        # Only the steps walked before the cycle are checked. From
+        # (C, 0, 1), (I, 1, 0) two steps create an alive abnormal root at
+        # node 1; the search follows the first to the cycle and never
+        # walks the second, which also rejoins node 2.
+        monkeypatch.setattr(protocol, "enabled_rule", restless_enabled_rule)
+        result = certify_instance(path3, 1)
+        assert result.violations == [
+            "cycle in configuration graph (silence violated)",
+            "1 step(s) creating an alive abnormal root",
+        ]
+        pre = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.I, 1, 0))
+        assert len(_mask_successors(path3, pre)[1]) == 2
+
+    def test_step_bound_message(self, monkeypatch, edge):
+        monkeypatch.setattr(analysis, "step_bound_for", lambda g: 2)
+        result = certify_instance(edge, 3)
+        assert (result.verdict, result.max_steps_any_path) == ("FAIL", 3)
+        assert result.violations == ["longest execution 3 exceeds step bound 2"]
 
 
 def _arbitrary_state(rng, g, v, d_cap=4):
