@@ -24,7 +24,7 @@ from .graph import (
     root_distances,
     root_hop_distances,
 )
-from .protocol import ROOT_STATE, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState, Rule
 
 
 class AnalysisError(Exception):
@@ -83,10 +83,10 @@ def legitimate_state(
     distances = root_distances(g)
     st, par, d = config[u]
     if distances[u] == INFINITY:
-        if st is Status.I:
+        if st is S_I:
             return True, None
         return False, "outside root component but not isolated"
-    if st is not Status.C:
+    if st is not S_C:
         return False, f"status {st.value} in root component"
     if d != distances[u]:
         return False, f"distance {d} != true distance {distances[u]}"
@@ -121,7 +121,7 @@ def _alive_ab_root(config, g: WeightedGraph, u: int) -> bool:
     """``u`` (not the root) heads a broken tree and is neither isolated nor
     acknowledging the freeze. Reads only ``u`` and its parent."""
     status = config[u].status
-    return status is not Status.I and status is not Status.EF and protocol.ab_root(config, g, u)
+    return status is not S_I and status is not S_EF and protocol.ab_root(config, g, u)
 
 
 def _local_facts(config, g: WeightedGraph, u: int) -> tuple[bool, bool, bool]:
@@ -129,12 +129,12 @@ def _local_facts(config, g: WeightedGraph, u: int) -> tuple[bool, bool, bool]:
     link (see ``check_trace``). Reads only ``u`` and its parent when that
     is a neighbour."""
     su, pu, du = config[u]
-    if su is Status.I:
+    if su is S_I:
         return False, False, False
     ab = protocol.ab_root(config, g, u)
     sp, _, dp = config[pu] if pu in g.adjacency[u] else (None, None, du)
-    head = su is Status.C and (ab or sp is Status.EB)
-    return ab, head, not ab and (dp >= du or sp not in (su, Status.EB))
+    head = su is S_C and (ab or sp is S_EB)
+    return ab, head, not ab and (dp >= du or sp not in (su, S_EB))
 
 
 # --- trace properties -------------------------------------------------------
@@ -306,9 +306,9 @@ def check_bounds(trace, g: WeightedGraph) -> BoundReport:
     rounds = trace.rounds
     s_limit = step_bound_for(g)
     r_limit = round_bound_for(g)
-    weights = {w for _, _, w in g.edges()}
-    uniform = len(weights) <= 1
-    u_limit = uniform_step_bound(g.node_count, component_info(g).n_max_cc) if uniform else None
+    info = component_info(g)
+    uniform = info.w_min == info.w_max
+    u_limit = uniform_step_bound(g.node_count, info.n_max_cc) if uniform else None
     u_ok = steps <= u_limit if uniform else None
     ok = steps <= s_limit and rounds <= r_limit and (u_ok is not False)
     return BoundReport(

@@ -16,7 +16,7 @@ import random
 from typing import Mapping
 
 from .graph import WeightedGraph
-from .protocol import Move, Rule
+from .protocol import R_C, R_R, Move
 
 
 class DaemonSpecError(ValueError):
@@ -105,18 +105,15 @@ class AdversarialDaemon(_SeededPolicy):
 
     def select(self, config, g, enabled):
         if self.strategy == "starve-cleanup":
-            corrections = [u for u, move in enabled.items() if move.rule is Rule.R_C]
+            corrections = [u for u, move in enabled.items() if move.rule is R_C]
             if corrections:
                 self._step += 1  # keep the counter in lockstep with draws
                 return frozenset(corrections)
             return frozenset({self._rng().choice(sorted(enabled))})
-        # max-churn: each move carries its new distance. The rules are
-        # bound to locals, as an enum attribute lookup per move would cost
-        # as much as the rest of the loop.
-        r_c, r_r = Rule.R_C, Rule.R_R
+        # max-churn: each move carries its new distance.
         best: tuple[int, int] | None = None  # (delta, -u)
         for u, (rule, state) in enabled.items():
-            if rule is r_c or rule is r_r:
+            if rule is R_C or rule is R_R:
                 cand = (abs(state.d - config[u].d), -u)
                 if best is None or cand > best:
                     best = cand

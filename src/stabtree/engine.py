@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Mapping
 
 from . import protocol
 from .graph import WeightedGraph
-from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
 
 
 class EngineError(Exception):
@@ -37,7 +37,7 @@ class ConfigurationError(EngineError):
 def normal_initial_configuration(g: WeightedGraph) -> Configuration:
     """All non-root processes isolated (parent self, distance 0)."""
     return tuple(
-        ROOT_STATE if u == g.root_id else ProcessState(Status.I, u, 0)
+        ROOT_STATE if u == g.root_id else ProcessState(S_I, u, 0)
         for u in range(g.node_count)
     )
 

@@ -177,8 +177,8 @@ class ComponentInfo:
     """Connected-component decomposition plus the metrics used by the bounds.
 
     ``n_max_cc`` is the maximum number of non-root processes in a single
-    connected component; ``w_max`` is the largest edge weight (1 for an
-    edgeless graph).
+    connected component; ``w_min`` and ``w_max`` are the smallest and
+    largest edge weights (both 1 for an edgeless graph).
     """
 
     component_of: tuple[int, ...]
@@ -186,6 +186,7 @@ class ComponentInfo:
     root_component: frozenset[int]
     n_max_cc: int
     w_max: int
+    w_min: int
 
     def components(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.component_count)]
@@ -219,13 +220,14 @@ def component_info(g: WeightedGraph) -> ComponentInfo:
         non_root = size - 1 if c == root_comp else size
         n_max_cc = max(n_max_cc, non_root)
     root_nodes = frozenset(u for u in range(g.node_count) if comp[u] == root_comp)
-    w_max = max((w for _, _, w in g.edges()), default=1)
+    weights = [w for _, _, w in g.edges()]
     return ComponentInfo(
         component_of=tuple(comp),
         component_count=n_comp,
         root_component=root_nodes,
         n_max_cc=n_max_cc,
-        w_max=w_max,
+        w_max=max(weights, default=1),
+        w_min=min(weights, default=1),
     )
 
 

@@ -41,6 +41,13 @@ class Rule(enum.Enum):
         return self.value
 
 
+#: The members as module constants for function bodies to read. Guards read
+#: them in per-neighbour loops, and on Python 3.11 ``Status.C`` costs about
+#: 140 ns against about 20 ns for a global.
+S_I, S_C, S_EB, S_EF = Status.I, Status.C, Status.EB, Status.EF
+R_C, R_EB, R_EF, R_I, R_R = Rule.R_C, Rule.R_EB, Rule.R_EF, Rule.R_I, Rule.R_R
+
+
 class ProcessState(NamedTuple):
     status: Status
     par: Optional[int]  # parent pointer; None only at the root
@@ -64,16 +71,16 @@ class RootQueriedError(ProtocolError):
 def children(config: Configuration, g: WeightedGraph, u: int) -> frozenset[int]:
     """Neighbors of ``u`` that currently count as its tree children."""
     su, _, du = config[u]
-    if su is Status.I:
+    if su is S_I:
         return frozenset()
     out = []
     for v, w in g.adjacency[u].items():
         sv, pv, dv = config[v]
         if (
-            sv is not Status.I
+            sv is not S_I
             and pv == u
             and dv >= du + w
-            and (sv is su or su is Status.EB)
+            and (sv is su or su is S_EB)
         ):
             out.append(v)
     return frozenset(out)
@@ -84,17 +91,17 @@ def ab_root(config: Configuration, g: WeightedGraph, u: int) -> bool:
     if u == g.root_id:
         raise RootQueriedError(u)
     su, pu, du = config[u]
-    if su is Status.I:
+    if su is S_I:
         return False
     adj = g.adjacency[u]
     if pu not in adj:
         return True
     sp, _, dp = config[pu]
-    if sp is Status.I:
+    if sp is S_I:
         return True
     if du < dp + adj[pu]:
         return True
-    return su is not sp and sp is not Status.EB
+    return su is not sp and sp is not S_EB
 
 
 class Move(NamedTuple):
@@ -116,28 +123,28 @@ def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Move | None
     if u == g.root_id:
         raise RootQueriedError(u)
     su, pu, du = config[u]
-    if su is Status.EB:
+    if su is S_EB:
         for v in children(config, g, u):
-            if config[v].status is not Status.EF:
+            if config[v].status is not S_EF:
                 return None
-        return Move(Rule.R_EF, ProcessState(Status.EF, pu, du))
-    if su is Status.EF and not ab_root(config, g, u):
+        return Move(R_EF, ProcessState(S_EF, pu, du))
+    if su is S_EF and not ab_root(config, g, u):
         return None
     adj = g.adjacency[u]
     best_d = best_v = None
     for v, w in adj.items():
         sv, _, dv = config[v]
-        if sv is Status.C:
+        if sv is S_C:
             dv += w
             if best_d is None or dv < best_d or (dv == best_d and v < best_v):
                 best_d, best_v = dv, v
-    if su is Status.C:
+    if su is S_C:
         if best_d is not None and best_d < du:
-            return Move(Rule.R_C, ProcessState(Status.C, best_v, best_d))
-        if ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB):
-            return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
+            return Move(R_C, ProcessState(S_C, best_v, best_d))
+        if ab_root(config, g, u) or (pu in adj and config[pu].status is S_EB):
+            return Move(R_EB, ProcessState(S_EB, pu, du))
         return None
-    # su is Status.EF at an abnormal root, or Status.I
+    # su is S_EF at an abnormal root, or S_I
     if best_d is not None:
-        return Move(Rule.R_R, ProcessState(Status.C, best_v, best_d))
-    return Move(Rule.R_I, ProcessState(Status.I, pu, du)) if su is Status.EF else None
+        return Move(R_R, ProcessState(S_C, best_v, best_d))
+    return Move(R_I, ProcessState(S_I, pu, du)) if su is S_EF else None

@@ -32,7 +32,7 @@ from stabtree.engine import (
     random_configuration,
     run,
 )
-from stabtree.cli import EXIT_CHECK_FAILED, main
+from stabtree.cli import EXIT_CHECK_FAILED, corpus_instances, main
 from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, children
@@ -47,6 +47,7 @@ from conftest import (
     spanning_tree_holds,
     walk_matches_references,
 )
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE
 
 
 @pytest.fixture
@@ -569,6 +570,23 @@ class TestBoundsCheck:
         assert report.ok
         assert report.uniform_step_limit is None
         assert report.uniform_ok is None
+
+    def test_uniform_rule_matches_weight_set(self):
+        # ``uniform_weights`` reads ComponentInfo's w_min == w_max; it must
+        # agree with the set-of-weights rule it replaced, len(weights) <= 1,
+        # on every acceptance-corpus graph and on an edgeless graph.
+        graphs = [*corpus_instances(CORPUS_SIZE, CORPUS_SEED), build_graph([], 3, 0)]
+        seen = set()
+        for g in graphs:
+            info = component_info(g)
+            old_rule = len({w for _, _, w in g.edges()}) <= 1
+            assert (info.w_min == info.w_max) == old_rule
+            seen.add(old_rule)
+        assert seen == {True, False}
+        edgeless = graphs[-1]
+        trace = run(normal_initial_configuration(edgeless), edgeless, SynchronousDaemon())
+        assert (component_info(edgeless).w_min, component_info(edgeless).w_max) == (1, 1)
+        assert check_bounds(trace, edgeless).uniform_weights
 
     def test_truncated_trace_rejected(self, path3):
         trace = run(

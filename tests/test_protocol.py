@@ -1,7 +1,14 @@
+import dis
+import importlib
+import inspect
+import pkgutil
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import stabtree
 from stabtree import protocol
 from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, generate_random_graph
@@ -145,6 +152,76 @@ class TestEnumIdentity:
         assert hash(Status.EB) == object.__hash__(Status.EB)
 
 
+_MEMBER_NAMES = set(Status.__members__) | set(Rule.__members__)
+
+
+def _package_functions():
+    """Every function and method defined in a ``stabtree`` module, with the
+    originals behind ``functools.wraps`` decorators."""
+    def walk(namespace, module):
+        for value in vars(namespace).values():
+            value = getattr(value, "__func__", value)  # staticmethod, classmethod
+            if isinstance(value, property):
+                yield from filter(None, (value.fget, value.fset, value.fdel))
+            elif inspect.isclass(value) and value.__module__ == module and value is not namespace:
+                yield from walk(value, module)
+            elif inspect.isfunction(value) and value.__module__ == module:
+                while value is not None:
+                    yield value
+                    value = getattr(value, "__wrapped__", None)
+
+    for info in pkgutil.walk_packages(stabtree.__path__, "stabtree."):
+        module = importlib.import_module(info.name)
+        yield from walk(module, module.__name__)
+
+
+def _member_lookups(code):
+    """``Status.X``/``Rule.X`` lookups through the class in ``code`` and the
+    code objects nested in it (comprehensions, closures), as
+    ``(function name, "Status.X")`` pairs."""
+    found = []
+    stack = [code]
+    while stack:
+        co = stack.pop()
+        owner = None
+        for ins in dis.get_instructions(co):
+            if owner and ins.opname == "LOAD_ATTR" and ins.argval in _MEMBER_NAMES:
+                found.append((co.co_name, f"{owner}.{ins.argval}"))
+            loads_class = ins.opname in ("LOAD_GLOBAL", "LOAD_NAME", "LOAD_ATTR")
+            owner = ins.argval if loads_class and ins.argval in ("Status", "Rule") else None
+        stack.extend(c for c in co.co_consts if isinstance(c, types.CodeType))
+    return found
+
+
+class TestMemberConstants:
+    """Function bodies read the module constants ``S_*``/``R_*``: on
+    Python 3.11 an enum class-attribute lookup costs several global reads,
+    and the guards make one or more per neighbour."""
+
+    def test_constants_are_the_members(self):
+        assert [protocol.S_I, protocol.S_C, protocol.S_EB, protocol.S_EF] == list(Status)
+        assert [protocol.R_C, protocol.R_EB, protocol.R_EF, protocol.R_I, protocol.R_R] == list(Rule)
+
+    def test_detector_sees_a_lookup(self):
+        def probe(config):
+            # Before Python 3.12 the comprehension is a nested code object.
+            return [s for s in config if s.status is Status.C or s is Rule.R_R]
+
+        lookups = [lookup for _, lookup in _member_lookups(probe.__code__)]
+        assert sorted(lookups) == ["Rule.R_R", "Status.C"]
+
+    def test_no_member_lookup_through_the_class(self):
+        functions = list(_package_functions())
+        code_names = {f.__code__.co_name for f in functions}
+        assert {"enabled_rule", "select", "check_trace", "cached", "component_info"} <= code_names
+        lookups = [
+            (f.__module__, f.__qualname__, where, lookup)
+            for f in functions
+            for where, lookup in _member_lookups(f.__code__)
+        ]
+        assert lookups == []
+
+
 class TestApplyRule:
     """The state each move writes."""
 
@@ -222,6 +299,36 @@ def test_action_agreement_catches_reversed_tie_break(monkeypatch):
     assert caught
     for config, u in caught:
         assert reference_rules(config, g, u) == {protocol.enabled_rule(config, g, u).rule}
+
+
+def _eb_before_c(enabled_rule):
+    """Mutant of ``enabled_rule`` that checks ``R_EB`` before ``R_C``: a C
+    process that is an abnormal root or has an EB parent broadcasts the
+    freeze even when a cheaper correct neighbour exists."""
+
+    def mutant(config, g, u):
+        su, pu, du = config[u]
+        adj = g.adjacency[u]
+        if su is Status.C and (
+            ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB)
+        ):
+            return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
+        return enabled_rule(config, g, u)
+
+    return mutant
+
+
+def test_guard_agreement_catches_eb_before_c(monkeypatch):
+    # The run-side checks and certification pass this mutant; only the
+    # reference guards tell it apart, and only where R_C should fire.
+    monkeypatch.setattr(protocol, "enabled_rule", _eb_before_c(enabled_rule))
+    edges, n, d_cap = AGREEMENT_INSTANCES[0]  # 1 at C, parent not a neighbour, d > 2
+    g = build_graph(edges, n, 0)
+    caught = _disagreements(edges, n, d_cap)
+    assert caught
+    for config, u in caught:
+        assert reference_rules(config, g, u) == {Rule.R_C}
+        assert protocol.enabled_rule(config, g, u).rule is Rule.R_EB
 
 
 @settings(max_examples=300, deadline=None)
