@@ -34,7 +34,6 @@ from .daemon import (
     parse_daemon_spec,
 )
 from .analysis import (
-    check_bounds,
     check_trace,
     full_trace_report,
     legitimate_config,

@@ -27,15 +27,6 @@ from .graph import (
 from .protocol import ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState, Rule
 
 
-class AnalysisError(Exception):
-    pass
-
-
-class TraceNotTerminatedError(AnalysisError):
-    """The bound check requires a terminated trace; the trace walk takes
-    any, and leaves the milestones of one that did not terminate None."""
-
-
 # --- bound formulas ---------------------------------------------------------
 
 
@@ -285,46 +276,6 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     )
 
 
-@dataclass
-class BoundReport:
-    steps: int
-    step_limit: int
-    steps_ok: bool
-    rounds: int
-    round_limit: int
-    rounds_ok: bool
-    uniform_weights: bool
-    uniform_step_limit: int | None
-    uniform_ok: bool | None
-    ok: bool
-
-
-def check_bounds(trace, g: WeightedGraph) -> BoundReport:
-    if not trace.terminated:
-        raise TraceNotTerminatedError("bound check requires a terminated trace")
-    steps = trace.step_count
-    rounds = trace.rounds
-    s_limit = step_bound_for(g)
-    r_limit = round_bound_for(g)
-    info = component_info(g)
-    uniform = info.w_min == info.w_max
-    u_limit = uniform_step_bound(g.node_count, info.n_max_cc) if uniform else None
-    u_ok = steps <= u_limit if uniform else None
-    ok = steps <= s_limit and rounds <= r_limit and (u_ok is not False)
-    return BoundReport(
-        steps=steps,
-        step_limit=s_limit,
-        steps_ok=steps <= s_limit,
-        rounds=rounds,
-        round_limit=r_limit,
-        rounds_ok=rounds <= r_limit,
-        uniform_weights=uniform,
-        uniform_step_limit=u_limit,
-        uniform_ok=u_ok,
-        ok=ok,
-    )
-
-
 # --- aggregate report -------------------------------------------------------
 
 
@@ -347,25 +298,17 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
     )
     walk = check_trace(trace, g)
     if trace.terminated:
-        bounds = check_bounds(trace, g)
+        steps, rounds = trace.step_count, trace.rounds
+        s_limit, r_limit = step_bound_for(g), round_bound_for(g)
+        info = component_info(g)
+        steps_ok, step_detail = steps <= s_limit, f"steps={steps} limit={s_limit}"
+        if info.w_min == info.w_max:  # tighter bound for uniform weights
+            u_limit = uniform_step_bound(g.node_count, info.n_max_cc)
+            steps_ok = steps_ok and steps <= u_limit
+            step_detail += f" uniform_limit={u_limit}"
+        results.append(CheckResult("step_bound", steps_ok, step_detail))
         results.append(
-            CheckResult(
-                "step_bound",
-                bounds.steps_ok and bounds.uniform_ok is not False,
-                f"steps={bounds.steps} limit={bounds.step_limit}"
-                + (
-                    f" uniform_limit={bounds.uniform_step_limit}"
-                    if bounds.uniform_weights
-                    else ""
-                ),
-            )
-        )
-        results.append(
-            CheckResult(
-                "round_bound",
-                bounds.rounds_ok,
-                f"rounds={bounds.rounds} limit={bounds.round_limit}",
-            )
+            CheckResult("round_bound", rounds <= r_limit, f"rounds={rounds} limit={r_limit}")
         )
         results.append(
             CheckResult(

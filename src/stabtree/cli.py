@@ -105,11 +105,9 @@ def cmd_explore(args) -> int:
         except (GraphError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
-        try:
-            result = explorer.certify_instance(g, args.dcap, args.max_visited)
-        except explorer.BudgetExceededError as exc:
-            print(f"INCONCLUSIVE: {exc}", file=sys.stderr)
-            result = exc.partial
+        result = explorer.certify_instance(g, args.dcap, args.max_visited)
+        if result.verdict == "INCONCLUSIVE":
+            print(f"INCONCLUSIVE: {result.violations[0]}", file=sys.stderr)
         print(
             f"verdict={result.verdict} initial_configs={result.initial_configs} "
             f"reachable={result.reachable_count} max_steps={result.max_steps_any_path} "

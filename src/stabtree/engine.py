@@ -9,11 +9,12 @@ budget is exhausted.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
 
-from . import protocol
+from . import analysis, protocol
 from .graph import WeightedGraph
 from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
 
@@ -45,8 +46,6 @@ def normal_initial_configuration(g: WeightedGraph) -> Configuration:
 def random_configuration(g: WeightedGraph, seed: int, d_cap: int) -> Configuration:
     """Seeded arbitrary configuration: any status, any neighbor-or-self
     parent, any distance in [0, d_cap]."""
-    import random
-
     if d_cap < 0:
         raise ConfigurationError(f"d_cap must be >= 0, got {d_cap}")
     rng = random.Random(seed)
@@ -164,8 +163,6 @@ class ExecutionTrace:
 def default_max_steps(g: WeightedGraph) -> int:
     """Ten times the worst-case step bound: a violated bound shows up as
     non-termination instead of an endless run."""
-    from . import analysis  # deferred: analysis imports this module
-
     return max(10, 10 * analysis.step_bound_for(g))
 
 

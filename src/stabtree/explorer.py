@@ -27,11 +27,8 @@ class ExplorerError(Exception):
 
 
 class BudgetExceededError(ExplorerError):
-    """Exploration hit a limit; carries the partial result when available."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Exploration hit a limit; ``certify_instance`` turns it into an
+    INCONCLUSIVE result."""
 
 
 # One expansion makes 2**k - 1 successors, one per nonempty subset of the
@@ -300,7 +297,9 @@ def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = 2_000_000)
     moving one or more factors while the rest stay idle. Each property
     above holds on the product iff it holds on every factor, and the
     longest product execution is the sum of the factors' longest.
-    ``max_visited`` and ``MAX_ENABLED`` apply to each factor.
+    ``max_visited`` and ``MAX_ENABLED`` apply to each factor; a factor
+    that exceeds one makes the result INCONCLUSIVE, its one violation the
+    limit hit.
     """
     limit = analysis.step_bound_for(g)
     root = g.root_id
@@ -317,10 +316,9 @@ def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = 2_000_000)
             if f.cycle_witness is not None:
                 break
     except BudgetExceededError as exc:
-        exc.partial = _combined(
+        return _combined(
             started, verdict="INCONCLUSIVE", step_limit=limit, witness=None, violations=[str(exc)]
         )
-        raise
     cyclic = next((f for f in started if f.cycle_witness is not None), None)
     violations = []
     if cyclic is not None:

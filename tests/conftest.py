@@ -8,7 +8,6 @@ from stabtree import protocol
 from stabtree.analysis import (
     _RULE_CHAR,
     _SEGMENT_RE,
-    TraceNotTerminatedError,
     _alive_ab_root,
     check_trace,
     legitimate_state,
@@ -271,7 +270,7 @@ def check_round_milestones(trace, g) -> dict:
     bisection in ``trace.round_ends``, and one legitimacy loop for the
     processes outside V_r and another for those within the hop budget."""
     if not trace.terminated:
-        raise TraceNotTerminatedError("milestone check requires a terminated trace")
+        raise ValueError("milestone check requires a terminated trace")
     info = component_info(g)
     distances = root_distances(g)
     hops = root_hop_distances(g)

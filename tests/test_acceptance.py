@@ -82,7 +82,7 @@ def corpus():
             trace = engine.run(init, g, policy)
             final = analysis.legitimate_config(trace.final, g)
             walk = analysis.check_trace(trace, g)
-            bounds = analysis.check_bounds(trace, g) if trace.terminated else None
+            uniform = info.w_min == info.w_max
             result.runs.append(
                 RunRecord(
                     instance=idx,
@@ -93,8 +93,10 @@ def corpus():
                     rounds=trace.rounds,
                     step_limit=analysis.step_bound_for(g),
                     round_limit=analysis.round_bound_for(g),
-                    uniform_weights=bounds.uniform_weights if bounds else False,
-                    uniform_limit=bounds.uniform_step_limit if bounds else None,
+                    uniform_weights=uniform,
+                    uniform_limit=(
+                        analysis.uniform_step_bound(g.node_count, info.n_max_cc) if uniform else None
+                    ),
                     final_ok=bool(
                         final.config_legitimate and spanning_tree_holds(trace.final, g)
                     ),

@@ -9,10 +9,8 @@ from stabtree import protocol
 from stabtree.analysis import (
     _RULE_CHAR,
     _SEGMENT_RE,
-    TraceNotTerminatedError,
     _alive_ab_root,
     _local_facts,
-    check_bounds,
     check_trace,
     full_trace_report,
     legitimate_config,
@@ -552,29 +550,32 @@ class TestTraceWalk:
         assert 0 < calls <= 2 * (n + touched)
 
 
+def _bound_lines(trace, g):
+    """``(ok, detail)`` of the report's step and round bound lines."""
+    lines = {r.name: (r.ok, r.detail) for r in full_trace_report(trace, g)}
+    return lines["step_bound"], lines["round_bound"]
+
+
 class TestBoundsCheck:
     def test_terminated_run_within_limits(self, path3):
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
-        report = check_bounds(trace, path3)
-        assert report.ok
-        assert report.steps == 2
-        assert report.step_limit == 30
-        assert report.round_limit == 8
-        assert report.uniform_weights
-        assert report.uniform_ok
+        assert _bound_lines(trace, path3) == (
+            (True, "steps=2 limit=30 uniform_limit=30"),
+            (True, "rounds=2 limit=8"),
+        )
 
     def test_nonuniform_weights_skip_tight_bound(self, triangle):
         config = random_configuration(triangle, 1, 8)
         trace = run(config, triangle, SynchronousDaemon())
-        report = check_bounds(trace, triangle)
-        assert report.ok
-        assert report.uniform_step_limit is None
-        assert report.uniform_ok is None
+        steps, rounds = _bound_lines(trace, triangle)
+        assert steps == (True, f"steps={trace.step_count} limit={step_bound_for(triangle)}")
+        assert rounds == (True, f"rounds={trace.rounds} limit={round_bound_for(triangle)}")
 
     def test_uniform_rule_matches_weight_set(self):
-        # ``uniform_weights`` reads ComponentInfo's w_min == w_max; it must
-        # agree with the set-of-weights rule it replaced, len(weights) <= 1,
-        # on every acceptance-corpus graph and on an edgeless graph.
+        # The uniform bound applies when ComponentInfo's w_min == w_max; that
+        # must agree with the set-of-weights rule it replaced,
+        # len(weights) <= 1, on every acceptance-corpus graph and on an
+        # edgeless graph.
         graphs = [*corpus_instances(CORPUS_SIZE, CORPUS_SEED), build_graph([], 3, 0)]
         seen = set()
         for g in graphs:
@@ -586,19 +587,19 @@ class TestBoundsCheck:
         edgeless = graphs[-1]
         trace = run(normal_initial_configuration(edgeless), edgeless, SynchronousDaemon())
         assert (component_info(edgeless).w_min, component_info(edgeless).w_max) == (1, 1)
-        assert check_bounds(trace, edgeless).uniform_weights
+        (ok, detail), _ = _bound_lines(trace, edgeless)
+        assert ok and detail.endswith(f" uniform_limit={uniform_step_bound(3, 1)}")
 
     def test_truncated_trace_rejected(self, path3):
         trace = run(
             normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1
         )
-        with pytest.raises(TraceNotTerminatedError):
-            check_bounds(trace, path3)
-        with pytest.raises(TraceNotTerminatedError):
+        with pytest.raises(ValueError, match="terminated trace"):
             check_round_milestones(trace, path3)
         assert check_trace(trace, path3).milestones_ok is None
-        milestones = {r.name: r for r in full_trace_report(trace, path3)}["round_milestones"]
-        assert (milestones.ok, milestones.detail) == (False, "NonTerminated")
+        lines = {r.name: (r.ok, r.detail) for r in full_trace_report(trace, path3)}
+        for name in ("step_bound", "round_bound", "round_milestones"):
+            assert lines[name] == (False, "NonTerminated")
 
 
 class TestMilestones:

@@ -80,6 +80,26 @@ class TestRunCommand:
         bad.write_text("e 0 1 1\n")
         assert main(["run", "-g", str(bad)]) == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["-g", "{bad_graph}"], "error: line 2: duplicate header\n"),
+            (["-g", "{graph}", "--init", "file:{bad_config}"], "error: line 1: bad process id 0\n"),
+            (["-g", "{graph}", "--init", "rand:1:-1"], "error: d_cap must be >= 0, got -1\n"),
+        ],
+        ids=["graph-file", "init-file", "init-rand"],
+    )
+    def test_bad_inputs_exit_2(self, argv, message, path3_file, tmp_path, capsys):
+        bad_graph = tmp_path / "bad.g"
+        bad_graph.write_text("g 3 0\ng 3 0\n")
+        bad_config = tmp_path / "bad.cfg"
+        bad_config.write_text("p 0 C 0 1\n")
+        paths = {"graph": path3_file, "bad_graph": bad_graph, "bad_config": bad_config}
+        code = main(["run", *(a.format(**paths) for a in argv)])
+        assert code == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
     def test_bad_daemon_spec(self, path3_file):
         assert main(["run", "-g", path3_file, "-d", "maybe"]) == EXIT_PARSE_ERROR
 
@@ -260,6 +280,7 @@ class TestCorpus:
         ["explore", "-g", "unread.g", "--dcap", "1", "--max-visited", "-5"],
         ["bench", "--count", "0"],
         ["bench", "--count", "-3"],
+        ["explore", "-g", "unread.g", "--dcap", "x"],
     ],
 )
 def test_out_of_range_numbers_are_input_errors(argv, capsys):

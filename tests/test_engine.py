@@ -19,6 +19,7 @@ from stabtree.engine import (
     run,
     save_configuration,
     step,
+    validate_configuration,
     write_trace,
 )
 from stabtree.graph import build_graph, component_info, generate_random_graph, root_distances
@@ -296,6 +297,56 @@ class TestConfigFiles:
     def test_bad_status(self, triangle):
         with pytest.raises(ConfigurationError):
             parse_configuration("p 1 X 0 2\np 2 I 2 0\n", triangle)
+
+    def test_blank_and_comment_lines_skipped(self, triangle):
+        text = "# states\n\np 1 C 0 2\n   \n# more\np 2 I 2 0\n"
+        assert parse_configuration(text, triangle) == mk_config(
+            triangle, n1=(Status.C, 0, 2), n2=(Status.I, 2, 0)
+        )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("q 1 C 0 2\np 2 I 2 0\n", "line 1: expected 'p <id> <status> <par> <d>'"),
+            ("p 1 C 0\np 2 I 2 0\n", "line 1: expected 'p <id> <status> <par> <d>'"),
+            ("p 0 C 0 2\np 2 I 2 0\n", "line 1: bad process id 0"),
+            ("p 1 C 0 2\np 3 I 2 0\n", "line 2: bad process id 3"),
+            ("p 1 C 0 2\np -1 I 2 0\n", "line 2: bad process id -1"),
+        ],
+        ids=["record", "arity", "root", "past-end", "negative"],
+    )
+    def test_malformed_lines(self, triangle, text, message):
+        with pytest.raises(ConfigurationError) as exc_info:
+            parse_configuration(text, triangle)
+        assert str(exc_info.value) == message
+
+
+_ISOLATED_2 = ProcessState(Status.I, 2, 0)
+
+
+class TestValidateConfiguration:
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ((ROOT_STATE, ProcessState(Status.I, 1, 0)), "configuration has 2 states for 3 nodes"),
+            (
+                (ProcessState(Status.I, 0, 0), ProcessState(Status.I, 1, 0), _ISOLATED_2),
+                f"root state must be {ROOT_STATE}, got {ProcessState(Status.I, 0, 0)}",
+            ),
+            ((ROOT_STATE, ProcessState("C", 0, 1), _ISOLATED_2), "node 1: bad status 'C'"),
+            ((ROOT_STATE, ProcessState(Status.C, 3, 1), _ISOLATED_2), "node 1: bad parent 3"),
+            ((ROOT_STATE, ProcessState(Status.C, None, 1), _ISOLATED_2), "node 1: bad parent None"),
+        ],
+        ids=["length", "root-state", "status", "parent-range", "parent-type"],
+    )
+    def test_rejected(self, triangle, config, message):
+        with pytest.raises(ConfigurationError) as exc_info:
+            validate_configuration(config, triangle)
+        assert str(exc_info.value) == message
+
+    def test_negative_random_cap_rejected(self, triangle):
+        with pytest.raises(ConfigurationError, match=r"^d_cap must be >= 0, got -1$"):
+            random_configuration(triangle, 0, -1)
 
 
 class TestTraceOutput:

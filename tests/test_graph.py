@@ -69,6 +69,10 @@ class TestConstruction:
         with pytest.raises(NonPositiveWeightError):
             build_graph([(0, 1, 0)], 2, 0)
 
+    def test_empty_node_set_rejected(self):
+        with pytest.raises(BadNodeIdError, match=r"^node_count must be positive, got 0$"):
+            build_graph([], 0, 0)
+
     def test_bad_node_ids_rejected(self):
         with pytest.raises(BadNodeIdError):
             build_graph([(0, 5, 1)], 2, 0)
@@ -276,6 +280,10 @@ class TestInducedSubgraph:
         with pytest.raises(BadNodeIdError):
             induced_subgraph(triangle, [1, 2])
 
+    def test_node_ids_checked(self, triangle):
+        with pytest.raises(BadNodeIdError, match=r"^invalid node id 3$"):
+            induced_subgraph(triangle, [0, 3])
+
 
 class TestOracleMemo:
     def test_second_call_does_not_recompute(self, monkeypatch):
@@ -350,6 +358,23 @@ class TestFileFormat:
     def test_bad_record(self):
         with pytest.raises(GraphFormatError):
             parse_graph("g 2 0\nx 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("g 2 0\ng 2 0\n", "line 2: duplicate header"),
+            ("g 2\n", "line 1: expected 'g <node_count> <root_id>'"),
+            ("g two 0\n", "line 1: invalid literal for int() with base 10: 'two'"),
+            ("g 2 0\ne 0 1\n", "line 2: expected 'e <u> <v> <w>'"),
+            ("g 2 0\ne 0 1 x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+            ("# only a comment\n\n", "missing 'g' header line"),
+        ],
+        ids=["duplicate-header", "header-arity", "header-int", "edge-arity", "edge-int", "no-header"],
+    )
+    def test_malformed_text(self, text, message):
+        with pytest.raises(GraphFormatError) as exc_info:
+            parse_graph(text)
+        assert str(exc_info.value) == message
 
     def test_invalid_edge_propagates(self):
         with pytest.raises(SelfLoopError):
