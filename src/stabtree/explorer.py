@@ -1,8 +1,11 @@
 """Exhaustive verification on desk-scale instances.
 
-Enumerates every daemon choice (all nonempty subsets of the enabled set)
-from one or all initial configurations, deduplicates configurations, and
-certifies that the reachable configuration graph is acyclic, that its
+Enumerates every daemon choice from one or all initial configurations, up
+to the order of independent moves: each connected selection of the enabled
+set (a nonempty subset connected by edges among its processes), since a
+selection that splits into parts with no edge between them does what
+firing the parts one after another does. It deduplicates configurations
+and certifies that the reachable configuration graph is acyclic, that its
 terminals are exactly the legitimate configurations, that no step creates
 an alive abnormal root, and that the longest path respects the step bound.
 Certification explores each connected component (plus the root) on its
@@ -31,8 +34,9 @@ class BudgetExceededError(ExplorerError):
     INCONCLUSIVE result."""
 
 
-# One expansion makes 2**k - 1 successors, one per nonempty subset of the
-# k enabled processes; beyond this k the explorer gives up (INCONCLUSIVE).
+# One expansion makes up to 2**k - 1 successors, one per connected subset of
+# the k enabled processes (all of them when the k are pairwise adjacent);
+# beyond this k the explorer gives up (INCONCLUSIVE).
 MAX_ENABLED = 10
 
 
@@ -45,6 +49,32 @@ def _view_facts(config: Configuration, g: WeightedGraph, u: int) -> tuple:
         analysis.legitimate_state(config, g, u)[0],
         analysis._alive_ab_root(config, g, u),
     )
+
+
+def _connected_selections(g: WeightedGraph, enabled: list[int]) -> list[itemgetter]:
+    """The selections of the ``enabled`` processes (in node order) whose
+    selected processes are connected by edges among themselves, in bit-mask
+    order: bit i selects ``enabled[i]``, so the first varies fastest.
+
+    Each selection is an ``itemgetter`` that picks its successor out of
+    ``config + new_states``, the configuration followed by the enabled
+    processes' new states: index ``u`` keeps node ``u``'s state, index
+    ``n + i`` writes the i-th enabled process's new one.
+    """
+    n = g.node_count
+    selections = []
+    for mask in range(1, 1 << len(enabled)):
+        chosen = {u for i, u in enumerate(enabled) if mask >> i & 1}
+        start = min(chosen)
+        seen, todo = {start}, [start]
+        while todo:
+            for v in g.adjacency[todo.pop()]:
+                if v in chosen and v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        if seen == chosen:
+            selections.append(itemgetter(*(n + enabled.index(u) if u in chosen else u for u in range(n))))
+    return selections
 
 
 class _Explorer:
@@ -80,6 +110,7 @@ class _Explorer:
         self.initial_configs = 0
         self.max_steps = 0
         self._aar: dict[Configuration, int] = {}  # expanded -> alive abnormal roots bitmask
+        self._selections: dict[int, list[itemgetter]] = {}  # enabled bitmask -> connected selections
         # (u, view getter, table) per non-root process in node order; the
         # getter and table are None for an untabled process. Nothing here
         # refers back to the explorer, so a finished one is freed at once.
@@ -93,10 +124,22 @@ class _Explorer:
                 self._processes.append((u, itemgetter(u, *hood), {}))
 
     def _successors(self, config: Configuration) -> list[Configuration]:
+        """One successor per connected selection of the enabled processes,
+        in bit-mask order, the selections tabled per enabled set.
+
+        A selection whose processes split into parts with no edge between
+        them is not fired: firing the parts one after another reaches the
+        same configuration by a longer path, since each part's moves read
+        only its closed neighbourhood, which no other part writes. This
+        keeps the reachable set, the longest execution, cycles and the
+        steps creating an alive abnormal root (one of the split steps
+        creates it). It holds for steps, not for rounds: splitting a step
+        can move a move into another round.
+        """
         g = self.g
         legit = True  # the root is pinned at ROOT_STATE, which is legitimate
-        alive = 0
-        moves = []
+        alive = enabled = 0
+        new_states = []
         for u, view, table in self._processes:
             if table is None:
                 move, ok, flag = _view_facts(config, g, u)
@@ -110,25 +153,25 @@ class _Explorer:
             if flag:
                 alive |= 1 << u
             if move is not None:
-                moves.append((u, move.state))
+                new_states.append(move.state)
+                enabled |= 1 << u
         self._aar[config] = alive
-        if not moves:
+        if not enabled:
             if not legit:
                 self.illegitimate_terminals.append(config)
             return []
         if legit:
             self.nonterminal_legitimate.append(config)
-        if len(moves) > MAX_ENABLED:
+        if len(new_states) > MAX_ENABLED:
             raise BudgetExceededError(
-                f"enabled set of size {len(moves)} exceeds limit {MAX_ENABLED}"
+                f"enabled set of size {len(new_states)} exceeds limit {MAX_ENABLED}"
             )
-        # Successors in bit-mask order (bit i = the i-th enabled process):
-        # the product over the nodes reversed varies the first enabled
-        # process fastest, and its first tuple is ``config`` itself.
-        choices = [(state,) for state in config]
-        for u, new in moves:
-            choices[u] = (config[u], new)
-        return [c[::-1] for c in itertools.product(*reversed(choices))][1:]
+        selections = self._selections.get(enabled)
+        if selections is None:
+            movers = [u for u in range(g.node_count) if enabled >> u & 1]
+            selections = self._selections[enabled] = _connected_selections(g, movers)
+        pool = config + tuple(new_states)
+        return [pick(pool) for pick in selections]
 
     def explore_from(self, start: Configuration) -> None:
         """Visit everything reachable from ``start``; expands at most

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from stabtree.explorer import (
     BudgetExceededError,
     ExplorerError,
     _Explorer,
+    _view_facts,
     certify_instance,
     enumerate_initial_configs,
 )
@@ -86,15 +88,36 @@ class TestExplore:
         assert ex.expanded == 1
 
 
-def _mask_successors(g, config):
+def _parts(g, nodes):
+    """``nodes`` split into the parts connected by edges among them, each
+    part in node order, the parts ordered by their smallest node."""
+    left, parts = set(nodes), []
+    while left:
+        part, todo = set(), [min(left)]
+        while todo:
+            u = todo.pop()
+            if u in left:
+                left.discard(u)
+                part.add(u)
+                todo.extend(g.adjacency[u])
+        parts.append(sorted(part))
+    return parts
+
+
+def _mask_successors(g, config, connected_only=False):
     """The former mask-loop successor generation, the reference for the
     order of ``_Explorer._successors``: mask bit i selects the i-th
-    enabled process, so the first enabled process varies fastest.
+    enabled process, so the first enabled process varies fastest. With
+    ``connected_only``, the masks whose selection splits into parts with
+    no edge between them are skipped, as the explorer skips them.
     Returns the successors and the steps creating an alive abnormal root."""
     new_states = [(u, move.state) for u, move in engine.enabled(config, g).items()]
     pre_aar = alive_abnormal_roots(config, g)
     succs, violations = [], []
     for mask in range(1, 1 << len(new_states)):
+        chosen = [u for bit, (u, _) in enumerate(new_states) if mask >> bit & 1]
+        if connected_only and len(_parts(g, chosen)) > 1:
+            continue
         states = list(config)
         for bit, (u, state) in enumerate(new_states):
             if mask >> bit & 1:
@@ -107,32 +130,66 @@ def _mask_successors(g, config):
 
 
 UNIT_4PATH = [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+STAR4 = [(0, 1, 1), (0, 2, 1), (0, 3, 1)]  # rooted at its centre
+UNIT_4CYCLE = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]
+SPLIT4 = [(0, 1, 1), (2, 3, 2)]  # 4-node 2 components
 
 
 class TestSuccessorOrder:
     @pytest.mark.parametrize(
-        "edges,n",
+        "edges,n,widest",
         [
-            ([(0, 1, 1), (1, 2, 2)], 3),
-            ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3),
-            (UNIT_4PATH, 4),
-            ([(0, 1, 1), (0, 2, 1), (0, 3, 1)], 4),
+            ([(0, 1, 1), (1, 2, 2)], 3, 3),
+            ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3, 3),
+            (UNIT_4PATH, 4, 6),  # every selection but {1, 3}
+            (STAR4, 4, 3),  # the single leaves
         ],
         ids=["3-path", "triangle", "unit 4-path", "4-star"],
     )
-    def test_matches_mask_loop(self, edges, n):
-        # Same successors in the same order: DFS order, cycle witnesses
-        # and budgeted partials depend on it. One explorer serves every
-        # sample, so later samples read local facts tabled by earlier ones.
+    def test_matches_mask_loop(self, edges, n, widest):
+        # Same successors in the same order as the mask loop restricted to
+        # connected selections: DFS order, cycle witnesses and budgeted
+        # partials depend on it. One explorer serves every sample, so later
+        # samples read local facts and selections tabled by earlier ones.
         g = build_graph(edges, n, 0)
         ex = _Explorer(g, range(n), 1)
-        widest = 0
+        most = 0
         for seed in range(300):
             config = random_configuration(g, seed, 3)
-            succs, _ = _mask_successors(g, config)
+            succs, _ = _mask_successors(g, config, connected_only=True)
             assert ex._successors(config) == succs, config
-            widest = max(widest, len(succs))
-        assert widest == 2 ** (n - 1) - 1  # some sample has every process enabled
+            most = max(most, len(succs))
+        assert most == widest  # some sample has every process enabled
+
+    @pytest.mark.parametrize(
+        "edges", [UNIT_4PATH, STAR4, UNIT_4CYCLE, SPLIT4], ids=["unit 4-path", "4-star", "unit 4-cycle", "4-node 2 components"]
+    )
+    def test_dropped_successors_are_reached_by_their_parts(self, edges):
+        # The lemma behind the reduction: firing a disconnected selection
+        # equals firing its connected parts one at a time, each part still
+        # enabled with the same move in the intermediate configuration, and
+        # each of those steps is a successor the explorer keeps.
+        g = build_graph(edges, 4, 0)
+        ex = _Explorer(g, range(4), 1)
+        dropped = 0
+        for seed in range(200):
+            config = random_configuration(g, seed, 3)
+            moves = engine.enabled(config, g)
+            for mask in range(1, 1 << len(moves)):
+                chosen = [u for bit, u in enumerate(moves) if mask >> bit & 1]
+                parts = _parts(g, chosen)
+                if len(parts) == 1:
+                    continue
+                dropped += 1
+                current = config
+                for part in parts:
+                    now = engine.enabled(current, g)
+                    assert all(now.get(u) == moves[u] for u in part), (config, chosen, part)
+                    step = engine.step(current, g, part)
+                    assert step in ex._successors(current)
+                    current = step
+                assert current == engine.step(config, g, chosen)
+        assert dropped > 50
 
     @pytest.mark.parametrize(
         "max_visited,partial",
@@ -193,13 +250,14 @@ class TestMutantViolations:
     def test_walked_steps_match_mask_reference(self, monkeypatch, instance):
         # A search that runs to completion walks every step of every
         # expanded configuration once: the steps it flags are, as a
-        # multiset, those the mask loop flags from every configuration.
+        # multiset, those the mask loop over connected selections flags
+        # from every configuration.
         monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
         g = build_graph(*instance, 0)
         ex = _Explorer(g, range(g.node_count), 2_000_000)
         ex.explore(1)
         assert ex.cycle_witness is None
-        reference = Counter(v for c in ex.longest for v in _mask_successors(g, c)[1])
+        reference = Counter(v for c in ex.longest for v in _mask_successors(g, c, connected_only=True)[1])
         assert reference
         assert Counter(ex.aar_violations) == reference
 
@@ -242,6 +300,93 @@ class TestMutantViolations:
         result = certify_instance(edge, 3)
         assert (result.verdict, result.max_steps_any_path) == ("FAIL", 3)
         assert result.violations == ["longest execution 3 exceeds step bound 2"]
+
+
+class _AllMasksExplorer(_Explorer):
+    """The explorer with a successor for every nonempty selection of the
+    enabled processes, in bit-mask order, and no tables: the successor
+    generation before the reduction to connected selections, kept as the
+    reference for it."""
+
+    def _successors(self, config):
+        g = self.g
+        facts = {u: _view_facts(config, g, u) for u in range(g.node_count) if u != g.root_id}
+        self._aar[config] = sum(1 << u for u, (_, _, alive) in facts.items() if alive)
+        legit = all(ok for _, ok, _ in facts.values())
+        moves = [(u, move.state) for u, (move, _, _) in facts.items() if move is not None]
+        if not moves:
+            if not legit:
+                self.illegitimate_terminals.append(config)
+            return []
+        if legit:
+            self.nonterminal_legitimate.append(config)
+        choices = [(state,) for state in config]
+        for u, new in moves:
+            choices[u] = (config[u], new)
+        return [c[::-1] for c in itertools.product(*reversed(choices))][1:]
+
+
+def _verdict(ex, g):
+    """The verdict and the violation kinds of a finished explorer, judged
+    as ``certify_instance`` judges one factor."""
+    kinds = [
+        name
+        for name, bad in [
+            ("cycle", ex.cycle_witness is not None),
+            ("illegitimate terminal", ex.illegitimate_terminals),
+            ("legitimate non-terminal", ex.nonterminal_legitimate),
+            ("alive abnormal root", ex.aar_violations),
+            ("step bound", ex.cycle_witness is None and ex.max_steps > analysis.step_bound_for(g)),
+        ]
+        if bad
+    ]
+    return "FAIL" if kinds else "PASS", kinds
+
+
+# Instances with selections that split into parts with no edge between them.
+REDUCED_INSTANCES = [
+    (UNIT_4PATH, 4, 1),
+    (STAR4, 4, 1),
+    (UNIT_4CYCLE, 4, 1),
+    (SPLIT4, 4, 1),  # as one whole-graph explorer, not by factor
+    ([(0, 1, 1), (0, 2, 2)], 3, 2),  # 3-path rooted in the middle
+    ([], 3, 2),  # the root and 2 isolated nodes, as one whole-graph explorer
+]
+REDUCED_IDS = ["unit 4-path", "4-star", "unit 4-cycle", "4-node 2 components", "3-path rooted in the middle", "3 isolated nodes"]
+
+
+class TestConnectedSelections:
+    @pytest.mark.parametrize("mutant", ["none", "ab_root", "restless", "step bound"])
+    @pytest.mark.parametrize("edges,n,d_cap", REDUCED_INSTANCES, ids=REDUCED_IDS)
+    def test_same_results_as_every_selection(self, monkeypatch, edges, n, d_cap, mutant):
+        if mutant == "ab_root":
+            monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        elif mutant == "restless":
+            monkeypatch.setattr(protocol, "enabled_rule", restless_enabled_rule)
+        elif mutant == "step bound":
+            monkeypatch.setattr(analysis, "step_bound_for", lambda g: 5)
+        g = build_graph(edges, n, 0)
+        reduced = _Explorer(g, range(n), 2_000_000)
+        reference = _AllMasksExplorer(g, range(n), 2_000_000)
+        for ex in (reduced, reference):
+            ex.explore(d_cap)
+        verdict = _verdict(reduced, g)
+        assert verdict == _verdict(reference, g)
+        # Neither protocol mutant changes anything on the nodes without edges.
+        assert verdict[0] == ("PASS" if mutant == "none" or (not edges and mutant != "step bound") else "FAIL")
+        assert reduced.initial_configs == reference.initial_configs
+        assert reduced.max_steps == reference.max_steps
+        if reduced.cycle_witness is not None:
+            # The same first start reaches a cycle on both sides; what
+            # each search walked before stopping may differ.
+            return
+        assert reduced.expanded == reference.expanded
+        assert reduced.longest == reference.longest
+        assert set(reduced.illegitimate_terminals) == set(reference.illegitimate_terminals)
+        assert set(reduced.nonterminal_legitimate) == set(reference.nonterminal_legitimate)
+        # Every step the reduced search walks, the full one walks too.
+        assert bool(reduced.aar_violations) == bool(reference.aar_violations)
+        assert not Counter(reduced.aar_violations) - Counter(reference.aar_violations)
 
 
 def _arbitrary_state(rng, g, v, d_cap=4):
