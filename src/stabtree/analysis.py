@@ -10,7 +10,6 @@ each process's local view: no check walks a parent chain.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -24,7 +23,7 @@ from .graph import (
     root_distances,
     root_hop_distances,
 )
-from .protocol import ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState, Rule
+from .protocol import R_C, R_EB, R_EF, R_I, R_R, ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState
 
 
 # --- bound formulas ---------------------------------------------------------
@@ -131,8 +130,8 @@ def _local_facts(config, g: WeightedGraph, u: int) -> tuple[bool, bool, bool]:
 # --- trace properties -------------------------------------------------------
 
 
-_RULE_CHAR = {Rule.R_I: "I", Rule.R_R: "R", Rule.R_C: "C", Rule.R_EB: "B", Rule.R_EF: "F"}
-_SEGMENT_RE = re.compile(r"I?R?C*B?F?")
+#: The order of the rules within a segment.
+_RANK = {R_I: 0, R_R: 1, R_C: 2, R_EB: 3, R_EF: 4}
 
 
 @dataclass
@@ -153,13 +152,16 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     """One walk over the trace's one replay: segments, alive-abnormal-root
     monotonicity and round milestones.
 
-    Per node, the trace splits into segments matched against the rule
-    pattern. A segment of a component ends at the first step where one of
-    its alive abnormal roots stops being one; within a segment a node may
-    fire at most: one isolate, one rejoin, any number of corrections, one
-    freeze broadcast, one freeze acknowledgement, in that order. The number
-    of segments never exceeds n_max_cc + 1. The same series of alive
-    abnormal root sets also yields ``aar_monotone``.
+    Per node, the trace splits into segments. A segment of a component
+    ends at the first step where one of its alive abnormal roots stops
+    being one; within a segment a node may fire at most: one isolate, one
+    rejoin, any number of corrections, one freeze broadcast, one freeze
+    acknowledgement, in that order (``_RANK``). So a firing breaks the
+    order iff its (segment, rank) pair, with the segment as it stood before
+    the step, is below the node's last pair, or equal and not ``R_C``: the
+    walk keeps only that last pair per node. The number of segments never
+    exceeds n_max_cc + 1. The same series of alive abnormal root sets also
+    yields ``aar_monotone``.
 
     Each set the walk keeps holds the processes with some local fact, one
     that reads only the process and its parent, a neighbour. So a set is
@@ -204,7 +206,8 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     illegit = None  # illegitimate processes: kept from 3 * n_max_cc rounds on
     monotone = True
     segment = [0] * info.component_count  # current segment of each component
-    words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
+    last = [(-1, 0)] * g.node_count  # (segment, rank) of each node's last firing
+    bad = set()  # nodes whose firings break the order
     ends = iter(trace.round_ends)
     next_end = next(ends, None)
     completed = 0  # rounds completed when the current configuration is reached
@@ -213,8 +216,10 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     for idx, (fired, config) in enumerate(zip(chain([{}], trace.steps), trace.configurations())):
         touched = set(fired)
         for u, move in fired.items():
-            key = (u, segment[comp_of[u]])
-            words[key] = words.get(key, "") + _RULE_CHAR[move.rule]
+            pair = (segment[comp_of[u]], _RANK[move.rule])
+            if pair < last[u] or (pair == last[u] and move.rule is not R_C):
+                bad.add(u)
+            last[u] = pair
             touched.update(adjacency[u])
         touched.discard(root)
         ended = set()
@@ -256,7 +261,6 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
                 ok_cleared = False
             elif hops[u] <= budget:
                 ok_hop = False
-    bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
     for u in nodes:

@@ -108,27 +108,18 @@ def cmd_explore(args) -> int:
         result = explorer.certify_instance(g, args.dcap, args.max_visited)
         if result.verdict == "INCONCLUSIVE":
             print(f"INCONCLUSIVE: {result.violations[0]}", file=sys.stderr)
-        print(
-            f"verdict={result.verdict} initial_configs={result.initial_configs} "
-            f"reachable={result.reachable_count} max_steps={result.max_steps_any_path} "
-            f"step_limit={result.step_limit}"
-        )
+        record = {
+            "verdict": result.verdict,
+            "initial_configs": result.initial_configs,
+            "reachable": result.reachable_count,
+            "max_steps": result.max_steps_any_path,
+            "step_limit": result.step_limit,
+        }
+        print(" ".join(f"{key}={value}" for key, value in record.items()))
         for violation in result.violations:
             print(f"violation: {violation}")
         if report_out:
-            report_out.write(
-                json.dumps(
-                    {
-                        "verdict": result.verdict,
-                        "initial_configs": result.initial_configs,
-                        "reachable": result.reachable_count,
-                        "max_steps": result.max_steps_any_path,
-                        "step_limit": result.step_limit,
-                        "violations": result.violations,
-                    }
-                )
-                + "\n"
-            )
+            report_out.write(json.dumps({**record, "violations": result.violations}) + "\n")
     if result.verdict == "INCONCLUSIVE":
         return EXIT_BUDGET
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED

@@ -12,6 +12,7 @@ selections are evaluated.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Mapping
 
@@ -79,10 +80,24 @@ class RandomDistributedDaemon(_SeededPolicy):
     def select(self, config, g, enabled):
         rng = self._rng()
         nodes = sorted(enabled)
-        while True:
+        for _ in range(64):  # redraw an empty draw, then sample a nonempty one directly
             chosen = frozenset(u for u in nodes if rng.random() < self.p)
             if chosen:
                 return chosen
+        return _nonempty_selection(rng, nodes, self.p)
+
+
+def _nonempty_selection(rng: random.Random, nodes: list[int], p: float) -> frozenset[int]:
+    """Each of the k ``nodes`` with probability ``p`` (below 1), conditioned
+    on a nonempty result, in at most k draws: given that no earlier index
+    was taken, index ``i`` is the first taken with probability
+    ``p / (1 - (1 - p)**(k - i))`` (the last index surely), and each later
+    node is then taken with probability ``p``."""
+    k, log_q = len(nodes), math.log1p(-p)
+    first = next(
+        (i for i in range(k - 1) if rng.random() < p / -math.expm1((k - i) * log_q)), k - 1
+    )
+    return frozenset([nodes[first], *(u for u in nodes[first + 1:] if rng.random() < p)])
 
 
 class AdversarialDaemon(_SeededPolicy):

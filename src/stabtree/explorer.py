@@ -245,25 +245,23 @@ def enumerate_initial_configs(g: WeightedGraph, d_cap: int) -> Iterator[Configur
     Per non-root process: every status, every neighbor parent plus the
     self-pointer (which stands for all non-neighbor parents, since the
     guards only ever test neighborhood membership), and every distance in
-    [0, d_cap]. The root is pinned to its constants.
+    [0, d_cap]. The root's one choice is ``ROOT_STATE``. The product of
+    the per-node choices yields each configuration as a tuple.
     """
     if d_cap < 1:
         raise ExplorerError(f"d_cap must be >= 1, got {d_cap}")
-    non_root = [u for u in range(g.node_count) if u != g.root_id]
-    per_node = [
-        [
+    choices = [
+        (ROOT_STATE,)
+        if u == g.root_id
+        else [
             ProcessState(status, par, d)
             for status in Status
             for par in sorted(g.adjacency[u]) + [u]
             for d in range(d_cap + 1)
         ]
-        for u in non_root
+        for u in range(g.node_count)
     ]
-    for combo in itertools.product(*per_node):
-        states = [ROOT_STATE] * g.node_count
-        for u, state in zip(non_root, combo):
-            states[u] = state
-        yield tuple(states)
+    yield from itertools.product(*choices)
 
 
 @dataclass

@@ -31,7 +31,7 @@ class Status(enum.Enum):
 class Rule(enum.Enum):
     R_C = "R_C"    # switch to a strictly cheaper parent
     R_EB = "R_EB"  # start/propagate the freeze broadcast
-    R_EF = "R_EF"  # acknowledge the freeze once all children have
+    R_EF = "R_EF"  # acknowledge the freeze once every child has
     R_I = "R_I"    # leave a dead tree with no live neighbor to join
     R_R = "R_R"    # (re)join a live tree through a correct neighbor
 
@@ -68,24 +68,6 @@ class RootQueriedError(ProtocolError):
     """A rule predicate was evaluated at the root, which has no rules."""
 
 
-def children(config: Configuration, g: WeightedGraph, u: int) -> frozenset[int]:
-    """Neighbors of ``u`` that currently count as its tree children."""
-    su, _, du = config[u]
-    if su is S_I:
-        return frozenset()
-    out = []
-    for v, w in g.adjacency[u].items():
-        sv, pv, dv = config[v]
-        if (
-            sv is not S_I
-            and pv == u
-            and dv >= du + w
-            and (sv is su or su is S_EB)
-        ):
-            out.append(v)
-    return frozenset(out)
-
-
 def ab_root(config: Configuration, g: WeightedGraph, u: int) -> bool:
     """True iff ``u`` locally detects that it heads a broken tree."""
     if u == g.root_id:
@@ -119,13 +101,19 @@ def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Move | None
     broken toward the smallest id so that executions are reproducible. That
     one result decides ``R_C`` (it beats ``d_u``), whether ``R_R`` can fire
     (it exists), and the state both of them write.
+
+    An EB process acknowledges (``R_EF``) once every child has: its scan
+    stops at the first neighbour ``v`` with ``par_v == u``,
+    ``d_v >= d_u + w`` and a status other than I or EF. An EB parent
+    accepts a child of any status but I, so no child set is built.
     """
     if u == g.root_id:
         raise RootQueriedError(u)
     su, pu, du = config[u]
     if su is S_EB:
-        for v in children(config, g, u):
-            if config[v].status is not S_EF:
+        for v, w in g.adjacency[u].items():
+            sv, pv, dv = config[v]
+            if pv == u and sv is not S_I and sv is not S_EF and dv >= du + w:
                 return None
         return Move(R_EF, ProcessState(S_EF, pu, du))
     if su is S_EF and not ab_root(config, g, u):

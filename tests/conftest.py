@@ -1,19 +1,15 @@
+import itertools
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import pytest
 
 from stabtree import protocol
-from stabtree.analysis import (
-    _RULE_CHAR,
-    _SEGMENT_RE,
-    _alive_ab_root,
-    check_trace,
-    legitimate_state,
-)
+from stabtree.analysis import _alive_ab_root, check_trace, legitimate_state
 from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
-from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, children
+from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, enabled_rule
 
 
 @pytest.fixture
@@ -111,6 +107,29 @@ def reference_path(config, g, u) -> ProcessState:
     return ProcessState(Status.C, v, d)
 
 
+def children(config, g, u) -> frozenset[int]:
+    """The paper's child relation: neighbours ``v`` of ``u``, neither in
+    status I, with ``par_v == u``, ``d_v >= d_u + w`` and ``v``'s status
+    equal to ``u``'s, or ``u`` in status EB."""
+    su, _, du = config[u]
+    if su is Status.I:
+        return frozenset()
+    out = set()
+    for v, w in g.adjacency[u].items():
+        sv, pv, dv = config[v]
+        if sv is not Status.I and pv == u and dv >= du + w and (sv is su or su is Status.EB):
+            out.add(v)
+    return frozenset(out)
+
+
+#: One letter per rule, and the rule pattern every (node, segment) word of
+#: fired rules must match: at most one isolate, one rejoin, any number of
+#: corrections, one freeze broadcast and one freeze acknowledgement, in
+#: that order.
+RULE_LETTER = {Rule.R_I: "I", Rule.R_R: "R", Rule.R_C: "C", Rule.R_EB: "B", Rule.R_EF: "F"}
+SEGMENT_RE = re.compile(r"I?R?C*B?F?")
+
+
 def ab_root_without_distance(config, g, u):
     """A faulty ``protocol.ab_root`` without the ``d_u < d_par + w`` clause:
     a node whose distance is too small for its parent is not flagged, so
@@ -122,6 +141,39 @@ def ab_root_without_distance(config, g, u):
     if pu not in adj or config[pu].status is Status.I:
         return True
     return su is not config[pu].status and config[pu].status is not Status.EB
+
+
+def eb_before_c(config, g, u):
+    """A faulty ``protocol.enabled_rule`` that checks ``R_EB``'s guard
+    before ``R_C``'s: a status-C abnormal root, or a C process with an EB
+    parent, broadcasts the freeze even when a correct neighbour offers a
+    strictly smaller distance. Wraps the real ``enabled_rule``."""
+    su, pu, du = config[u]
+    adj = g.adjacency[u]
+    if su is Status.C and (ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB)):
+        return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
+    return enabled_rule(config, g, u)
+
+
+def initial_configs_by_fill(g, d_cap):
+    """Test-side reference for ``explorer.enumerate_initial_configs``: the
+    product over the non-root processes only, each combination written into
+    a fresh state list with the root at ``ROOT_STATE``."""
+    non_root = [u for u in range(g.node_count) if u != g.root_id]
+    per_node = [
+        [
+            ProcessState(status, par, d)
+            for status in Status
+            for par in sorted(g.adjacency[u]) + [u]
+            for d in range(d_cap + 1)
+        ]
+        for u in non_root
+    ]
+    for combo in itertools.product(*per_node):
+        states = [ROOT_STATE] * g.node_count
+        for u, state in zip(non_root, combo):
+            states[u] = state
+        yield tuple(states)
 
 
 def reference_rules(config, g, u):
@@ -221,7 +273,8 @@ def segment_language_check(trace, g) -> dict:
     """Test-side reference for ``analysis.check_trace``'s segment fields and
     ``aar_monotone``, on a replay of its own: the alive-abnormal-root set
     of the initial configuration, then kept up to date at the fired nodes
-    and their neighbors only."""
+    and their neighbors only, and each (node, segment) word of fired rules
+    matched against ``SEGMENT_RE``."""
     info = component_info(g)
     comp_of = info.component_of
     adjacency = g.adjacency
@@ -235,7 +288,7 @@ def segment_language_check(trace, g) -> dict:
         touched = set(fired)
         for u, move in fired.items():
             key = (u, segment[comp_of[u]])
-            words[key] = words.get(key, "") + _RULE_CHAR[move.rule]
+            words[key] = words.get(key, "") + RULE_LETTER[move.rule]
             touched.update(adjacency[u])
         touched.discard(root)
         ended = set()
@@ -249,7 +302,7 @@ def segment_language_check(trace, g) -> dict:
                 ended.add(comp_of[u])
         for c in ended:
             segment[c] += 1
-    bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
+    bad = {u for (u, _), word in words.items() if not SEGMENT_RE.fullmatch(word)}
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
     for u in range(g.node_count):

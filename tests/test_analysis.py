@@ -7,8 +7,6 @@ import pytest
 
 from stabtree import protocol
 from stabtree.analysis import (
-    _RULE_CHAR,
-    _SEGMENT_RE,
     _alive_ab_root,
     _local_facts,
     check_trace,
@@ -33,12 +31,15 @@ from stabtree.engine import (
 from stabtree.cli import EXIT_CHECK_FAILED, corpus_instances, main
 from stabtree.explorer import enumerate_initial_configs
 from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
-from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, children
+from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
 
 from conftest import (
+    RULE_LETTER,
+    SEGMENT_RE,
     ab_root_without_distance,
     alive_abnormal_roots,
     check_round_milestones,
+    children,
     forest_view,
     mk_config,
     segment_language_check,
@@ -406,10 +407,10 @@ def segments_by_rescan(trace, g):
     for i, fired in enumerate(trace.steps):
         for u, move in fired.items():
             key = (u, segment[comp_of[u]])
-            words[key] = words.get(key, "") + _RULE_CHAR[move.rule]
+            words[key] = words.get(key, "") + RULE_LETTER[move.rule]
         for c in {comp_of[u] for u in aars[i] - aars[i + 1]}:
             segment[c] += 1
-    bad = {u for (u, _), word in words.items() if not _SEGMENT_RE.fullmatch(word)}
+    bad = {u for (u, _), word in words.items() if not SEGMENT_RE.fullmatch(word)}
     per_node_ok, counts = {}, {}
     for u in range(g.node_count):
         if u != g.root_id:

@@ -65,6 +65,13 @@ class TestRunCommand:
         assert "steps=2 rounds=2 terminated=True" in out
         assert "final_legitimate  PASS" in out
 
+    def test_tiny_inclusion_probability_returns(self, edge_file, capsys):
+        # Every draw of the random daemon is empty here; the bounded
+        # redraws and the nonempty sampler still pick node 1.
+        code = main(["run", "-g", edge_file, "-d", "rand:p=1e-300"])
+        assert code == EXIT_OK
+        assert "steps=1 rounds=1 terminated=True" in capsys.readouterr().out
+
     def test_truncated_run_fails_checks(self, path3_file, capsys):
         code = main(["run", "-g", path3_file, "--max-steps", "1"])
         assert code == EXIT_CHECK_FAILED

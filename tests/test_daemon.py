@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +10,7 @@ from stabtree.daemon import (
     DaemonSpecError,
     RandomDistributedDaemon,
     SynchronousDaemon,
+    _nonempty_selection,
     parse_daemon_spec,
 )
 from stabtree.engine import enabled, normal_initial_configuration, random_configuration, run
@@ -68,6 +71,20 @@ class TestRandomDistributed:
         config = normal_initial_configuration(star)
         rules = enabled(config, star)
         assert RandomDistributedDaemon(0, 1.0).select(config, star, rules) == {1, 2}
+
+    @pytest.mark.parametrize("p,k", [(0.3, 3), (0.05, 4), (0.9, 3)])
+    def test_nonempty_sampler_matches_conditional_distribution(self, p, k):
+        # Each nonempty subset S of k nodes has probability
+        # p^|S| (1 - p)^(k - |S|) / (1 - (1 - p)^k) given a nonempty draw.
+        rng = random.Random(k * 1000 + round(p * 100))
+        nodes = list(range(10, 10 + k))
+        draws = 200_000
+        seen = Counter(_nonempty_selection(rng, nodes, p) for _ in range(draws))
+        for size in range(1, k + 1):
+            for subset in itertools.combinations(nodes, size):
+                want = p**size * (1 - p) ** (k - size) / (1 - (1 - p) ** k)
+                assert abs(seen[frozenset(subset)] / draws - want) < 0.005, subset
+        assert frozenset() not in seen
 
     def test_bad_probability_rejected(self):
         with pytest.raises(DaemonSpecError):

@@ -21,7 +21,7 @@ from stabtree.explorer import (
 from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
 
-from conftest import ab_root_without_distance, alive_abnormal_roots, mk_config
+from conftest import ab_root_without_distance, alive_abnormal_roots, initial_configs_by_fill, mk_config
 
 
 @pytest.fixture
@@ -484,6 +484,22 @@ class TestEnumerate:
     def test_bad_cap(self, edge):
         with pytest.raises(ExplorerError):
             list(enumerate_initial_configs(edge, 0))
+
+    @pytest.mark.parametrize("d_cap", [1, 2])
+    @pytest.mark.parametrize(
+        "edges,n,root",
+        [
+            ([(0, 1, 1)], 2, 0),
+            ([(0, 1, 1), (1, 2, 2)], 3, 1),  # the 3-path rooted in the middle
+            ([(0, 1, 1), (2, 3, 2)], 4, 0),  # 4 nodes in two components
+        ],
+        ids=["2-node", "3-path rooted in the middle", "4-node 2 components"],
+    )
+    def test_matches_per_configuration_fill(self, edges, n, root, d_cap):
+        g = build_graph(edges, n, root)
+        configs = list(enumerate_initial_configs(g, d_cap))
+        assert configs == list(initial_configs_by_fill(g, d_cap))
+        assert all(type(c) is tuple and c[root] is ROOT_STATE for c in configs)
 
 
 class TestCertify:

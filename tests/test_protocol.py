@@ -20,11 +20,10 @@ from stabtree.protocol import (
     Rule,
     Status,
     ab_root,
-    children,
     enabled_rule,
 )
 
-from conftest import mk_config, reference_move, reference_rules
+from conftest import children, eb_before_c, mk_config, reference_move, reference_rules
 
 
 @pytest.fixture
@@ -301,31 +300,29 @@ def test_action_agreement_catches_reversed_tie_break(monkeypatch):
         assert reference_rules(config, g, u) == {protocol.enabled_rule(config, g, u).rule}
 
 
-def _eb_before_c(enabled_rule):
-    """Mutant of ``enabled_rule`` that checks ``R_EB`` before ``R_C``: a C
-    process that is an abnormal root or has an EB parent broadcasts the
-    freeze even when a cheaper correct neighbour exists."""
-
-    def mutant(config, g, u):
-        su, pu, du = config[u]
-        adj = g.adjacency[u]
-        if su is Status.C and (
-            ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB)
-        ):
-            return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
-        return enabled_rule(config, g, u)
-
-    return mutant
-
-
 def test_guard_agreement_catches_eb_before_c(monkeypatch):
     # The run-side checks and certification pass this mutant; only the
     # reference guards tell it apart, and only where R_C should fire.
-    monkeypatch.setattr(protocol, "enabled_rule", _eb_before_c(enabled_rule))
+    monkeypatch.setattr(protocol, "enabled_rule", eb_before_c)
     edges, n, d_cap = AGREEMENT_INSTANCES[0]  # 1 at C, parent not a neighbour, d > 2
     g = build_graph(edges, n, 0)
     caught = _disagreements(edges, n, d_cap)
     assert caught
+    for config, u in caught:
+        assert reference_rules(config, g, u) == {Rule.R_C}
+        assert protocol.enabled_rule(config, g, u).rule is Rule.R_EB
+
+
+@pytest.mark.parametrize("index", [1, 2], ids=["3-path", "triangle"])
+def test_guard_agreement_catches_eb_before_c_at_an_abnormal_root(monkeypatch, index):
+    # On the 3-path and the triangle at d_cap 2 the exhaustive loop finds a
+    # status-C abnormal root with a strictly cheaper correct neighbour that
+    # broadcasts instead of correcting.
+    monkeypatch.setattr(protocol, "enabled_rule", eb_before_c)
+    edges, n, d_cap = AGREEMENT_INSTANCES[index]
+    g = build_graph(edges, n, 0)
+    caught = _disagreements(edges, n, d_cap)
+    assert any(ab_root(config, g, u) for config, u in caught)
     for config, u in caught:
         assert reference_rules(config, g, u) == {Rule.R_C}
         assert protocol.enabled_rule(config, g, u).rule is Rule.R_EB
