@@ -23,7 +23,7 @@ from .graph import (
     root_distances,
     root_hop_distances,
 )
-from .protocol import R_C, R_EB, R_EF, R_I, R_R, ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState
+from .protocol import R_C, R_EB, R_EF, R_I, R_R, ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState, Status
 
 
 # --- bound formulas ---------------------------------------------------------
@@ -56,6 +56,11 @@ def round_bound_for(g: WeightedGraph) -> int:
 # --- legitimacy -------------------------------------------------------------
 
 
+#: The status clause's rejection reason per status, built once: the explorer
+#: asks about every process it does not table.
+_STATUS_REASON = {s: f"status {s.value} in root component" for s in Status}
+
+
 @dataclass
 class LegitimacyReport:
     per_node: dict[int, tuple[bool, str | None]]
@@ -77,7 +82,7 @@ def legitimate_state(
             return True, None
         return False, "outside root component but not isolated"
     if st is not S_C:
-        return False, f"status {st.value} in root component"
+        return False, _STATUS_REASON[st]
     if d != distances[u]:
         return False, f"distance {d} != true distance {distances[u]}"
     adj = g.adjacency[u]

@@ -80,8 +80,18 @@ def _connected_selections(g: WeightedGraph, enabled: list[int]) -> list[itemgett
 class _Explorer:
     """DFS over the configuration graph of the subgraph induced by ``nodes``
     (for certification, one factor: a connected component plus the root),
-    with a memo shared across starts. A configuration ``c`` is terminal iff
-    ``longest[c] == 0``.
+    with a memo shared across starts.
+
+    The memo holds one int per configuration, so each successor edge costs
+    one hash probe, and a new configuration three hashes in all: the
+    probe, the ``-1`` written when it is discovered and the entry written
+    when it is finished. A probe that finds a negative entry has found a
+    configuration on the stack, so a cycle. A finished entry is
+    ``longest << width | alive``: the longest execution from the
+    configuration (0 iff it is terminal) above its alive-abnormal-root
+    bitmask, ``width`` being the factor's node count and bit ``u`` standing
+    for node ``u``. A search stopped by a cycle or by the budget leaves the
+    entries of its stack at ``-1``.
 
     Each non-root process's local facts are tabled by its local view, the
     states of its closed neighbourhood N[u], and computed only on a miss.
@@ -89,7 +99,7 @@ class _Explorer:
     whole configuration, so a lookup could never hit: it gets no table and
     is evaluated directly.
 
-    An expansion reads each process's facts once and keeps the alive
+    An expansion reads each process's facts once and gets the alive
     abnormal roots of the configuration. The search checks each step where
     it walks it: at once if the successor is done, else when the successor
     is expanded. A search stopped by a cycle has checked only the steps
@@ -100,8 +110,8 @@ class _Explorer:
         self.nodes = sorted(nodes)  # explorer node i is node nodes[i] of ``g``
         self.g = g = induced_subgraph(g, self.nodes)
         self.max_visited = max_visited
-        self.longest: dict[Configuration, int] = {}
-        self.onstack: set[Configuration] = set()
+        self.width = g.node_count
+        self.memo: dict[Configuration, int] = {}
         self.cycle_witness: list[Configuration] | None = None
         self.illegitimate_terminals: list[Configuration] = []
         self.nonterminal_legitimate: list[Configuration] = []
@@ -109,7 +119,6 @@ class _Explorer:
         self.expanded = 0  # configurations whose successors were generated
         self.initial_configs = 0
         self.max_steps = 0
-        self._aar: dict[Configuration, int] = {}  # expanded -> alive abnormal roots bitmask
         self._selections: dict[int, list[itemgetter]] = {}  # enabled bitmask -> connected selections
         # (u, view getter, table) per non-root process in node order; the
         # getter and table are None for an untabled process. Nothing here
@@ -123,9 +132,10 @@ class _Explorer:
             else:
                 self._processes.append((u, itemgetter(u, *hood), {}))
 
-    def _successors(self, config: Configuration) -> list[Configuration]:
+    def _successors(self, config: Configuration) -> tuple[list[Configuration], int]:
         """One successor per connected selection of the enabled processes,
-        in bit-mask order, the selections tabled per enabled set.
+        in bit-mask order, the selections tabled per enabled set, and the
+        configuration's alive-abnormal-root bitmask.
 
         A selection whose processes split into parts with no edge between
         them is not fired: firing the parts one after another reaches the
@@ -155,11 +165,10 @@ class _Explorer:
             if move is not None:
                 new_states.append(move.state)
                 enabled |= 1 << u
-        self._aar[config] = alive
         if not enabled:
             if not legit:
                 self.illegitimate_terminals.append(config)
-            return []
+            return [], alive
         if legit:
             self.nonterminal_legitimate.append(config)
         if len(new_states) > MAX_ENABLED:
@@ -171,66 +180,72 @@ class _Explorer:
             movers = [u for u in range(g.node_count) if enabled >> u & 1]
             selections = self._selections[enabled] = _connected_selections(g, movers)
         pool = config + tuple(new_states)
-        return [pick(pool) for pick in selections]
+        return [pick(pool) for pick in selections], alive
 
-    def explore_from(self, start: Configuration) -> None:
-        """Visit everything reachable from ``start``; expands at most
-        ``max_visited`` configurations over the explorer's life."""
-        if self.cycle_witness is not None or start in self.longest:
-            return
-        longest, onstack, aar = self.longest, self.onstack, self._aar
-        # frame: [config, successor list, next index, best child longest,
-        # alive abnormal roots]
-        stack: list[list] = [[start, None, 0, -1, 0]]
-        onstack.add(start)
-        while stack:
-            frame = stack[-1]
-            config = frame[0]
-            if frame[1] is None:
-                if self.expanded >= self.max_visited:
-                    raise BudgetExceededError(
-                        f"visited more than {self.max_visited} configurations"
-                    )
-                frame[1] = self._successors(config)
-                self.expanded += 1
-                frame[4] = aar[config]
-                # The step from the frame below, walked when it was pushed.
-                if len(stack) > 1 and frame[4] & ~stack[-2][4]:
-                    self.aar_violations.append((stack[-2][0], config))
-            succs = frame[1]
-            if frame[2] < len(succs):
-                nxt = succs[frame[2]]
-                frame[2] += 1
-                # A configuration on the stack is never in ``longest`` yet.
-                done = longest.get(nxt)
-                if done is not None:
-                    frame[3] = max(frame[3], done)
-                    if aar[nxt] & ~frame[4]:
-                        self.aar_violations.append((config, nxt))
-                elif nxt in onstack:
-                    self.cycle_witness = [f[0] for f in stack] + [nxt]
-                    for f in stack:
-                        onstack.discard(f[0])
-                    return
+    def explore_from(self, start: Configuration) -> int | None:
+        """Visit everything reachable from ``start`` and return the longest
+        execution from it, or None once a cycle has stopped the search;
+        expands at most ``max_visited`` configurations over the explorer's
+        life."""
+        if self.cycle_witness is not None:
+            return None
+        memo, width = self.memo, self.width
+        entry = memo.get(start)
+        if entry is not None:
+            return entry >> width
+        full = (1 << width) - 1
+        violations = self.aar_violations
+        # frame: [config, alive abnormal roots, successor iterator, best
+        # child longest]
+        stack: list[list] = []
+        nxt = start
+        while True:
+            # Expand ``nxt``, just discovered, and check the step to it from
+            # the frame below, walked when it was discovered.
+            if self.expanded >= self.max_visited:
+                raise BudgetExceededError(f"visited more than {self.max_visited} configurations")
+            memo[nxt] = -1
+            succs, alive = self._successors(nxt)
+            self.expanded += 1
+            if stack and alive & ~stack[-1][1]:
+                violations.append((stack[-1][0], nxt))
+            stack.append([nxt, alive, iter(succs), -1])
+            # Walk the top frame's successors until one is new.
+            while True:
+                frame = stack[-1]
+                config, alive, succs, best = frame
+                for nxt in succs:
+                    entry = memo.get(nxt)
+                    if entry is None:
+                        break
+                    if entry < 0:
+                        self.cycle_witness = [f[0] for f in stack] + [nxt]
+                        return None
+                    if entry >> width > best:
+                        best = entry >> width
+                    if entry & full & ~alive:
+                        violations.append((config, nxt))
                 else:
-                    onstack.add(nxt)
-                    stack.append([nxt, None, 0, -1, 0])
-                continue
-            done = longest[config] = 0 if not succs else frame[3] + 1
-            onstack.discard(config)
-            stack.pop()
-            if stack:
-                stack[-1][3] = max(stack[-1][3], done)
+                    done = best + 1  # 0 iff terminal
+                    memo[config] = done << width | alive
+                    stack.pop()
+                    if not stack:
+                        return done
+                    if done > stack[-1][3]:
+                        stack[-1][3] = done
+                    continue
+                frame[3] = best
+                break
 
     def explore(self, d_cap: int) -> None:
         """Explore from every enumerated initial configuration, stopping at
         the first cycle."""
         for initial in enumerate_initial_configs(self.g, d_cap):
             self.initial_configs += 1
-            self.explore_from(initial)
-            if self.cycle_witness is not None:
+            steps = self.explore_from(initial)
+            if steps is None:
                 return
-            self.max_steps = max(self.max_steps, self.longest[initial])
+            self.max_steps = max(self.max_steps, steps)
 
     def lift(self, config: Configuration, states: list[ProcessState]) -> None:
         """Write one of this explorer's configurations into a state list of

@@ -143,6 +143,19 @@ def ab_root_without_distance(config, g, u):
     return su is not config[pu].status and config[pu].status is not Status.EB
 
 
+def ab_root_far_parent(config, g, u):
+    """A faulty ``protocol.ab_root`` that reads outside N[u]: when ``u``'s
+    parent is neither a neighbour nor ``u`` itself, ``u`` is an abnormal
+    root iff that far parent is not in status C. The local-view tables'
+    premise fails under it; certification does not change, since every
+    enumerated parent is a neighbour or the process itself and no action
+    writes any other."""
+    pu = config[u].par
+    if pu != u and pu not in g.adjacency[u]:
+        return config[pu].status is not Status.C
+    return ab_root(config, g, u)
+
+
 def eb_before_c(config, g, u):
     """A faulty ``protocol.enabled_rule`` that checks ``R_EB``'s guard
     before ``R_C``'s: a status-C abnormal root, or a C process with an EB

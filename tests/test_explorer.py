@@ -21,7 +21,13 @@ from stabtree.explorer import (
 from stabtree.graph import build_graph, generate_random_graph
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
 
-from conftest import ab_root_without_distance, alive_abnormal_roots, initial_configs_by_fill, mk_config
+from conftest import (
+    ab_root_far_parent,
+    ab_root_without_distance,
+    alive_abnormal_roots,
+    initial_configs_by_fill,
+    mk_config,
+)
 
 
 @pytest.fixture
@@ -37,8 +43,14 @@ def _explore(g, config, max_visited=2_000_000):
     return ex
 
 
+def _longest(ex):
+    """Each finished configuration's longest execution, decoded from its
+    memo entry ``longest << width | alive``."""
+    return {c: entry >> ex.width for c, entry in ex.memo.items() if entry >= 0}
+
+
 def _terminals(ex):
-    return {c for c, k in ex.longest.items() if k == 0}
+    return {c for c, k in _longest(ex).items() if k == 0}
 
 
 class TestExplore:
@@ -46,7 +58,7 @@ class TestExplore:
         config = normal_initial_configuration(edge)
         ex = _explore(edge, config)
         assert ex.expanded == 2
-        assert ex.longest[config] == 1
+        assert _longest(ex)[config] == 1
         assert ex.cycle_witness is None
         assert not ex.illegitimate_terminals
         assert not ex.nonterminal_legitimate
@@ -56,7 +68,7 @@ class TestExplore:
         config = mk_config(edge, n1=(Status.C, 0, 1))
         ex = _explore(edge, config)
         assert ex.expanded == 1
-        assert ex.longest[config] == 0
+        assert _longest(ex)[config] == 0
         assert _terminals(ex) == {config}
 
     def test_chain_with_weight_two(self):
@@ -64,8 +76,7 @@ class TestExplore:
         config = mk_config(g, n1=(Status.C, 0, 1))
         ex = _explore(g, config)
         assert ex.expanded == 4  # freeze, acknowledge, rejoin
-        assert ex.longest[config] == 3
-        assert ex.longest[config] <= step_bound_for(g)
+        assert _longest(ex)[config] == 3 <= step_bound_for(g)
 
     def test_adversarial_triangle_within_bound(self):
         g = build_graph([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3, 0)
@@ -73,12 +84,12 @@ class TestExplore:
         ex = _explore(g, config)
         assert ex.cycle_witness is None
         assert not ex.aar_violations
-        assert ex.longest[config] <= step_bound_for(g) == 30
+        assert _longest(ex)[config] <= step_bound_for(g) == 30
 
     def test_longest_path_at_least_any_run(self, triangle):
         config = mk_config(triangle, n1=(Status.C, 2, 9), n2=(Status.C, 1, 9))
         trace = run(config, triangle, SynchronousDaemon())
-        assert _explore(triangle, config).longest[config] >= trace.step_count
+        assert _longest(_explore(triangle, config))[config] >= trace.step_count
 
     def test_visited_budget(self, triangle):
         config = mk_config(triangle, n1=(Status.C, 2, 9), n2=(Status.C, 1, 9))
@@ -157,7 +168,8 @@ class TestSuccessorOrder:
         for seed in range(300):
             config = random_configuration(g, seed, 3)
             succs, _ = _mask_successors(g, config, connected_only=True)
-            assert ex._successors(config) == succs, config
+            alive = sum(1 << u for u in alive_abnormal_roots(config, g))
+            assert ex._successors(config) == (succs, alive), config
             most = max(most, len(succs))
         assert most == widest  # some sample has every process enabled
 
@@ -186,7 +198,7 @@ class TestSuccessorOrder:
                     now = engine.enabled(current, g)
                     assert all(now.get(u) == moves[u] for u in part), (config, chosen, part)
                     step = engine.step(current, g, part)
-                    assert step in ex._successors(current)
+                    assert step in ex._successors(current)[0]
                     current = step
                 assert current == engine.step(config, g, chosen)
         assert dropped > 50
@@ -257,7 +269,7 @@ class TestMutantViolations:
         ex = _Explorer(g, range(g.node_count), 2_000_000)
         ex.explore(1)
         assert ex.cycle_witness is None
-        reference = Counter(v for c in ex.longest for v in _mask_successors(g, c, connected_only=True)[1])
+        reference = Counter(v for c in ex.memo for v in _mask_successors(g, c, connected_only=True)[1])
         assert reference
         assert Counter(ex.aar_violations) == reference
 
@@ -311,19 +323,19 @@ class _AllMasksExplorer(_Explorer):
     def _successors(self, config):
         g = self.g
         facts = {u: _view_facts(config, g, u) for u in range(g.node_count) if u != g.root_id}
-        self._aar[config] = sum(1 << u for u, (_, _, alive) in facts.items() if alive)
+        alive = sum(1 << u for u, (_, _, flag) in facts.items() if flag)
         legit = all(ok for _, ok, _ in facts.values())
         moves = [(u, move.state) for u, (move, _, _) in facts.items() if move is not None]
         if not moves:
             if not legit:
                 self.illegitimate_terminals.append(config)
-            return []
+            return [], alive
         if legit:
             self.nonterminal_legitimate.append(config)
         choices = [(state,) for state in config]
         for u, new in moves:
             choices[u] = (config[u], new)
-        return [c[::-1] for c in itertools.product(*reversed(choices))][1:]
+        return [c[::-1] for c in itertools.product(*reversed(choices))][1:], alive
 
 
 def _verdict(ex, g):
@@ -381,12 +393,69 @@ class TestConnectedSelections:
             # each search walked before stopping may differ.
             return
         assert reduced.expanded == reference.expanded
-        assert reduced.longest == reference.longest
+        assert reduced.memo == reference.memo
         assert set(reduced.illegitimate_terminals) == set(reference.illegitimate_terminals)
         assert set(reduced.nonterminal_legitimate) == set(reference.nonterminal_legitimate)
         # Every step the reduced search walks, the full one walks too.
         assert bool(reduced.aar_violations) == bool(reference.aar_violations)
         assert not Counter(reduced.aar_violations) - Counter(reference.aar_violations)
+
+
+def _recursive_memo(g, d_cap):
+    """Test-side reference for the explorer's memo that shares no code with
+    ``explore_from``: a memoised recursion over ``_mask_successors`` from
+    every enumerated start. Returns each reachable configuration's longest
+    execution and the steps creating an alive abnormal root, one entry per
+    step from each reachable configuration."""
+    longest, violations, visiting = {}, [], set()
+
+    def visit(config):
+        if config not in longest:
+            assert config not in visiting, "cycle"
+            visiting.add(config)
+            succs, bad = _mask_successors(g, config, connected_only=True)
+            violations.extend(bad)
+            longest[config] = max((visit(s) + 1 for s in succs), default=0)
+            visiting.discard(config)
+        return longest[config]
+
+    for initial in enumerate_initial_configs(g, d_cap):
+        visit(initial)
+    return longest, violations
+
+
+class TestMemoLayout:
+    @pytest.mark.parametrize("mutant", [False, True], ids=["protocol", "ab_root mutant"])
+    @pytest.mark.parametrize("edges,n,d_cap", REDUCED_INSTANCES, ids=REDUCED_IDS)
+    def test_entries_match_recursive_reference(self, monkeypatch, edges, n, d_cap, mutant):
+        # Each finished entry decodes, with this test's own shift and mask,
+        # to the reference's longest execution and to the alive abnormal
+        # roots read off the forest view.
+        if mutant:
+            monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        g = build_graph(edges, n, 0)
+        ex = _Explorer(g, range(n), 2_000_000)
+        ex.explore(d_cap)
+        assert ex.cycle_witness is None
+        longest, violations = _recursive_memo(g, d_cap)
+        assert {c: entry >> n for c, entry in ex.memo.items()} == longest
+        assert {c: entry & ((1 << n) - 1) for c, entry in ex.memo.items()} == {
+            c: sum(1 << u for u in alive_abnormal_roots(c, g)) for c in longest
+        }
+        assert Counter(ex.aar_violations) == Counter(violations)
+        assert ex.max_steps == max(longest[c] for c in enumerate_initial_configs(g, d_cap))
+
+    def test_top_alive_bit_sits_next_to_longest(self):
+        # On the unit 4-path the highest-numbered node, 3, is an alive
+        # abnormal root of configurations with a nonzero longest execution,
+        # so bit 3 of the entry is set right below the longest's lowest bit.
+        g = build_graph(UNIT_4PATH, 4, 0)
+        ex = _Explorer(g, range(4), 2_000_000)
+        ex.explore(1)
+        longest, _ = _recursive_memo(g, 1)
+        top = [c for c, k in longest.items() if k > 0 and 3 in alive_abnormal_roots(c, g)]
+        assert top
+        assert all(ex.memo[c] >> 3 == longest[c] << 1 | 1 for c in top)
 
 
 def _arbitrary_state(rng, g, v, d_cap=4):
@@ -408,35 +477,60 @@ def _tabulated_facts(config, g, u):
     )
 
 
+def _facts_are_local() -> bool:
+    """The premise of the explorer's tables, on random samples: redrawing
+    every state outside N[u] changes none of the facts tabled for u.
+    Asserts that the samples include parents that are neither neighbours
+    nor the process itself."""
+    rng = random.Random(2017)
+    far_parents = 0  # samples where u points at a non-neighbour other than itself
+    for seed in range(80):
+        n = rng.randint(2, 6)
+        g = generate_random_graph(
+            seed, n, rng.choice((0.3, 0.5, 0.8)), 3,
+            component_hint=rng.choice((None, 2)), root_id=rng.randrange(n),
+        )
+        for _ in range(10):
+            config = tuple(
+                ROOT_STATE if v == g.root_id else _arbitrary_state(rng, g, v) for v in range(n)
+            )
+            for u in range(n):
+                if u == g.root_id:
+                    continue
+                hood = {u, *g.adjacency[u]}
+                far_parents += config[u].par not in hood
+                facts = _tabulated_facts(config, g, u)
+                for _ in range(3):
+                    redrawn = tuple(
+                        state if v in hood else _arbitrary_state(rng, g, v)
+                        for v, state in enumerate(config)
+                    )
+                    if _tabulated_facts(redrawn, g, u) != facts:
+                        return False
+    assert far_parents > 100
+    return True
+
+
 class TestLocalViews:
     def test_facts_depend_only_on_the_closed_neighbourhood(self):
-        # The premise of the explorer's tables: redrawing every state
-        # outside N[u] changes none of the facts tabled for u.
-        rng = random.Random(2017)
-        far_parents = 0  # samples where u points at a non-neighbour other than itself
-        for seed in range(80):
-            n = rng.randint(2, 6)
-            g = generate_random_graph(
-                seed, n, rng.choice((0.3, 0.5, 0.8)), 3,
-                component_hint=rng.choice((None, 2)), root_id=rng.randrange(n),
-            )
-            for _ in range(10):
-                config = tuple(
-                    ROOT_STATE if v == g.root_id else _arbitrary_state(rng, g, v) for v in range(n)
-                )
-                for u in range(n):
-                    if u == g.root_id:
-                        continue
-                    hood = {u, *g.adjacency[u]}
-                    far_parents += config[u].par not in hood
-                    facts = _tabulated_facts(config, g, u)
-                    for _ in range(3):
-                        redrawn = tuple(
-                            state if v in hood else _arbitrary_state(rng, g, v)
-                            for v, state in enumerate(config)
-                        )
-                        assert _tabulated_facts(redrawn, g, u) == facts, (g, config, redrawn, u)
-        assert far_parents > 100
+        assert _facts_are_local()
+
+    def test_premise_check_catches_a_far_parent_read(self, monkeypatch):
+        monkeypatch.setattr(protocol, "ab_root", ab_root_far_parent)
+        assert not _facts_are_local()
+
+    @pytest.mark.parametrize(
+        "edges,n",
+        [(UNIT_4PATH, 4), (STAR4, 4), ([(0, 1, 1), (1, 2, 2), (2, 0, 2)], 3), (SPLIT4, 4)],
+        ids=["unit 4-path", "4-star", "triangle", "4-node 2 components"],
+    )
+    def test_far_parent_read_leaves_certification_unchanged(self, monkeypatch, edges, n):
+        # Every enumerated parent is a neighbour or the process itself, and
+        # no action writes any other, so the mutant's branch never runs.
+        g = build_graph(edges, n, 0)
+        expected = certify_instance(g, 1)
+        monkeypatch.setattr(protocol, "ab_root", ab_root_far_parent)
+        assert certify_instance(g, 1) == expected
 
     @pytest.mark.parametrize(
         "edges,n,nodes,tabled",
@@ -466,7 +560,7 @@ class TestConfigurationKeys:
             assert twin == config
             assert hash(twin) == hash(config)
             assert twin[2].status is Status.EB
-            assert ex.longest[twin] == ex.longest[config]
+            assert ex.memo[twin] == ex.memo[config]
 
 
 class TestEnumerate:
@@ -532,16 +626,16 @@ def _monolithic(g, d_cap):
     count = max_path = 0
     for initial in enumerate_initial_configs(g, d_cap):
         count += 1
-        ex.explore_from(initial)
+        steps = ex.explore_from(initial)
         assert ex.cycle_witness is None
-        max_path = max(max_path, ex.longest[initial])
+        max_path = max(max_path, steps)
     bad = (
         ex.illegitimate_terminals
         or ex.nonterminal_legitimate
         or ex.aar_violations
         or max_path > step_bound_for(g)
     )
-    return "FAIL" if bad else "PASS", count, len(ex.longest), max_path
+    return "FAIL" if bad else "PASS", count, len(ex.memo), max_path
 
 
 def _relabelled(edges, n, rng):
