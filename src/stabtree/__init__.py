@@ -26,10 +26,11 @@ from .engine import (
     step,
 )
 from .daemon import (
-    AdversarialDaemon,
     CentralDaemon,
     DaemonPolicy,
+    MaxChurnDaemon,
     RandomDistributedDaemon,
+    StarveCleanupDaemon,
     SynchronousDaemon,
     parse_daemon_spec,
 )

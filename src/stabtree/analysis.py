@@ -210,7 +210,7 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     facts = None  # abnormal roots, C heads, loose links: kept from n_max_cc rounds on
     illegit = None  # illegitimate processes: kept from 3 * n_max_cc rounds on
     monotone = True
-    segment = [0] * info.component_count  # current segment of each component
+    segment = [0] * len(info.components)  # current segment of each component
     last = [(-1, 0)] * g.node_count  # (segment, rank) of each node's last firing
     bad = set()  # nodes whose firings break the order
     ends = iter(trace.round_ends)

@@ -100,42 +100,38 @@ def _nonempty_selection(rng: random.Random, nodes: list[int], p: float) -> froze
     return frozenset([nodes[first], *(u for u in nodes[first + 1:] if rng.random() < p)])
 
 
-class AdversarialDaemon(_SeededPolicy):
-    """Heuristic worst-case schedulers.
+class StarveCleanupDaemon(CentralDaemon):
+    """Fires every distance-correction move while deferring cleanup rules;
+    one random enabled process when no correction is enabled."""
 
-    ``starve-cleanup`` fires every distance-correction move while deferring
-    cleanup rules; ``max-churn`` fires the single process whose move shifts
-    its distance value the most. Both fall back to a random enabled process
-    when their preferred set is empty.
-    """
-
-    STRATEGIES = ("starve-cleanup", "max-churn")
-
-    def __init__(self, seed: int, strategy: str):
-        if strategy not in self.STRATEGIES:
-            raise DaemonSpecError(f"unknown adversarial strategy {strategy!r}")
-        super().__init__(seed)
-        self.strategy = strategy
-        self.name = f"adv:{strategy}"
+    name = "adv:starve-cleanup"
 
     def select(self, config, g, enabled):
-        if self.strategy == "starve-cleanup":
-            corrections = [u for u, move in enabled.items() if move.rule is R_C]
-            if corrections:
-                self._step += 1  # keep the counter in lockstep with draws
-                return frozenset(corrections)
-            return frozenset({self._rng().choice(sorted(enabled))})
-        # max-churn: each move carries its new distance.
+        corrections = [u for u, move in enabled.items() if move.rule is R_C]
+        if not corrections:
+            return super().select(config, g, enabled)
+        self._step += 1  # keep the counter in lockstep with draws
+        return frozenset(corrections)
+
+
+class MaxChurnDaemon(CentralDaemon):
+    """Fires the single process whose move shifts its distance value the
+    most (smallest id on ties); one random enabled process when no
+    correction or reset is enabled."""
+
+    name = "adv:max-churn"
+
+    def select(self, config, g, enabled):
         best: tuple[int, int] | None = None  # (delta, -u)
         for u, (rule, state) in enabled.items():
             if rule is R_C or rule is R_R:
                 cand = (abs(state.d - config[u].d), -u)
                 if best is None or cand > best:
                     best = cand
-        if best is not None:
-            self._step += 1
-            return frozenset({-best[1]})
-        return frozenset({self._rng().choice(sorted(enabled))})
+        if best is None:
+            return super().select(config, g, enabled)
+        self._step += 1  # keep the counter in lockstep with draws
+        return frozenset({-best[1]})
 
 
 def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:
@@ -155,7 +151,7 @@ def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:
             raise DaemonSpecError(f"bad probability in {spec!r}") from exc
         return RandomDistributedDaemon(seed, p)
     if spec == "adv:starve":
-        return AdversarialDaemon(seed, "starve-cleanup")
+        return StarveCleanupDaemon(seed)
     if spec == "adv:churn":
-        return AdversarialDaemon(seed, "max-churn")
+        return MaxChurnDaemon(seed)
     raise DaemonSpecError(f"unknown daemon spec {spec!r}")

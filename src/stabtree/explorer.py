@@ -184,11 +184,9 @@ class _Explorer:
 
     def explore_from(self, start: Configuration) -> int | None:
         """Visit everything reachable from ``start`` and return the longest
-        execution from it, or None once a cycle has stopped the search;
+        execution from it, or None when the search closes a cycle;
         expands at most ``max_visited`` configurations over the explorer's
         life."""
-        if self.cycle_witness is not None:
-            return None
         memo, width = self.memo, self.width
         entry = memo.get(start)
         if entry is not None:
@@ -360,9 +358,9 @@ def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = 2_000_000)
     limit = analysis.step_bound_for(g)
     root = g.root_id
     factors = [
-        _Explorer(g, nodes if root in nodes else nodes + [root], max_visited)
-        for nodes in component_info(g).components()
-        if nodes != [root]
+        _Explorer(g, {*nodes, root}, max_visited)
+        for nodes in component_info(g).components
+        if nodes != (root,)
     ]
     started: list[_Explorer] = []
     try:

@@ -176,23 +176,18 @@ def root_hop_distances(g: WeightedGraph) -> tuple[int | float, ...]:
 class ComponentInfo:
     """Connected-component decomposition plus the metrics used by the bounds.
 
+    ``components[c]`` lists the nodes of component ``c`` in increasing
+    order, and ``component_of[u]`` is the component of node ``u``.
     ``n_max_cc`` is the maximum number of non-root processes in a single
     connected component; ``w_min`` and ``w_max`` are the smallest and
     largest edge weights (both 1 for an edgeless graph).
     """
 
     component_of: tuple[int, ...]
-    component_count: int
-    root_component: frozenset[int]
+    components: tuple[tuple[int, ...], ...]
     n_max_cc: int
     w_max: int
     w_min: int
-
-    def components(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.component_count)]
-        for u, c in enumerate(self.component_of):
-            out[c].append(u)
-        return out
 
 
 @_per_graph
@@ -211,21 +206,15 @@ def component_info(g: WeightedGraph) -> ComponentInfo:
                     comp[v] = n_comp
                     stack.append(v)
         n_comp += 1
-    sizes = [0] * n_comp
-    for c in comp:
-        sizes[c] += 1
+    members: list[list[int]] = [[] for _ in range(n_comp)]
+    for u, c in enumerate(comp):
+        members[c].append(u)
     root_comp = comp[g.root_id]
-    n_max_cc = 0
-    for c, size in enumerate(sizes):
-        non_root = size - 1 if c == root_comp else size
-        n_max_cc = max(n_max_cc, non_root)
-    root_nodes = frozenset(u for u in range(g.node_count) if comp[u] == root_comp)
     weights = [w for _, _, w in g.edges()]
     return ComponentInfo(
         component_of=tuple(comp),
-        component_count=n_comp,
-        root_component=root_nodes,
-        n_max_cc=n_max_cc,
+        components=tuple(map(tuple, members)),
+        n_max_cc=max(len(nodes) - (c == root_comp) for c, nodes in enumerate(members)),
         w_max=max(weights, default=1),
         w_min=min(weights, default=1),
     )
@@ -243,7 +232,8 @@ def hop_diameter_root(g: WeightedGraph) -> int:
     eccentricity. Only a sweep with ``ecc_dist(w) // w_min`` at most the
     best can prune, so only such a sweep sets bounds.
     """
-    members = sorted(component_info(g).root_component)
+    info = component_info(g)
+    members = info.components[info.component_of[g.root_id]]
     if len(members) == 1:
         return 0
     n, m = g.node_count, len(members)

@@ -295,7 +295,7 @@ def segment_language_check(trace, g) -> dict:
     configs = trace.configurations()
     aar = set(alive_abnormal_roots(next(configs), g))
     monotone = True
-    segment = [0] * info.component_count  # current segment of each component
+    segment = [0] * len(info.components)  # current segment of each component
     words: dict[tuple[int, int], str] = {}  # (node, segment) -> fired rules
     for fired, post in zip(trace.steps, configs):
         touched = set(fired)

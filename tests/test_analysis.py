@@ -402,7 +402,7 @@ def segments_by_rescan(trace, g):
     info = component_info(g)
     comp_of = info.component_of
     aars = [alive_abnormal_roots(c, g) for c in trace.configurations()]
-    segment = [0] * info.component_count
+    segment = [0] * len(info.components)
     words = {}
     for i, fired in enumerate(trace.steps):
         for u, move in fired.items():
@@ -431,7 +431,7 @@ class TestSegmentReference:
             perm = list(range(n))
             rng.shuffle(perm)
             h, start = relabelled(g, random_configuration(g, trial, 4 * n), perm)
-            split += component_info(h).component_count > 1
+            split += len(component_info(h).components) > 1
             for spec in daemons:
                 full = run(start, h, parse_daemon_spec(spec, trial))
                 cut = run(start, h, parse_daemon_spec(spec, trial), max_steps=max(1, full.step_count // 2))

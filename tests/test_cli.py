@@ -53,6 +53,8 @@ class TestInitSpecs:
     def test_bad_specs(self, path3):
         with pytest.raises(InitSpecError):
             build_initial_config("rand:5", path3)
+        with pytest.raises(InitSpecError, match=r"^bad rand spec 'rand:x:3'$"):
+            build_initial_config("rand:x:3", path3)
         with pytest.raises(InitSpecError):
             build_initial_config("warm", path3)
 

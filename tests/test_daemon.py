@@ -5,10 +5,11 @@ from collections import Counter
 import pytest
 
 from stabtree.daemon import (
-    AdversarialDaemon,
     CentralDaemon,
     DaemonSpecError,
+    MaxChurnDaemon,
     RandomDistributedDaemon,
+    StarveCleanupDaemon,
     SynchronousDaemon,
     _nonempty_selection,
     parse_daemon_spec,
@@ -98,12 +99,12 @@ class TestAdversarial:
         config = mk_config(star, n1=(Status.C, 0, 5), n2=(Status.EB, 0, 1))
         rules = enabled(config, star)
         assert {u: move.rule for u, move in rules.items()} == {1: Rule.R_C, 2: Rule.R_EF}
-        assert AdversarialDaemon(0, "starve-cleanup").select(config, star, rules) == {1}
+        assert StarveCleanupDaemon(0).select(config, star, rules) == {1}
 
     def test_starve_falls_back_to_singleton(self, star):
         config = mk_config(star, n1=(Status.EB, 0, 1), n2=(Status.EB, 0, 1))
         rules = enabled(config, star)
-        chosen = AdversarialDaemon(0, "starve-cleanup").select(config, star, rules)
+        chosen = StarveCleanupDaemon(0).select(config, star, rules)
         assert len(chosen) == 1
 
     def test_churn_picks_largest_distance_shift(self, star):
@@ -111,22 +112,22 @@ class TestAdversarial:
         config = mk_config(star, n1=(Status.C, 0, 10), n2=(Status.C, 0, 3))
         rules = enabled(config, star)
         assert {move.rule for move in rules.values()} == {Rule.R_C}
-        assert AdversarialDaemon(0, "max-churn").select(config, star, rules) == {1}
+        assert MaxChurnDaemon(0).select(config, star, rules) == {1}
 
     def test_churn_tie_breaks_to_smallest_id(self, star):
         config = mk_config(star, n1=(Status.C, 0, 4), n2=(Status.C, 0, 4))
         rules = enabled(config, star)
-        assert AdversarialDaemon(0, "max-churn").select(config, star, rules) == {1}
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(DaemonSpecError):
-            AdversarialDaemon(0, "zigzag")
+        assert MaxChurnDaemon(0).select(config, star, rules) == {1}
 
 
-class _ReferenceAdversarial(AdversarialDaemon):
+class _ReferenceAdversarial(CentralDaemon):
     """The adversarial selections as written before moves carried the
-    state they write: max-churn runs ``compute_path`` itself on every
-    enabled ``R_C``/``R_R`` process."""
+    state they write, both behind one ``strategy`` string: max-churn runs
+    ``compute_path`` itself on every enabled ``R_C``/``R_R`` process."""
+
+    def __init__(self, seed, strategy):
+        super().__init__(seed)
+        self.strategy = strategy
 
     def select(self, config, g, enabled):
         if self.strategy == "starve-cleanup":
@@ -149,8 +150,12 @@ class _ReferenceAdversarial(AdversarialDaemon):
 
 
 class TestAdversarialReference:
-    @pytest.mark.parametrize("strategy", AdversarialDaemon.STRATEGIES)
-    def test_executions_match_reference_selection(self, strategy):
+    @pytest.mark.parametrize(
+        "cls, strategy",
+        [(StarveCleanupDaemon, "starve-cleanup"), (MaxChurnDaemon, "max-churn")],
+        ids=["starve-cleanup", "max-churn"],
+    )
+    def test_executions_match_reference_selection(self, cls, strategy):
         # Same configurations, steps and round ends as the reference on
         # random graphs whose root is not node 0, some with several
         # components; a max-churn that measured the shift from the pre-step
@@ -161,10 +166,10 @@ class TestAdversarialReference:
             g = generate_random_graph(
                 trial, n, 0.5, 4, component_hint=1 + trial % 3, root_id=1 + trial % (n - 1)
             )
-            split += component_info(g).component_count > 1
+            split += len(component_info(g).components) > 1
             config = random_configuration(g, trial, 4 * n)
             for seed in range(3):
-                got = run(config, g, AdversarialDaemon(seed, strategy))
+                got = run(config, g, cls(seed))
                 want = run(config, g, _ReferenceAdversarial(seed, strategy))
                 got_configs = [tuple(c) for c in got.configurations()]
                 assert got_configs == [tuple(c) for c in want.configurations()], (trial, seed)
@@ -178,8 +183,9 @@ class TestSpecStrings:
         assert parse_daemon_spec("sync").name == "sync"
         assert parse_daemon_spec("central", 1).name == "central"
         assert parse_daemon_spec("rand:p=0.5", 1).p == 0.5
-        assert parse_daemon_spec("adv:starve", 1).strategy == "starve-cleanup"
-        assert parse_daemon_spec("adv:churn", 1).strategy == "max-churn"
+        starve, churn = parse_daemon_spec("adv:starve", 1), parse_daemon_spec("adv:churn", 1)
+        assert (type(starve), starve.name) == (StarveCleanupDaemon, "adv:starve-cleanup")
+        assert (type(churn), churn.name) == (MaxChurnDaemon, "adv:max-churn")
 
     def test_unknown_spec(self):
         with pytest.raises(DaemonSpecError):

@@ -135,6 +135,8 @@ class TestRun:
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1)
         assert not trace.terminated
         assert trace.step_count == 1
+        with pytest.raises(ValueError, match=r"^max_steps must be >= 1, got 0$"):
+            run(normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=0)
 
     def test_step_records_are_consistent(self, triangle):
         config = random_configuration(triangle, 5, 6)
@@ -371,7 +373,7 @@ class TestTraceOutput:
         for trial in range(20):
             n = 4 + trial % 8
             g = generate_random_graph(trial, n, 0.5, 4, component_hint=2 + trial % 2, root_id=trial % n)
-            split += component_info(g).component_count > 1
+            split += len(component_info(g).components) > 1
             config = random_configuration(g, trial, 4 * n)
             for spec in daemons:
                 trace = run(config, g, parse_daemon_spec(spec, trial))
@@ -396,7 +398,7 @@ class TestTraceOutput:
             g = generate_random_graph(
                 trial, n, 0.4, 5, component_hint=1 + trial % 3, root_id=(3 * trial + 1) % n
             )
-            split += component_info(g).component_count > 1
+            split += len(component_info(g).components) > 1
             rooted_off_zero += g.root_id != 0
             config = random_configuration(g, trial, 5 * n)
             for k, spec in enumerate(daemons):

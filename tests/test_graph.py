@@ -8,6 +8,7 @@ from stabtree.graph import (
     INFINITY,
     BadNodeIdError,
     DuplicateEdgeError,
+    GraphError,
     GraphFormatError,
     NonPositiveWeightError,
     SelfLoopError,
@@ -45,7 +46,7 @@ class TestConstruction:
         g = build_graph([(0, 1, 1)], 2, 0)
         assert g.node_count == 2
         assert g.adjacency[0][1] == 1
-        assert component_info(g).component_count == 1
+        assert component_info(g).components == ((0, 1),)
 
     def test_triangle_echo(self):
         g = build_graph([(0, 1, 2), (1, 2, 3), (2, 0, 1)], 3, 0)
@@ -120,14 +121,14 @@ class TestComponentInfo:
         info = component_info(path3)
         assert info.n_max_cc == 2
         assert hop_diameter_root(path3) == 2
-        assert info.component_count == 1
+        assert info.components == ((0, 1, 2),)
 
     def test_rootless_component_counts(self, two_comp):
         info = component_info(two_comp)
         assert info.n_max_cc == 2  # {a, b} has two non-root processes
         assert hop_diameter_root(two_comp) == 0
-        assert info.component_count == 2
-        assert info.root_component == {0}
+        assert info.components == ((0,), (1, 2))
+        assert info.components[info.component_of[0]] == (0,)
 
     def test_triangle_diameter(self, triangle):
         assert hop_diameter_root(triangle) == 1
@@ -198,11 +199,12 @@ class TestHopOracles:
                 300 + trial, n, 0.45, 5, component_hint=1 + trial % 3, root_id=(3 * trial + 1) % n
             )
             dist = lex_floyd_warshall(g)
-            root_nodes = component_info(g).root_component
+            info = component_info(g)
+            root_nodes = info.components[info.component_of[g.root_id]]
             assert root_distances(g) == tuple(dist[g.root_id][u][0] for u in range(n))
             assert root_hop_distances(g) == tuple(dist[g.root_id][u][1] for u in range(n))
             assert hop_diameter_root(g) == max(dist[u][v][1] for u in root_nodes for v in root_nodes)
-            seen_split += component_info(g).component_count > 1
+            seen_split += len(info.components) > 1
             seen_detour += any(dist[u][v][1] > 1 for u in root_nodes for v in g.adjacency[u])
         assert seen_split and seen_detour  # some graphs split, some edges lose to a detour
 
@@ -224,7 +226,8 @@ class TestHopOracles:
                 for root in (0, middle, size - 1):
                     g = build_graph(edges, n, root)
                     dist = lex_floyd_warshall(g)
-                    root_nodes = component_info(g).root_component
+                    info = component_info(g)
+                    root_nodes = info.components[info.component_of[root]]
                     diameter = max(dist[u][v][1] for u in root_nodes for v in root_nodes)
                     assert hop_diameter_root(g) == diameter, (kind, extra, root)
                     for _ in range(3):
@@ -314,8 +317,9 @@ class TestOracleMemo:
             root_distances(triangle)[1] = 0
         with pytest.raises(TypeError):
             root_hop_distances(triangle)[1] = 0
-        info.components()[0].append(99)  # a fresh list each call
-        assert component_info(triangle).components() == [[0, 1, 2]]
+        with pytest.raises(AttributeError):
+            info.components[0].append(99)
+        assert component_info(triangle).components == ((0, 1, 2),)
 
     def test_memo_is_per_instance(self):
         a = build_graph([(0, 1, 1)], 2, 0)
@@ -335,12 +339,17 @@ class TestRandomGraphs:
         g = generate_random_graph(7, 5, 1.0, 1)
         assert len(list(g.edges())) == 10
         assert all(w == 1 for _, _, w in g.edges())
+        with pytest.raises(NonPositiveWeightError, match=r"^max_weight must be >= 1, got 0$"):
+            generate_random_graph(7, 5, 1.0, 0)
+        for p in (0, 1.5):
+            with pytest.raises(GraphError, match=rf"^edge_probability must be in \(0, 1\], got {p}$"):
+                generate_random_graph(7, 5, p, 1)
 
     def test_component_hint_splits_root_component(self):
         g = generate_random_graph(3, 6, 0.4, 5, component_hint=2)
         info = component_info(g)
-        assert info.component_count >= 2
-        assert len(info.root_component) < g.node_count
+        assert len(info.components) >= 2
+        assert len(info.components[info.component_of[g.root_id]]) < g.node_count
 
 
 class TestFileFormat:
