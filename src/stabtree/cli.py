@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -27,6 +28,10 @@ class InitSpecError(ValueError):
     pass
 
 
+class OutputPathError(OSError):
+    """An output path resolves to an input or to another output."""
+
+
 def build_initial_config(spec: str, g: WeightedGraph) -> Configuration:
     """Parse an --init spec: ``normal``, ``file:<path>``, or
     ``rand:<seed>:<dcap>``."""
@@ -46,15 +51,14 @@ def build_initial_config(spec: str, g: WeightedGraph) -> Configuration:
     raise InitSpecError(f"unknown init spec {spec!r}")
 
 
-def _print_report(results: Sequence[CheckResult], out=None) -> None:
-    out = out or sys.stdout
+def _print_report(results: Sequence[CheckResult]) -> None:
     width = max(len(r.name) for r in results)
     for r in results:
         verdict = "PASS" if r.ok else "FAIL"
         line = f"{r.name:<{width}}  {verdict}"
         if r.detail:
             line += f"  {r.detail}"
-        print(line, file=out)
+        print(line)
 
 
 def _write_machine_report(results: Sequence[CheckResult], out: IO[str]) -> None:
@@ -65,11 +69,18 @@ def _write_machine_report(results: Sequence[CheckResult], out: IO[str]) -> None:
         )
 
 
-def _open_outputs(stack: contextlib.ExitStack, *paths: str | None) -> list[IO[str] | None]:
+def _open_outputs(
+    stack: contextlib.ExitStack, inputs: dict[str, str | None], outputs: dict[str, str | None]
+) -> list[IO[str] | None]:
     """Open each given output path for writing (None where no path is
     given), so that an unwritable path is an input error before any work
-    starts, not a traceback after it."""
-    return [stack.enter_context(open(p, "w", encoding="utf-8")) if p else None for p in paths]
+    starts, not a traceback after it. An output that resolves to an input or
+    another output is refused first, so no file is created or truncated."""
+    claimed = {os.path.realpath(p): flag for flag, p in inputs.items() if p}
+    for flag, p in outputs.items():
+        if p and (other := claimed.setdefault(os.path.realpath(p), flag)) != flag:
+            raise OutputPathError(f"{flag} {p!r} names the same file as {other}")
+    return [stack.enter_context(open(p, "w", encoding="utf-8")) if p else None for p in outputs.values()]
 
 
 def cmd_run(args) -> int:
@@ -78,7 +89,11 @@ def cmd_run(args) -> int:
             g = load_graph(args.graph)
             config = build_initial_config(args.init, g)
             policy = parse_daemon_spec(args.daemon, args.seed)
-            trace_out, report_out = _open_outputs(outputs, args.trace, args.report)
+            trace_out, report_out = _open_outputs(
+                outputs,
+                {"-g": args.graph, "--init": args.init[len("file:"):] if args.init.startswith("file:") else None},
+                {"--trace": args.trace, "--report": args.report},
+            )
         except (
             GraphError, engine.ConfigurationError, DaemonSpecError, InitSpecError, OSError, UnicodeDecodeError
         ) as exc:
@@ -101,7 +116,7 @@ def cmd_explore(args) -> int:
     with contextlib.ExitStack() as outputs:
         try:
             g = load_graph(args.graph)
-            (report_out,) = _open_outputs(outputs, args.report)
+            (report_out,) = _open_outputs(outputs, {"-g": args.graph}, {"--report": args.report})
         except (GraphError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
@@ -137,19 +152,14 @@ class BenchRun:
     failures: list[str]
 
 
-def corpus_instances(
-    count: int,
-    seed: int,
-    min_n: int = 4,
-    max_n: int = 20,
-    max_weight: int = 5,
-) -> Iterator[WeightedGraph]:
-    """Deterministic stream of benchmark graphs of one to three components."""
+def corpus_instances(count: int, seed: int) -> Iterator[WeightedGraph]:
+    """Deterministic stream of benchmark graphs: 4 to 20 nodes, edge
+    weights up to 5, and one to three components."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(min_n, max_n)
+        n = rng.randint(4, 20)
         p = rng.uniform(0.25, 0.9)
-        w = rng.randint(1, max_weight)
+        w = rng.randint(1, 5)
         hint = rng.randint(1, 3)
         yield generate_random_graph(
             seed=rng.randrange(2**32),
@@ -160,22 +170,13 @@ def corpus_instances(
         )
 
 
-def bench_corpus(
-    count: int,
-    seed: int,
-    daemons: Iterable[str],
-    min_n: int = 4,
-    max_n: int = 20,
-    max_weight: int = 5,
-) -> list[BenchRun]:
+def bench_corpus(count: int, seed: int, daemons: Iterable[str]) -> list[BenchRun]:
     """Run every daemon on every corpus instance from a random initial
     configuration and collect all per-trace check failures."""
     daemons = list(daemons)
     runs: list[BenchRun] = []
     rng = random.Random(seed ^ 0x5BD1E995)
-    for idx, g in enumerate(
-        corpus_instances(count, seed, min_n=min_n, max_n=max_n, max_weight=max_weight)
-    ):
+    for idx, g in enumerate(corpus_instances(count, seed)):
         info = component_info(g)
         d_cap = max(1, info.w_max * g.node_count)
         init = engine.random_configuration(g, rng.randrange(2**32), d_cap)
@@ -208,18 +209,11 @@ def cmd_bench(args) -> int:
                 raise DaemonSpecError(f"no daemon spec in --daemons {args.daemons!r}")
             for spec in daemons:
                 parse_daemon_spec(spec, 0)
-            (report_out,) = _open_outputs(outputs, args.report)
+            (report_out,) = _open_outputs(outputs, {}, {"--report": args.report})
         except (DaemonSpecError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
-        runs = bench_corpus(
-            count=args.count,
-            seed=args.seed,
-            daemons=daemons,
-            min_n=args.min_n,
-            max_n=args.max_n,
-            max_weight=args.max_weight,
-        )
+        runs = bench_corpus(count=args.count, seed=args.seed, daemons=daemons)
         bad = [r for r in runs if r.failures]
         max_step_ratio = max((r.steps / r.step_limit for r in runs if r.step_limit), default=0.0)
         max_round_ratio = max((r.rounds / r.round_limit for r in runs if r.round_limit), default=0.0)
@@ -286,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="seeded corpus sweep against the bounds")
     p_bench.add_argument("--count", type=_at_least_one, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--min-n", type=_at_least_one, default=4)
-    p_bench.add_argument("--max-n", type=_at_least_one, default=20)
-    p_bench.add_argument("--max-weight", type=_at_least_one, default=5)
     p_bench.add_argument(
         "--daemons",
         default="sync,central,rand:p=0.5,adv:starve,adv:churn",
@@ -300,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench" and args.min_n > args.max_n:
-        parser.error(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -19,19 +19,15 @@ from .graph import WeightedGraph
 from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
 
 
-class EngineError(Exception):
-    pass
-
-
-class EmptySelectionError(EngineError):
+class EmptySelectionError(Exception):
     """The daemon returned an empty selection."""
 
 
-class NotEnabledError(EngineError):
+class NotEnabledError(Exception):
     """The daemon selected a process that is not enabled."""
 
 
-class ConfigurationError(EngineError):
+class ConfigurationError(Exception):
     """Malformed configuration (or configuration file)."""
 
 

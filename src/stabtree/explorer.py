@@ -306,10 +306,6 @@ class CertificationResult:
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    @property
-    def cycle_found(self) -> bool:
-        return self.witness is not None
-
 
 def _combined(factors: list[_Explorer], **fields) -> CertificationResult:
     return CertificationResult(

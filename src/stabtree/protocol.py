@@ -60,11 +60,7 @@ ROOT_STATE = ProcessState(Status.C, None, 0)
 Configuration = tuple[ProcessState, ...]
 
 
-class ProtocolError(Exception):
-    pass
-
-
-class RootQueriedError(ProtocolError):
+class RootQueriedError(Exception):
     """A rule predicate was evaluated at the root, which has no rules."""
 
 

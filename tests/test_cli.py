@@ -206,7 +206,7 @@ class TestExploreCommand:
 
 class TestBenchCommand:
     def test_small_sweep_clean(self, capsys):
-        code = main(["bench", "--count", "5", "--seed", "1", "--max-n", "8"])
+        code = main(["bench", "--count", "5", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "violations=0" in out
@@ -221,7 +221,7 @@ class TestBenchCommand:
             return None if move is not None and move.rule is Rule.R_EF else move
 
         monkeypatch.setattr(protocol, "enabled_rule", never_ef)
-        code = main(["bench", "--count", "2", "--seed", "1", "--max-n", "6", "--daemons", "sync,adv:churn"])
+        code = main(["bench", "--count", "2", "--seed", "1", "--daemons", "sync,adv:churn"])
         out = capsys.readouterr().out.splitlines()
         assert code == EXIT_CHECK_FAILED
         assert out[0] == "runs=4 violations=4"
@@ -242,6 +242,13 @@ class TestBenchCommand:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_corpus_shape_is_not_an_option(self, capsys):
+        # The corpus is always 4-20 nodes, weights up to 5, 1-3 components.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--max-n", "8"])
+        assert exc_info.value.code == EXIT_PARSE_ERROR
+        assert "error: unrecognized arguments: --max-n 8" in capsys.readouterr().err
+
     def test_report_records(self, tmp_path):
         report = tmp_path / "bench.jsonl"
         main(
@@ -251,8 +258,6 @@ class TestBenchCommand:
                 "3",
                 "--seed",
                 "2",
-                "--max-n",
-                "6",
                 "--daemons",
                 "sync,central",
                 "--report",
@@ -271,8 +276,8 @@ class TestCorpus:
         assert a == b
 
     def test_bench_runs_deterministic(self):
-        a = bench_corpus(3, 7, ["sync", "adv:churn"], max_n=8)
-        b = bench_corpus(3, 7, ["sync", "adv:churn"], max_n=8)
+        a = bench_corpus(3, 7, ["sync", "adv:churn"])
+        b = bench_corpus(3, 7, ["sync", "adv:churn"])
         assert a == b
         assert all(not r.failures for r in a)
 
@@ -282,10 +287,6 @@ class TestCorpus:
     [
         ["run", "-g", "unread.g", "--max-steps", "0"],
         ["explore", "-g", "unread.g", "--dcap", "0"],
-        ["bench", "--min-n", "0"],
-        ["bench", "--max-n", "0"],
-        ["bench", "--min-n", "5", "--max-n", "3"],
-        ["bench", "--max-weight", "0"],
         ["explore", "-g", "unread.g", "--dcap", "1", "--max-visited", "-5"],
         ["bench", "--count", "0"],
         ["bench", "--count", "-3"],
@@ -333,3 +334,34 @@ def test_unwritable_outputs_are_input_errors(argv, tmp_path, path3_file, capsys)
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "-g", "{graph}", "--trace", "{same}", "--report", "{same}"],
+        ["run", "-g", "{graph}", "--trace", "{graph}"],
+        ["run", "-g", "{graph}", "--report", "{graph_alias}"],
+        ["explore", "-g", "{graph}", "--dcap", "1", "--report", "{graph}"],
+        ["run", "-g", "{graph}", "--init", "file:{init}", "--report", "{init}"],
+    ],
+    ids=["trace-is-report", "trace-is-graph", "report-is-graph-alias", "explore-report-is-graph", "report-is-init"],
+)
+def test_colliding_outputs_are_input_errors(argv, tmp_path, path3_file, capsys):
+    # Refused before any output is opened: no file is created or truncated.
+    init = tmp_path / "init.cfg"
+    init.write_text("p 1 C 0 1\np 2 C 1 2\n")
+    paths = {
+        "graph": path3_file,
+        "graph_alias": tmp_path / "sub" / ".." / "path3.g",
+        "init": init,
+        "same": tmp_path / "same.out",
+    }
+    inputs = {path: path.read_bytes() for path in (tmp_path / "path3.g", init)}
+    code = main([a.format(**paths) for a in argv])
+    assert code == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert not (tmp_path / "same.out").exists()

@@ -252,7 +252,7 @@ class TestMutantViolations:
         monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
         result = certify_instance(build_graph(*instance, 0), 1)
         assert result.verdict == "FAIL"
-        assert not result.cycle_found
+        assert result.witness is None
         assert result.violations == [
             f"{terminals} illegitimate terminal configuration(s)",
             f"{steps} step(s) creating an alive abnormal root",
@@ -685,7 +685,7 @@ class TestByComponent:
         g = build_graph([(2, 3, 2)], 4, 1)  # factors {0, 1} and {1, 2, 3}
         result = certify_instance(g, 1)
         assert result.verdict == "FAIL"
-        assert result.cycle_found
+        assert result.witness is not None
         assert result.violations[0] == "cycle in configuration graph (silence violated)"
         # Node 0 loops on its first enabled start; nodes 2 and 3 stay at
         # their factor's first enumerated configuration (parent ids mapped back).
