@@ -28,12 +28,15 @@ def main():
     print("true distances:", list(root_distances(g)))
 
     trace = run(normal_initial_configuration(g), g, SynchronousDaemon())
-    configs = trace.configurations()
-    show(next(configs), "start")
-    for i, (moves, after) in enumerate(zip(trace.steps, configs)):
+    # The trace keeps the start and each step's fired moves: apply them in turn.
+    config = list(trace.initial)
+    show(config, "start")
+    for i, moves in enumerate(trace.steps):
+        for u, m in moves.items():
+            config[u] = m.state
         fired = {u: m.rule.value for u, m in moves.items()}
         print(f"step {i}: fired {fired}")
-        show(after, f"  config {i + 1}")
+        show(config, f"  config {i + 1}")
 
     report = legitimate_config(trace.final, g)
     print(f"terminated in {trace.step_count} steps; legitimate: {report.config_legitimate}")

@@ -35,7 +35,7 @@ def step_bound(n: int, n_max_cc: int, w_max: int) -> int:
 
 
 def uniform_step_bound(n: int, n_max_cc: int) -> int:
-    """Tighter step bound when every edge has the same weight."""
+    """Tighter step bound when every edge has the same weight; never above ``step_bound``."""
     return (n_max_cc**3 + 2 * n_max_cc + 3) * (n - 1)
 
 
@@ -154,7 +154,7 @@ class TraceReport:
 
 
 def check_trace(trace, g: WeightedGraph) -> TraceReport:
-    """One walk over the trace's one replay: segments, alive-abnormal-root
+    """One walk that applies the trace's steps: segments, alive-abnormal-root
     monotonicity and round milestones.
 
     Per node, the trace splits into segments. A segment of a component
@@ -174,8 +174,8 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     ``_local_facts`` once n_max_cc rounds complete) and then kept up to
     date at the fired nodes and their neighbours, the only nodes a step
     can change. A round counter follows ``trace.round_ends``: each
-    configuration of a terminated trace must meet the milestones of the
-    rounds completed when it is reached.
+    configuration must meet the milestones of the rounds completed when it
+    is reached, and only a terminated trace reports them.
 
     The milestones speak of illegal branches, parent chains that end at an
     abnormal root or close a cycle, yet need no walk up a chain. Lemma: if
@@ -216,15 +216,17 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     ends = iter(trace.round_ends)
     next_end = next(ends, None)
     completed = 0  # rounds completed when the current configuration is reached
-    ok_c = ok_cleared = ok_hop = ok_acyclic = True if trace.terminated else None
+    ok_c = ok_cleared = ok_hop = ok_acyclic = True
+    config = list(trace.initial)
     # The initial configuration is reached by no step.
-    for idx, (fired, config) in enumerate(zip(chain([{}], trace.steps), trace.configurations())):
+    for idx, fired in enumerate(chain([{}], trace.steps)):
         touched = set(fired)
         for u, move in fired.items():
             pair = (segment[comp_of[u]], _RANK[move.rule])
             if pair < last[u] or (pair == last[u] and move.rule is not R_C):
                 bad.add(u)
             last[u] = pair
+            config[u] = move.state
             touched.update(adjacency[u])
         touched.discard(root)
         ended = set()
@@ -242,7 +244,7 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
         if grew:
             completed += 1
             next_end = next(ends, None)
-        if not trace.terminated or completed < nm:
+        if completed < nm:
             continue
         if facts is None:
             facts, touched = (set(), set(), set()), set(nodes) - {root}
@@ -266,6 +268,8 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
                 ok_cleared = False
             elif hops[u] <= budget:
                 ok_hop = False
+    if not trace.terminated:
+        ok_c = ok_cleared = ok_hop = ok_acyclic = None
     per_node_ok: dict[int, bool] = {}
     counts: dict[int, int] = {}
     for u in nodes:
@@ -310,12 +314,11 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
         steps, rounds = trace.step_count, trace.rounds
         s_limit, r_limit = step_bound_for(g), round_bound_for(g)
         info = component_info(g)
-        steps_ok, step_detail = steps <= s_limit, f"steps={steps} limit={s_limit}"
-        if info.w_min == info.w_max:  # tighter bound for uniform weights
-            u_limit = uniform_step_bound(g.node_count, info.n_max_cc)
-            steps_ok = steps_ok and steps <= u_limit
-            step_detail += f" uniform_limit={u_limit}"
-        results.append(CheckResult("step_bound", steps_ok, step_detail))
+        step_detail = f"steps={steps} limit={s_limit}"
+        if info.w_min == info.w_max:  # the tighter bound for uniform weights
+            s_limit = uniform_step_bound(g.node_count, info.n_max_cc)
+            step_detail += f" uniform_limit={s_limit}"
+        results.append(CheckResult("step_bound", steps <= s_limit, step_detail))
         results.append(
             CheckResult("round_bound", rounds <= r_limit, f"rounds={rounds} limit={r_limit}")
         )
@@ -329,9 +332,7 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
             )
         )
     else:
-        results.append(CheckResult("step_bound", False, "NonTerminated"))
-        results.append(CheckResult("round_bound", False, "NonTerminated"))
-        results.append(CheckResult("round_milestones", False, "NonTerminated"))
+        results += [CheckResult(name, False, "NonTerminated") for name in ("step_bound", "round_bound", "round_milestones")]
     results.append(CheckResult("aar_monotone", walk.aar_monotone))
     results.append(
         CheckResult(

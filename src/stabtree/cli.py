@@ -69,6 +69,16 @@ def _write_machine_report(results: Sequence[CheckResult], out: IO[str]) -> None:
         )
 
 
+def _file_key(path: str) -> tuple[int, int] | str:
+    """The file a path resolves to: its ``(st_dev, st_ino)`` when it exists,
+    so a hard link matches its target, else the resolved path."""
+    resolved = os.path.realpath(path)
+    with contextlib.suppress(OSError):
+        st = os.stat(resolved)
+        return st.st_dev, st.st_ino
+    return resolved
+
+
 def _open_outputs(
     stack: contextlib.ExitStack, inputs: dict[str, str | None], outputs: dict[str, str | None]
 ) -> list[IO[str] | None]:
@@ -76,9 +86,9 @@ def _open_outputs(
     given), so that an unwritable path is an input error before any work
     starts, not a traceback after it. An output that resolves to an input or
     another output is refused first, so no file is created or truncated."""
-    claimed = {os.path.realpath(p): flag for flag, p in inputs.items() if p}
+    claimed = {_file_key(p): flag for flag, p in inputs.items() if p}
     for flag, p in outputs.items():
-        if p and (other := claimed.setdefault(os.path.realpath(p), flag)) != flag:
+        if p and (other := claimed.setdefault(_file_key(p), flag)) != flag:
             raise OutputPathError(f"{flag} {p!r} names the same file as {other}")
     return [stack.enter_context(open(p, "w", encoding="utf-8")) if p else None for p in outputs.values()]
 
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--max-visited",
         type=_at_least_one,
-        default=2_000_000,
+        default=explorer.DEFAULT_MAX_VISITED,
         help="most configurations expanded per connected component (a hard cap); "
         "the reported counts are the products over components",
     )

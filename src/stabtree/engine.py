@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Mapping
 
 from . import analysis, protocol
 from .graph import WeightedGraph
@@ -121,29 +121,18 @@ def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> C
 class ExecutionTrace:
     """An execution as the trace file holds it: the initial configuration
     and, per step, the move each selected process fired. ``steps[i]`` maps
-    each process selected at step ``i`` to its rule and the state it wrote.
-    ``configurations()`` replays them, so configuration ``i + 1`` differs
-    from configuration ``i`` only at the keys of ``steps[i]`` by
-    construction, and a check can update per-node facts at the fired nodes
-    and their neighbors instead of rescanning. ``final`` is the last
-    configuration. ``round_ends`` lists the configuration indices at which
-    each round closes."""
+    each process selected at step ``i`` to its rule and the state it wrote,
+    so configuration ``i + 1`` differs from configuration ``i`` only at the
+    keys of ``steps[i]``, and a check that applies the steps in order can
+    update per-node facts at the fired nodes and their neighbors instead of
+    rescanning. ``final`` is the last configuration. ``round_ends`` lists
+    the configuration indices at which each round closes."""
 
     initial: Configuration
     steps: list[dict[int, Move]]
     final: Configuration
     terminated: bool
     round_ends: list[int]
-
-    def configurations(self) -> Iterator[list[ProcessState]]:
-        """``initial``, then each step's configuration, written into one live
-        list: read-only, valid until the next item; ``tuple(c)`` keeps one."""
-        config = list(self.initial)
-        yield config
-        for fired in self.steps:
-            for u, move in fired.items():
-                config[u] = move.state
-            yield config
 
     @property
     def step_count(self) -> int:

@@ -38,6 +38,7 @@ class BudgetExceededError(ExplorerError):
 # the k enabled processes (all of them when the k are pairwise adjacent);
 # beyond this k the explorer gives up (INCONCLUSIVE).
 MAX_ENABLED = 10
+DEFAULT_MAX_VISITED = 2_000_000  # default budget: configurations expanded per factor
 
 
 def _view_facts(config: Configuration, g: WeightedGraph, u: int) -> tuple:
@@ -100,10 +101,11 @@ class _Explorer:
     is evaluated directly.
 
     An expansion reads each process's facts once and gets the alive
-    abnormal roots of the configuration. The search checks each step where
-    it walks it: at once if the successor is done, else when the successor
-    is expanded. A search stopped by a cycle has checked only the steps
-    walked before it.
+    abnormal roots and legitimacy of the configuration. The search judges
+    "terminal iff legitimate" where it expands a configuration, and each
+    step where it walks it: at once if the successor is done, else when the
+    successor is expanded. A search stopped by a cycle has checked only the
+    steps walked before it.
     """
 
     def __init__(self, g: WeightedGraph, nodes: Iterable[int], max_visited: int):
@@ -132,10 +134,11 @@ class _Explorer:
             else:
                 self._processes.append((u, itemgetter(u, *hood), {}))
 
-    def _successors(self, config: Configuration) -> tuple[list[Configuration], int]:
-        """One successor per connected selection of the enabled processes,
-        in bit-mask order, the selections tabled per enabled set, and the
-        configuration's alive-abnormal-root bitmask.
+    def _successors(self, config: Configuration) -> tuple[list[Configuration], int, bool]:
+        """One successor per connected selection of the enabled processes
+        (none when no process is enabled), in bit-mask order, the selections
+        tabled per enabled set; and the configuration's alive-abnormal-root
+        bitmask and legitimacy.
 
         A selection whose processes split into parts with no edge between
         them is not fired: firing the parts one after another reaches the
@@ -165,12 +168,6 @@ class _Explorer:
             if move is not None:
                 new_states.append(move.state)
                 enabled |= 1 << u
-        if not enabled:
-            if not legit:
-                self.illegitimate_terminals.append(config)
-            return [], alive
-        if legit:
-            self.nonterminal_legitimate.append(config)
         if len(new_states) > MAX_ENABLED:
             raise BudgetExceededError(
                 f"enabled set of size {len(new_states)} exceeds limit {MAX_ENABLED}"
@@ -180,7 +177,7 @@ class _Explorer:
             movers = [u for u in range(g.node_count) if enabled >> u & 1]
             selections = self._selections[enabled] = _connected_selections(g, movers)
         pool = config + tuple(new_states)
-        return [pick(pool) for pick in selections], alive
+        return [pick(pool) for pick in selections], alive, legit
 
     def explore_from(self, start: Configuration) -> int | None:
         """Visit everything reachable from ``start`` and return the longest
@@ -198,13 +195,15 @@ class _Explorer:
         stack: list[list] = []
         nxt = start
         while True:
-            # Expand ``nxt``, just discovered, and check the step to it from
-            # the frame below, walked when it was discovered.
+            # Expand ``nxt``, just discovered, judge it, and check the step
+            # to it from the frame below, walked when it was discovered.
             if self.expanded >= self.max_visited:
                 raise BudgetExceededError(f"visited more than {self.max_visited} configurations")
             memo[nxt] = -1
-            succs, alive = self._successors(nxt)
+            succs, alive, legit = self._successors(nxt)
             self.expanded += 1
+            if legit != (not succs):  # terminal iff legitimate fails
+                (self.nonterminal_legitimate if legit else self.illegitimate_terminals).append(nxt)
             if stack and alive & ~stack[-1][1]:
                 violations.append((stack[-1][0], nxt))
             stack.append([nxt, alive, iter(succs), -1])
@@ -335,7 +334,7 @@ _VIOLATION_KINDS = (
 )
 
 
-def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = 2_000_000) -> CertificationResult:
+def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = DEFAULT_MAX_VISITED) -> CertificationResult:
     """Explore every enumerated initial configuration of the instance.
 
     PASS means: no cycle anywhere (silence), every terminal legitimate,

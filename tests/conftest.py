@@ -282,6 +282,18 @@ def alive_abnormal_roots(config, g) -> frozenset[int]:
     return frozenset(u for u, alive in forest_view(config, g).abnormal_roots.items() if alive)
 
 
+def replay(trace):
+    """Every configuration of ``trace`` as a tuple: ``trace.initial``, then
+    the configuration after each step, each step's fired states written
+    over the one before."""
+    config = list(trace.initial)
+    yield tuple(config)
+    for fired in trace.steps:
+        for u, move in fired.items():
+            config[u] = move.state
+        yield tuple(config)
+
+
 def segment_language_check(trace, g) -> dict:
     """Test-side reference for ``analysis.check_trace``'s segment fields and
     ``aar_monotone``, on a replay of its own: the alive-abnormal-root set
@@ -292,7 +304,7 @@ def segment_language_check(trace, g) -> dict:
     comp_of = info.component_of
     adjacency = g.adjacency
     root = g.root_id
-    configs = trace.configurations()
+    configs = replay(trace)
     aar = set(alive_abnormal_roots(next(configs), g))
     monotone = True
     segment = [0] * len(info.components)  # current segment of each component
@@ -342,7 +354,7 @@ def check_round_milestones(trace, g) -> dict:
     hops = root_hop_distances(g)
     nm = info.n_max_cc
     ok_c = ok_cleared = ok_hop = ok_acyclic = True
-    for idx, config in enumerate(trace.configurations()):
+    for idx, config in enumerate(replay(trace)):
         completed = bisect_right(trace.round_ends, idx)
         if completed < nm:
             continue

@@ -17,7 +17,7 @@ from stabtree.explorer import certify_instance
 from stabtree.graph import build_graph, component_info
 from stabtree.protocol import enabled_rule
 
-from conftest import reference_move, spanning_tree_holds, walk_matches_references
+from conftest import reference_move, replay, spanning_tree_holds, walk_matches_references
 
 CORPUS_SIZE = 1000
 CORPUS_SEED = 2024
@@ -57,7 +57,7 @@ def _guards_agree_everywhere(trace, g) -> bool:
     its neighbors, so after a step only the fired processes and their
     neighbors can change verdict and are checked again."""
     todo = range(g.node_count)
-    for i, config in enumerate(trace.configurations()):
+    for i, config in enumerate(replay(trace)):
         if i:
             todo = {v for u in trace.steps[i - 1] for v in (u, *g.adjacency[u])}
         for u in todo:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 import sys
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from stabtree import protocol
+from stabtree import analysis, protocol
 from stabtree.analysis import (
     _alive_ab_root,
     _local_facts,
@@ -42,11 +43,12 @@ from conftest import (
     children,
     forest_view,
     mk_config,
+    replay,
     segment_language_check,
     spanning_tree_holds,
     walk_matches_references,
 )
-from test_acceptance import CORPUS_SEED, CORPUS_SIZE
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE, DAEMONS
 
 
 @pytest.fixture
@@ -70,6 +72,15 @@ class TestBoundFormulas:
     def test_round_bound(self, path3):
         assert round_bound(2, 2) == 8
         assert round_bound_for(path3) == 8
+
+    def test_uniform_bound_never_above_general(self):
+        # The two bounds differ by (W - 1)(k^3 - k)(n - 1) >= 0, so a run
+        # within the uniform bound is within the general one.
+        for n in range(1, 12):
+            for k in range(1, n + 1):
+                for w in range(1, 7):
+                    diff = step_bound(n, k, w) - uniform_step_bound(n, k)
+                    assert diff == (w - 1) * (k**3 - k) * (n - 1) >= 0
 
     def test_uniform_bound_under_n_fourth(self):
         for n in range(2, 25):
@@ -299,7 +310,7 @@ def replayed_round_ends(trace, g):
     """Configuration indices at which each round closes, replayed from the
     enabled set of every configuration: a round closes once every process
     enabled at its start has fired or been disabled by a step."""
-    sets = [enabled(c, g).keys() for c in trace.configurations()]
+    sets = [enabled(c, g).keys() for c in replay(trace)]
     ends = []
     pending = set(sets[0])
     for i, fired in enumerate(trace.steps):
@@ -401,7 +412,7 @@ def segments_by_rescan(trace, g):
     abnormal roots of every configuration from ``forest_view``."""
     info = component_info(g)
     comp_of = info.component_of
-    aars = [alive_abnormal_roots(c, g) for c in trace.configurations()]
+    aars = [alive_abnormal_roots(c, g) for c in replay(trace)]
     segment = [0] * len(info.components)
     words = {}
     for i, fired in enumerate(trace.steps):
@@ -445,20 +456,59 @@ class TestSegmentReference:
 
 
 class TestTraceWalk:
-    def test_one_replay_per_report(self, monkeypatch, triangle):
-        # A terminated run that reaches the milestones: every check runs.
-        trace = run(random_configuration(triangle, 16, 10), triangle, parse_daemon_spec("adv:churn", 16))
-        assert trace.terminated and trace.rounds > component_info(triangle).n_max_cc
-        replay = ExecutionTrace.configurations
+    def test_one_walk_per_report(self, monkeypatch, triangle):
+        # A terminated run that reaches the milestones, so every check
+        # runs, and the same run cut short: one walk each.
+        full = run(random_configuration(triangle, 16, 10), triangle, parse_daemon_spec("adv:churn", 16))
+        assert full.terminated and full.rounds > component_info(triangle).n_max_cc
+        cut = run(full.initial, triangle, parse_daemon_spec("adv:churn", 16), max_steps=full.step_count // 2)
+        assert not cut.terminated
+        walk = analysis.check_trace
         calls = []
 
-        def counted(self):
-            calls.append(self)
-            return replay(self)
+        def counted(trace, g):
+            calls.append(trace)
+            return walk(trace, g)
 
-        monkeypatch.setattr(ExecutionTrace, "configurations", counted)
-        full_trace_report(trace, triangle)
-        assert calls == [trace]
+        monkeypatch.setattr(analysis, "check_trace", counted)
+        for trace in (full, cut):
+            full_trace_report(trace, triangle)
+        assert calls == [full, cut]
+
+    @pytest.mark.parametrize("mutant", [False, True], ids=["protocol", "ab_root mutant"])
+    def test_cut_traces_walk_as_if_terminated(self, monkeypatch, mutant):
+        # The walk takes one path whether or not the trace terminated: on
+        # corpus traces cut short, every field but the milestones equals
+        # the walk of the same steps marked terminated, and the milestones
+        # read None. Some cut traces complete n_max_cc rounds, so the
+        # marked walk judges milestones; under the real protocol they
+        # equal the reference replay's.
+        if mutant:
+            monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        milestones = {
+            "no_status_c_in_illegal_ok",
+            "illegal_cleared_ok",
+            "hop_legitimacy_ok",
+            "acyclic_ok",
+            "milestones_ok",
+        }
+        judged = 0
+        for idx, g in enumerate(corpus_instances(40, CORPUS_SEED)):
+            start = random_configuration(g, idx, component_info(g).w_max * g.node_count)
+            for spec in DAEMONS:
+                full = run(start, g, parse_daemon_spec(spec, idx), max_steps=200)
+                cut = run(start, g, parse_daemon_spec(spec, idx), max_steps=max(1, full.step_count // 2))
+                if cut.terminated:
+                    continue
+                marked = dataclasses.replace(cut, terminated=True)
+                report, as_terminated = vars(check_trace(cut, g)), vars(check_trace(marked, g))
+                assert all(report[key] is None for key in milestones)
+                for key in report.keys() - milestones:
+                    assert report[key] == as_terminated[key], key
+                if not mutant:
+                    assert walk_matches_references(marked, g)
+                judged += len(cut.round_ends) >= component_info(g).n_max_cc
+        assert judged
 
     def test_first_configuration_of_round_n_max_cc_is_judged(self, path3):
         # The only configuration with status C in an illegal branch sits at
@@ -564,6 +614,11 @@ class TestBoundsCheck:
             (True, "steps=2 limit=30 uniform_limit=30"),
             (True, "rounds=2 limit=8"),
         )
+
+    def test_uniform_limit_is_the_one_compared(self, monkeypatch, path3):
+        trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
+        monkeypatch.setattr(analysis, "uniform_step_bound", lambda n, n_max_cc: 1)
+        assert _bound_lines(trace, path3)[0] == (False, "steps=2 limit=30 uniform_limit=1")
 
     def test_nonuniform_weights_skip_tight_bound(self, triangle):
         config = random_configuration(triangle, 1, 8)
@@ -753,7 +808,7 @@ class TestTerminalLegitimateEquivalence:
         for seed in range(6):
             config = random_configuration(triangle, 100 + seed, 10)
             trace = run(config, triangle, parse_daemon_spec("rand:p=0.5", seed))
-            for c in trace.configurations():
+            for c in replay(trace):
                 terminal = not enabled(c, triangle)
                 legit = legitimate_config(c, triangle).config_legitimate
                 assert terminal == legit

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -344,16 +345,26 @@ def test_unwritable_outputs_are_input_errors(argv, tmp_path, path3_file, capsys)
         ["run", "-g", "{graph}", "--report", "{graph_alias}"],
         ["explore", "-g", "{graph}", "--dcap", "1", "--report", "{graph}"],
         ["run", "-g", "{graph}", "--init", "file:{init}", "--report", "{init}"],
+        ["run", "-g", "{graph}", "--trace", "{graph_link}"],
     ],
-    ids=["trace-is-report", "trace-is-graph", "report-is-graph-alias", "explore-report-is-graph", "report-is-init"],
+    ids=[
+        "trace-is-report",
+        "trace-is-graph",
+        "report-is-graph-alias",
+        "explore-report-is-graph",
+        "report-is-init",
+        "trace-is-graph-hard-link",
+    ],
 )
 def test_colliding_outputs_are_input_errors(argv, tmp_path, path3_file, capsys):
     # Refused before any output is opened: no file is created or truncated.
     init = tmp_path / "init.cfg"
     init.write_text("p 1 C 0 1\np 2 C 1 2\n")
+    os.link(path3_file, tmp_path / "link.g")  # a second name, not a symlink
     paths = {
         "graph": path3_file,
         "graph_alias": tmp_path / "sub" / ".." / "path3.g",
+        "graph_link": tmp_path / "link.g",
         "init": init,
         "same": tmp_path / "same.out",
     }

@@ -18,7 +18,7 @@ from stabtree.engine import enabled, normal_initial_configuration, random_config
 from stabtree.graph import build_graph, component_info, generate_random_graph
 from stabtree.protocol import Rule, Status
 
-from conftest import mk_config, reference_path
+from conftest import mk_config, reference_path, replay
 
 
 @pytest.fixture
@@ -156,8 +156,8 @@ class TestAdversarialReference:
         ids=["starve-cleanup", "max-churn"],
     )
     def test_executions_match_reference_selection(self, cls, strategy):
-        # Same configurations, steps and round ends as the reference on
-        # random graphs whose root is not node 0, some with several
+        # Same steps and round ends as the reference, from the same start,
+        # on random graphs whose root is not node 0, some with several
         # components; a max-churn that measured the shift from the pre-step
         # distance would pick differently and diverge.
         split = 0
@@ -171,8 +171,6 @@ class TestAdversarialReference:
             for seed in range(3):
                 got = run(config, g, cls(seed))
                 want = run(config, g, _ReferenceAdversarial(seed, strategy))
-                got_configs = [tuple(c) for c in got.configurations()]
-                assert got_configs == [tuple(c) for c in want.configurations()], (trial, seed)
                 assert got.steps == want.steps, (trial, seed)
                 assert got.round_ends == want.round_ends, (trial, seed)
         assert split >= 10
@@ -202,12 +200,10 @@ class TestTraceDeterminism:
         config = random_configuration(triangle, 17, 8)
         first = run(config, triangle, parse_daemon_spec(spec, 9))
         second = run(config, triangle, parse_daemon_spec(spec, 9))
-        first_configs = [tuple(c) for c in first.configurations()]
-        assert first_configs == [tuple(c) for c in second.configurations()]
         assert first.steps == second.steps
 
     def test_every_selection_respects_enablement(self, triangle):
         config = random_configuration(triangle, 23, 8)
         trace = run(config, triangle, parse_daemon_spec("rand:p=0.6", 5))
-        for fired, pre in zip(trace.steps, trace.configurations()):
+        for fired, pre in zip(trace.steps, replay(trace)):
             assert fired.keys() <= enabled(pre, triangle).keys()

@@ -25,7 +25,7 @@ from stabtree.engine import (
 from stabtree.graph import build_graph, component_info, generate_random_graph, root_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
-from conftest import mk_config, reference_write_trace
+from conftest import mk_config, reference_write_trace, replay
 
 
 class TestEnabledSet:
@@ -129,7 +129,7 @@ class TestRun:
     def test_root_state_constant_throughout(self, triangle):
         config = random_configuration(triangle, 99, 6)
         trace = run(config, triangle, CentralDaemon(1))
-        assert all(c[0] == ROOT_STATE for c in trace.configurations())
+        assert all(c[0] == ROOT_STATE for c in replay(trace))
 
     def test_max_steps_truncates(self, path3):
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1)
@@ -141,7 +141,7 @@ class TestRun:
     def test_step_records_are_consistent(self, triangle):
         config = random_configuration(triangle, 5, 6)
         trace = run(config, triangle, CentralDaemon(7))
-        configs = [tuple(c) for c in trace.configurations()]
+        configs = list(replay(trace))
         for fired, pre, post in zip(trace.steps, configs, configs[1:]):
             moves = enabled(pre, triangle)
             assert fired
@@ -152,8 +152,9 @@ class TestRun:
     def test_steps_change_only_fired_nodes(self):
         # Every recorded move is the whole enabled move of its process in
         # the replayed pre-step configuration, and the replay ends at
-        # ``final``; the replay writes only the fired nodes, so the segment
-        # check's incremental series can rely on that.
+        # ``final``: the run changes only the fired nodes, so the trace
+        # walk, which applies the same steps, sees every configuration the
+        # run passed through.
         daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
         for trial in range(30):
             n = 3 + trial % 9
@@ -163,7 +164,7 @@ class TestRun:
             config = random_configuration(g, trial, 4 * n)
             for spec in daemons:
                 trace = run(config, g, parse_daemon_spec(spec, trial))
-                configs = [tuple(c) for c in trace.configurations()]
+                configs = list(replay(trace))
                 assert len(configs) == trace.step_count + 1
                 assert configs[0] == trace.initial == config
                 assert configs[-1] == trace.final
@@ -252,18 +253,6 @@ class TestRun:
 
         with pytest.raises(TypeError):
             run(normal_initial_configuration(path3), path3, Meddler())
-
-    def test_configurations_are_one_live_list(self):
-        g = generate_random_graph(4, 9, 0.5, 3, component_hint=2, root_id=5)
-        trace = run(random_configuration(g, 4, 27), g, parse_daemon_spec("rand:p=0.5", 4))
-        assert trace.step_count > 1
-        seen, snapshots = set(), []
-        for c in trace.configurations():
-            seen.add(id(c))
-            snapshots.append(tuple(c))
-        assert len(seen) == 1
-        assert len(snapshots) == trace.step_count + 1
-        assert snapshots[0] == trace.initial and snapshots[-1] == trace.final
 
     def test_invalid_initial_config_rejected(self, path3):
         bad = (ROOT_STATE, ProcessState(Status.C, 0, -1), ProcessState(Status.I, 2, 0))

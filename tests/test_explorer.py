@@ -11,6 +11,7 @@ from stabtree.analysis import step_bound_for
 from stabtree.engine import normal_initial_configuration, random_configuration, run
 from stabtree.daemon import SynchronousDaemon
 from stabtree.explorer import (
+    DEFAULT_MAX_VISITED,
     BudgetExceededError,
     ExplorerError,
     _Explorer,
@@ -36,7 +37,7 @@ def edge():
     return build_graph([(0, 1, 1)], 2, 0)
 
 
-def _explore(g, config, max_visited=2_000_000):
+def _explore(g, config, max_visited=DEFAULT_MAX_VISITED):
     """Every execution from one configuration, over the whole graph."""
     ex = _Explorer(g, range(g.node_count), max_visited)
     ex.explore_from(config)
@@ -162,16 +163,23 @@ class TestSuccessorOrder:
         # connected selections: DFS order, cycle witnesses and budgeted
         # partials depend on it. One explorer serves every sample, so later
         # samples read local facts and selections tabled by earlier ones.
+        # The legitimacy verdict is legitimate_config's, on the samples and
+        # on the legitimate end of a run.
         g = build_graph(edges, n, 0)
         ex = _Explorer(g, range(n), 1)
+        samples = [random_configuration(g, seed, 3) for seed in range(300)]
+        samples.append(run(normal_initial_configuration(g), g, SynchronousDaemon()).final)
         most = 0
-        for seed in range(300):
-            config = random_configuration(g, seed, 3)
+        legit_seen = set()
+        for config in samples:
             succs, _ = _mask_successors(g, config, connected_only=True)
             alive = sum(1 << u for u in alive_abnormal_roots(config, g))
-            assert ex._successors(config) == (succs, alive), config
+            legit = analysis.legitimate_config(config, g).config_legitimate
+            assert ex._successors(config) == (succs, alive, legit), config
             most = max(most, len(succs))
+            legit_seen.add(legit)
         assert most == widest  # some sample has every process enabled
+        assert legit_seen == {True, False}
 
     @pytest.mark.parametrize(
         "edges", [UNIT_4PATH, STAR4, UNIT_4CYCLE, SPLIT4], ids=["unit 4-path", "4-star", "unit 4-cycle", "4-node 2 components"]
@@ -266,7 +274,7 @@ class TestMutantViolations:
         # from every configuration.
         monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
         g = build_graph(*instance, 0)
-        ex = _Explorer(g, range(g.node_count), 2_000_000)
+        ex = _Explorer(g, range(g.node_count), DEFAULT_MAX_VISITED)
         ex.explore(1)
         assert ex.cycle_witness is None
         reference = Counter(v for c in ex.memo for v in _mask_successors(g, c, connected_only=True)[1])
@@ -325,17 +333,12 @@ class _AllMasksExplorer(_Explorer):
         facts = {u: _view_facts(config, g, u) for u in range(g.node_count) if u != g.root_id}
         alive = sum(1 << u for u, (_, _, flag) in facts.items() if flag)
         legit = all(ok for _, ok, _ in facts.values())
-        moves = [(u, move.state) for u, (move, _, _) in facts.items() if move is not None]
-        if not moves:
-            if not legit:
-                self.illegitimate_terminals.append(config)
-            return [], alive
-        if legit:
-            self.nonterminal_legitimate.append(config)
         choices = [(state,) for state in config]
-        for u, new in moves:
-            choices[u] = (config[u], new)
-        return [c[::-1] for c in itertools.product(*reversed(choices))][1:], alive
+        for u, (move, _, _) in facts.items():
+            if move is not None:
+                choices[u] = (config[u], move.state)
+        # The first product is ``config`` itself, the empty selection.
+        return [c[::-1] for c in itertools.product(*reversed(choices))][1:], alive, legit
 
 
 def _verdict(ex, g):
@@ -378,8 +381,8 @@ class TestConnectedSelections:
         elif mutant == "step bound":
             monkeypatch.setattr(analysis, "step_bound_for", lambda g: 5)
         g = build_graph(edges, n, 0)
-        reduced = _Explorer(g, range(n), 2_000_000)
-        reference = _AllMasksExplorer(g, range(n), 2_000_000)
+        reduced = _Explorer(g, range(n), DEFAULT_MAX_VISITED)
+        reference = _AllMasksExplorer(g, range(n), DEFAULT_MAX_VISITED)
         for ex in (reduced, reference):
             ex.explore(d_cap)
         verdict = _verdict(reduced, g)
@@ -434,7 +437,7 @@ class TestMemoLayout:
         if mutant:
             monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
         g = build_graph(edges, n, 0)
-        ex = _Explorer(g, range(n), 2_000_000)
+        ex = _Explorer(g, range(n), DEFAULT_MAX_VISITED)
         ex.explore(d_cap)
         assert ex.cycle_witness is None
         longest, violations = _recursive_memo(g, d_cap)
@@ -450,7 +453,7 @@ class TestMemoLayout:
         # abnormal root of configurations with a nonzero longest execution,
         # so bit 3 of the entry is set right below the longest's lowest bit.
         g = build_graph(UNIT_4PATH, 4, 0)
-        ex = _Explorer(g, range(4), 2_000_000)
+        ex = _Explorer(g, range(4), DEFAULT_MAX_VISITED)
         ex.explore(1)
         longest, _ = _recursive_memo(g, 1)
         top = [c for c, k in longest.items() if k > 0 and 3 in alive_abnormal_roots(c, g)]
@@ -622,7 +625,7 @@ class TestCertify:
 def _monolithic(g, d_cap):
     """Explore the whole product configuration graph as one: the reference
     that certification by connected component must reproduce."""
-    ex = _Explorer(g, range(g.node_count), 2_000_000)  # induced_subgraph returns g itself
+    ex = _Explorer(g, range(g.node_count), DEFAULT_MAX_VISITED)  # induced_subgraph returns g itself
     count = max_path = 0
     for initial in enumerate_initial_configs(g, d_cap):
         count += 1
