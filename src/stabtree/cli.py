@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from . import analysis, engine, explorer
 from .analysis import CheckResult
 from .daemon import DaemonSpecError, parse_daemon_spec
-from .graph import GraphError, WeightedGraph, component_info, generate_random_graph, load_graph
+from .graph import WeightedGraph, component_info, generate_random_graph, load_graph
 from .protocol import Configuration
 
 EXIT_OK = 0
@@ -23,9 +23,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BUDGET = 3
 
-
-class InitSpecError(ValueError):
-    pass
+#: What a command refuses with exit 2: the parser of each input raises a
+#: ValueError (UnicodeDecodeError is one) and each path an OSError
+#: (OutputPathError is one). Only the parsing is wrapped, so a ValueError
+#: raised during a run stays a traceback.
+INPUT_ERRORS = (ValueError, OSError)
 
 
 class OutputPathError(OSError):
@@ -42,13 +44,13 @@ def build_initial_config(spec: str, g: WeightedGraph) -> Configuration:
     if spec.startswith("rand:"):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise InitSpecError(f"expected rand:<seed>:<dcap>, got {spec!r}")
+            raise engine.ConfigurationError(f"expected rand:<seed>:<dcap>, got {spec!r}")
         try:
             seed, d_cap = int(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise InitSpecError(f"bad rand spec {spec!r}") from exc
+            raise engine.ConfigurationError(f"bad rand spec {spec!r}") from exc
         return engine.random_configuration(g, seed, d_cap)
-    raise InitSpecError(f"unknown init spec {spec!r}")
+    raise engine.ConfigurationError(f"unknown init spec {spec!r}")
 
 
 def _print_report(results: Sequence[CheckResult]) -> None:
@@ -104,9 +106,7 @@ def cmd_run(args) -> int:
                 {"-g": args.graph, "--init": args.init[len("file:"):] if args.init.startswith("file:") else None},
                 {"--trace": args.trace, "--report": args.report},
             )
-        except (
-            GraphError, engine.ConfigurationError, DaemonSpecError, InitSpecError, OSError, UnicodeDecodeError
-        ) as exc:
+        except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         trace = engine.run(config, g, policy, args.max_steps)
@@ -127,7 +127,7 @@ def cmd_explore(args) -> int:
         try:
             g = load_graph(args.graph)
             (report_out,) = _open_outputs(outputs, {"-g": args.graph}, {"--report": args.report})
-        except (GraphError, OSError, UnicodeDecodeError) as exc:
+        except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         result = explorer.certify_instance(g, args.dcap, args.max_visited)
@@ -172,11 +172,7 @@ def corpus_instances(count: int, seed: int) -> Iterator[WeightedGraph]:
         w = rng.randint(1, 5)
         hint = rng.randint(1, 3)
         yield generate_random_graph(
-            seed=rng.randrange(2**32),
-            node_count=n,
-            edge_probability=p,
-            max_weight=w,
-            component_hint=hint if hint > 1 else None,
+            seed=rng.randrange(2**32), node_count=n, edge_probability=p, max_weight=w, component_hint=hint
         )
 
 
@@ -220,7 +216,7 @@ def cmd_bench(args) -> int:
             for spec in daemons:
                 parse_daemon_spec(spec, 0)
             (report_out,) = _open_outputs(outputs, {}, {"--report": args.report})
-        except (DaemonSpecError, OSError) as exc:
+        except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         runs = bench_corpus(count=args.count, seed=args.seed, daemons=daemons)

@@ -19,15 +19,12 @@ from .graph import WeightedGraph
 from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
 
 
-class EmptySelectionError(Exception):
-    """The daemon returned an empty selection."""
+class SelectionError(ValueError):
+    """The daemon broke its contract: an empty selection, or one with a
+    process that is not enabled."""
 
 
-class NotEnabledError(Exception):
-    """The daemon selected a process that is not enabled."""
-
-
-class ConfigurationError(Exception):
+class ConfigurationError(ValueError):
     """Malformed configuration (or configuration file)."""
 
 
@@ -97,12 +94,12 @@ def _fire(
     the pre-step ``config``, which both callers drop on an error. Returns
     the fired moves."""
     if not selection:
-        raise EmptySelectionError("selection must be nonempty")
+        raise SelectionError("selection must be nonempty")
     fired: dict[int, Move] = {}
     for u in selection:
         move = moves.get(u)
         if move is None:
-            raise NotEnabledError(
+            raise SelectionError(
                 f"selected processes {sorted(v for v in selection if v not in moves)} are not enabled"
             )
         fired[u] = move

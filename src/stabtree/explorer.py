@@ -25,11 +25,7 @@ from .graph import WeightedGraph, component_info, induced_subgraph
 from .protocol import ROOT_STATE, Configuration, ProcessState, Status
 
 
-class ExplorerError(Exception):
-    pass
-
-
-class BudgetExceededError(ExplorerError):
+class BudgetExceededError(Exception):
     """Exploration hit a limit; ``certify_instance`` turns it into an
     INCONCLUSIVE result."""
 
@@ -261,7 +257,7 @@ def enumerate_initial_configs(g: WeightedGraph, d_cap: int) -> Iterator[Configur
     the per-node choices yields each configuration as a tuple.
     """
     if d_cap < 1:
-        raise ExplorerError(f"d_cap must be >= 1, got {d_cap}")
+        raise ValueError(f"d_cap must be >= 1, got {d_cap}")
     choices = [
         (ROOT_STATE,)
         if u == g.root_id

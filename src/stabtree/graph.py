@@ -21,27 +21,8 @@ INFINITY = math.inf
 
 
 class GraphError(ValueError):
-    """Base class for graph construction and lookup failures."""
-
-
-class SelfLoopError(GraphError):
-    pass
-
-
-class DuplicateEdgeError(GraphError):
-    pass
-
-
-class NonPositiveWeightError(GraphError):
-    pass
-
-
-class BadNodeIdError(GraphError):
-    pass
-
-
-class GraphFormatError(GraphError):
-    """Malformed graph file."""
+    """A bad graph: malformed file text, an invalid edge list or node id,
+    or bad generator parameters. The message names the failed check."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +42,7 @@ class WeightedGraph:
 
     def check_node(self, u: int) -> None:
         if not isinstance(u, int) or not 0 <= u < self.node_count:
-            raise BadNodeIdError(f"invalid node id {u!r}")
+            raise GraphError(f"invalid node id {u!r}")
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each undirected edge once, as (u, v, w) with u < v."""
@@ -78,20 +59,20 @@ def build_graph(
 ) -> WeightedGraph:
     """Validate and build a :class:`WeightedGraph` from an edge list."""
     if node_count < 1:
-        raise BadNodeIdError(f"node_count must be positive, got {node_count}")
+        raise GraphError(f"node_count must be positive, got {node_count}")
     if not isinstance(root_id, int) or not 0 <= root_id < node_count:
-        raise BadNodeIdError(f"invalid root id {root_id!r}")
+        raise GraphError(f"invalid root id {root_id!r}")
     adjacency: list[dict[int, int]] = [{} for _ in range(node_count)]
     for u, v, w in edge_list:
         for x in (u, v):
             if not isinstance(x, int) or not 0 <= x < node_count:
-                raise BadNodeIdError(f"invalid node id {x!r} in edge ({u}, {v})")
+                raise GraphError(f"invalid node id {x!r} in edge ({u}, {v})")
         if u == v:
-            raise SelfLoopError(f"self-loop at node {u}")
+            raise GraphError(f"self-loop at node {u}")
         if not isinstance(w, int) or w < 1:
-            raise NonPositiveWeightError(f"edge ({u}, {v}) has weight {w!r}; weights must be integers >= 1")
+            raise GraphError(f"edge ({u}, {v}) has weight {w!r}; weights must be integers >= 1")
         if v in adjacency[u]:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+            raise GraphError(f"duplicate edge ({u}, {v})")
         adjacency[u][v] = w
         adjacency[v][u] = w
     return WeightedGraph(
@@ -266,7 +247,7 @@ def induced_subgraph(g: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:
     for u in order:
         g.check_node(u)
     if g.root_id not in new_id:
-        raise BadNodeIdError(f"induced subgraph must contain the root {g.root_id}")
+        raise GraphError(f"induced subgraph must contain the root {g.root_id}")
     if len(order) == g.node_count:
         return g
     edges = [
@@ -283,7 +264,7 @@ def generate_random_graph(
     node_count: int,
     edge_probability: float,
     max_weight: int,
-    component_hint: int | None = None,
+    component_hint: int = 1,
     root_id: int = 0,
 ) -> WeightedGraph:
     """Deterministic seeded random graph.
@@ -293,12 +274,12 @@ def generate_random_graph(
     two connected components (a group may split further if sparse).
     """
     if max_weight < 1:
-        raise NonPositiveWeightError(f"max_weight must be >= 1, got {max_weight}")
+        raise GraphError(f"max_weight must be >= 1, got {max_weight}")
     if not 0 < edge_probability <= 1:
         raise GraphError(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng = random.Random(seed)
     group = [0] * node_count
-    if component_hint is not None and component_hint > 1:
+    if component_hint > 1:
         k = min(component_hint, node_count)
         order = list(range(node_count))
         rng.shuffle(order)
@@ -338,26 +319,26 @@ def parse_graph(text: str) -> WeightedGraph:
         fields = line.split()
         if fields[0] == "g":
             if header is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate header")
+                raise GraphError(f"line {lineno}: duplicate header")
             if len(fields) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'g <node_count> <root_id>'")
+                raise GraphError(f"line {lineno}: expected 'g <node_count> <root_id>'")
             try:
                 header = (int(fields[1]), int(fields[2]))
             except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from exc
+                raise GraphError(f"line {lineno}: {exc}") from exc
         elif fields[0] == "e":
             if header is None:
-                raise GraphFormatError(f"line {lineno}: edge before header")
+                raise GraphError(f"line {lineno}: edge before header")
             if len(fields) != 4:
-                raise GraphFormatError(f"line {lineno}: expected 'e <u> <v> <w>'")
+                raise GraphError(f"line {lineno}: expected 'e <u> <v> <w>'")
             try:
                 edges.append((int(fields[1]), int(fields[2]), int(fields[3])))
             except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from exc
+                raise GraphError(f"line {lineno}: {exc}") from exc
         else:
-            raise GraphFormatError(f"line {lineno}: unknown record {fields[0]!r}")
+            raise GraphError(f"line {lineno}: unknown record {fields[0]!r}")
     if header is None:
-        raise GraphFormatError("missing 'g' header line")
+        raise GraphError("missing 'g' header line")
     return build_graph(edges, header[0], header[1])
 
 

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from stabtree import protocol
 from stabtree.cli import (
@@ -9,14 +11,13 @@ from stabtree.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PARSE_ERROR,
-    InitSpecError,
     bench_corpus,
     build_initial_config,
     corpus_instances,
     main,
 )
-from stabtree.engine import normal_initial_configuration
-from stabtree.graph import format_graph, save_graph
+from stabtree.engine import ConfigurationError, normal_initial_configuration
+from stabtree.graph import build_graph, format_graph, save_graph
 from stabtree.protocol import Rule, Status
 
 from conftest import mk_config
@@ -52,12 +53,27 @@ class TestInitSpecs:
         )
 
     def test_bad_specs(self, path3):
-        with pytest.raises(InitSpecError):
+        with pytest.raises(ConfigurationError, match=r"^expected rand:<seed>:<dcap>, got 'rand:5'$"):
             build_initial_config("rand:5", path3)
-        with pytest.raises(InitSpecError, match=r"^bad rand spec 'rand:x:3'$"):
+        with pytest.raises(ConfigurationError, match=r"^bad rand spec 'rand:x:3'$"):
             build_initial_config("rand:x:3", path3)
-        with pytest.raises(InitSpecError):
+        with pytest.raises(ConfigurationError, match=r"^unknown init spec 'warm'$"):
             build_initial_config("warm", path3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hs.one_of(
+            hs.text(),
+            hs.builds("rand:{}".format, hs.text()),
+            hs.builds("rand:{}:{}".format, hs.integers(-3, 10**6), hs.one_of(hs.integers(-3, 9), hs.text())),
+        ).filter(lambda spec: not spec.startswith("file:"))
+    )
+    def test_any_spec_raises_only_configuration_error(self, spec):
+        # A file: spec opens a path, which may also raise an OSError.
+        try:
+            build_initial_config(spec, build_graph([(0, 1, 1), (1, 2, 1)], 3, 0))
+        except ConfigurationError:
+            pass
 
 
 class TestRunCommand:
@@ -96,15 +112,24 @@ class TestRunCommand:
             (["-g", "{bad_graph}"], "error: line 2: duplicate header\n"),
             (["-g", "{graph}", "--init", "file:{bad_config}"], "error: line 1: bad process id 0\n"),
             (["-g", "{graph}", "--init", "rand:1:-1"], "error: d_cap must be >= 0, got -1\n"),
+            (["-g", "{self_loop}"], "error: self-loop at node 0\n"),
+            (["-g", "{zero_weight}"], "error: edge (0, 1) has weight 0; weights must be integers >= 1\n"),
+            (["-g", "{graph}", "--init", "rand:x:3"], "error: bad rand spec 'rand:x:3'\n"),
+            (["-g", "{graph}", "-d", "rand:p=2"], "error: inclusion probability must be in (0, 1], got 2.0\n"),
         ],
-        ids=["graph-file", "init-file", "init-rand"],
+        ids=["graph-file", "init-file", "init-rand", "self-loop", "zero-weight", "init-rand-seed", "daemon-p"],
     )
     def test_bad_inputs_exit_2(self, argv, message, path3_file, tmp_path, capsys):
-        bad_graph = tmp_path / "bad.g"
-        bad_graph.write_text("g 3 0\ng 3 0\n")
-        bad_config = tmp_path / "bad.cfg"
-        bad_config.write_text("p 0 C 0 1\n")
-        paths = {"graph": path3_file, "bad_graph": bad_graph, "bad_config": bad_config}
+        files = {
+            "bad_graph": "g 3 0\ng 3 0\n",
+            "bad_config": "p 0 C 0 1\n",
+            "self_loop": "g 2 0\ne 0 0 1\n",
+            "zero_weight": "g 2 0\ne 0 1 0\n",
+        }
+        paths = {"graph": path3_file}
+        for name, text in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
         code = main(["run", *(a.format(**paths) for a in argv)])
         assert code == EXIT_PARSE_ERROR
         captured = capsys.readouterr()

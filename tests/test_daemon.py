@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from stabtree.daemon import (
     CentralDaemon,
@@ -88,9 +90,9 @@ class TestRandomDistributed:
         assert frozenset() not in seen
 
     def test_bad_probability_rejected(self):
-        with pytest.raises(DaemonSpecError):
+        with pytest.raises(DaemonSpecError, match=r"^inclusion probability must be in \(0, 1\], got 0\.0$"):
             RandomDistributedDaemon(0, 0.0)
-        with pytest.raises(DaemonSpecError):
+        with pytest.raises(DaemonSpecError, match=r"^inclusion probability must be in \(0, 1\], got 1\.5$"):
             RandomDistributedDaemon(0, 1.5)
 
 
@@ -186,10 +188,18 @@ class TestSpecStrings:
         assert (type(churn), churn.name) == (MaxChurnDaemon, "adv:max-churn")
 
     def test_unknown_spec(self):
-        with pytest.raises(DaemonSpecError):
+        with pytest.raises(DaemonSpecError, match=r"^unknown daemon spec 'chaotic'$"):
             parse_daemon_spec("chaotic")
-        with pytest.raises(DaemonSpecError):
+        with pytest.raises(DaemonSpecError, match=r"^bad probability in 'rand:p=lots'$"):
             parse_daemon_spec("rand:p=lots")
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.one_of(hs.text(), hs.builds("rand:p={}".format, hs.one_of(hs.floats(), hs.text()))))
+    def test_any_spec_raises_only_daemon_spec_error(self, spec):
+        try:
+            parse_daemon_spec(spec, 0)
+        except DaemonSpecError:
+            pass
 
 
 class TestTraceDeterminism:

@@ -4,12 +4,13 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
     ConfigurationError,
-    EmptySelectionError,
-    NotEnabledError,
+    SelectionError,
     enabled,
     format_configuration,
     load_configuration,
@@ -89,11 +90,11 @@ class TestStep:
             assert list(config) == before == list(arg)
 
     def test_empty_selection_rejected(self, path3):
-        with pytest.raises(EmptySelectionError):
+        with pytest.raises(SelectionError, match=r"^selection must be nonempty$"):
             step(normal_initial_configuration(path3), path3, set())
 
     def test_disabled_selection_rejected(self, path3):
-        with pytest.raises(NotEnabledError):
+        with pytest.raises(SelectionError, match=r"^selected processes \[2\] are not enabled$"):
             step(normal_initial_configuration(path3), path3, {2})
 
 
@@ -191,7 +192,7 @@ class TestRun:
             def select(self, config, g, enabled):
                 return frozenset()
 
-        with pytest.raises(EmptySelectionError):
+        with pytest.raises(SelectionError, match=r"^selection must be nonempty$"):
             run(normal_initial_configuration(path3), path3, Idle())
 
     def test_disabled_selection_rejected(self, path3):
@@ -201,7 +202,7 @@ class TestRun:
 
         start = normal_initial_configuration(path3)
         assert 2 not in enabled(start, path3)
-        with pytest.raises(NotEnabledError):
+        with pytest.raises(SelectionError, match=r"^selected processes \[2\] are not enabled$"):
             run(start, path3, Reckless())
 
     def test_default_step_budget_skips_hop_diameter(self):
@@ -242,7 +243,7 @@ class TestRun:
 
         start = normal_initial_configuration(path3)
         assert enabled(start, path3).keys() == {1}
-        with pytest.raises(NotEnabledError):
+        with pytest.raises(SelectionError, match=r"^selected processes \[1\] are not enabled$"):
             run(start, path3, Stale())
 
     def test_policy_cannot_write_enabled(self, path3):
@@ -256,8 +257,12 @@ class TestRun:
 
     def test_invalid_initial_config_rejected(self, path3):
         bad = (ROOT_STATE, ProcessState(Status.C, 0, -1), ProcessState(Status.I, 2, 0))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^node 1: bad distance -1$"):
             run(bad, path3, SynchronousDaemon())
+
+
+#: A numeric field of a configuration line: a small int or any short text.
+_TOKEN = hs.one_of(hs.integers(-2, 4), hs.text(max_size=3))
 
 
 class TestConfigFiles:
@@ -278,15 +283,15 @@ class TestConfigFiles:
             assert load_configuration(path, g) == config
 
     def test_missing_process(self, triangle):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^missing states for processes \[2\]$"):
             parse_configuration("p 1 C 0 2\n", triangle)
 
     def test_duplicate_process(self, triangle):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^line 2: duplicate process 1$"):
             parse_configuration("p 1 C 0 2\np 1 I 1 0\np 2 I 2 0\n", triangle)
 
     def test_bad_status(self, triangle):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^line 1: 'X' is not a valid Status$"):
             parse_configuration("p 1 X 0 2\np 2 I 2 0\n", triangle)
 
     def test_blank_and_comment_lines_skipped(self, triangle):
@@ -310,6 +315,28 @@ class TestConfigFiles:
         with pytest.raises(ConfigurationError) as exc_info:
             parse_configuration(text, triangle)
         assert str(exc_info.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hs.lists(
+            hs.one_of(
+                hs.text(),
+                hs.builds(
+                    "p {} {} {} {}".format,
+                    _TOKEN,
+                    hs.one_of(hs.sampled_from([s.value for s in Status]), hs.text(max_size=2)),
+                    _TOKEN,
+                    _TOKEN,
+                ),
+            ),
+            max_size=4,
+        ).map("\n".join)
+    )
+    def test_any_text_raises_only_configuration_error(self, text):
+        try:
+            parse_configuration(text, build_graph([(0, 1, 1), (1, 2, 1), (0, 2, 1)], 3, 0))
+        except ConfigurationError:
+            pass
 
 
 _ISOLATED_2 = ProcessState(Status.I, 2, 0)

@@ -13,7 +13,6 @@ from stabtree.daemon import SynchronousDaemon
 from stabtree.explorer import (
     DEFAULT_MAX_VISITED,
     BudgetExceededError,
-    ExplorerError,
     _Explorer,
     _view_facts,
     certify_instance,
@@ -491,7 +490,7 @@ def _facts_are_local() -> bool:
         n = rng.randint(2, 6)
         g = generate_random_graph(
             seed, n, rng.choice((0.3, 0.5, 0.8)), 3,
-            component_hint=rng.choice((None, 2)), root_id=rng.randrange(n),
+            component_hint=rng.choice((1, 2)), root_id=rng.randrange(n),
         )
         for _ in range(10):
             config = tuple(
@@ -579,7 +578,7 @@ class TestEnumerate:
         assert sum(1 for _ in enumerate_initial_configs(path3, 1)) == 24 * 16
 
     def test_bad_cap(self, edge):
-        with pytest.raises(ExplorerError):
+        with pytest.raises(ValueError, match=r"^d_cap must be >= 1, got 0$"):
             list(enumerate_initial_configs(edge, 0))
 
     @pytest.mark.parametrize("d_cap", [1, 2])
