@@ -38,8 +38,8 @@ def main():
         print(f"step {i}: fired {fired}")
         show(config, f"  config {i + 1}")
 
-    report = legitimate_config(trace.final, g)
-    print(f"terminated in {trace.step_count} steps; legitimate: {report.config_legitimate}")
+    failing = legitimate_config(trace.final, g)
+    print(f"terminated in {trace.step_count} steps; legitimate: {not failing}")
 
 
 if __name__ == "__main__":

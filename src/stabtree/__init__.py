@@ -1,6 +1,8 @@
 """Simulator and verification harness for a silent self-stabilizing
 rooted shortest-path tree protocol with disconnection detection."""
 
+from types import ModuleType as _ModuleType
+
 from .graph import (
     INFINITY,
     ComponentInfo,
@@ -49,5 +51,6 @@ from .explorer import (
     enumerate_initial_configs,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Not the submodules: ``from stabtree import *`` must not rebind a caller's ``graph``.
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

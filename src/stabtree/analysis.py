@@ -35,8 +35,8 @@ def step_bound(n: int, n_max_cc: int, w_max: int) -> int:
 
 
 def uniform_step_bound(n: int, n_max_cc: int) -> int:
-    """Tighter step bound when every edge has the same weight; never above ``step_bound``."""
-    return (n_max_cc**3 + 2 * n_max_cc + 3) * (n - 1)
+    """Tighter step bound when every edge has the same weight: ``step_bound`` at ``w_max = 1``."""
+    return step_bound(n, n_max_cc, 1)
 
 
 def round_bound(n_max_cc: int, hop_diameter: int) -> int:
@@ -59,12 +59,6 @@ def round_bound_for(g: WeightedGraph) -> int:
 #: The status clause's rejection reason per status, built once: the explorer
 #: asks about every process it does not table.
 _STATUS_REASON = {s: f"status {s.value} in root component" for s in Status}
-
-
-@dataclass
-class LegitimacyReport:
-    per_node: dict[int, tuple[bool, str | None]]
-    config_legitimate: bool
 
 
 def legitimate_state(
@@ -93,8 +87,8 @@ def legitimate_state(
     return True, None
 
 
-def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> LegitimacyReport:
-    """Per-process verdicts; the configuration is legitimate when all hold.
+def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> dict[int, str]:
+    """The failing clause of each process that fails one; empty iff legitimate.
 
     No separate spanning-tree check is needed: the per-process clauses
     imply one. Every non-root process of V_r has its true distance and a
@@ -105,8 +99,8 @@ def legitimate_config(config: Sequence[ProcessState], g: WeightedGraph) -> Legit
     shortest-path spanning tree of V_r; every process outside V_r is
     isolated.
     """
-    per_node = {u: legitimate_state(config, g, u) for u in range(g.node_count)}
-    return LegitimacyReport(per_node, all(ok for ok, _ in per_node.values()))
+    verdicts = (legitimate_state(config, g, u) for u in range(g.node_count))
+    return {u: why for u, (ok, why) in enumerate(verdicts) if not ok}
 
 
 # --- local facts -----------------------------------------------------------
@@ -193,17 +187,20 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     leaves none; under a faulty one the lemma holds wherever none exists.
     ``statusC`` fails while a C head exists, ``acyclic`` on a loose link
     (so on every parent cycle, and possibly sooner), and ``cleared`` on an
-    abnormal root, a loose link or an illegitimate process outside V_r.
-    The illegitimate processes are kept from ``3*n_max_cc`` rounds on, and
-    judged whole when a round end raises the hop budget, at the updated
-    nodes otherwise.
+    abnormal root or a loose link. Under any ``ab_root``, each illegitimate
+    process outside V_r leads to one: it is not in status I, so it is an
+    abnormal root, a loose link, or has a non-I neighbour parent with a
+    strictly smaller ``d``; the root is not in its component, so its parent
+    chain ends at an abnormal root or a loose link. For ``hops``, the
+    illegitimate processes are kept from ``3*n_max_cc`` rounds on and
+    judged whole when a round end raises the budget, at the updated nodes
+    otherwise.
     """
     info = component_info(g)
     comp_of = info.component_of
     adjacency = g.adjacency
     root = g.root_id
     nodes = range(g.node_count)
-    distances = root_distances(g)
     hops = root_hop_distances(g)
     nm = info.n_max_cc
     aar = {u for u in nodes if u != root and _alive_ab_root(trace.initial, g, u)}
@@ -264,9 +261,7 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
             (illegit.discard if legitimate_state(config, g, u)[0] else illegit.add)(u)
         budget = completed - 3 * nm
         for u in illegit if grew else touched & illegit:
-            if distances[u] == INFINITY:
-                ok_cleared = False
-            elif hops[u] <= budget:
+            if hops[u] <= budget:
                 ok_hop = False
     if not trace.terminated:
         ok_c = ok_cleared = ok_hop = ok_acyclic = None
@@ -304,11 +299,9 @@ def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
     results = [
         CheckResult("terminated", trace.terminated, f"steps={trace.step_count}")
     ]
-    final = legitimate_config(trace.final, g)
-    detail = "; ".join(f"node {u}: {why}" for u, (ok, why) in final.per_node.items() if not ok)
-    results.append(
-        CheckResult("final_legitimate", trace.terminated and final.config_legitimate, detail)
-    )
+    failing = legitimate_config(trace.final, g)
+    detail = "; ".join(f"node {u}: {why}" for u, why in failing.items())
+    results.append(CheckResult("final_legitimate", trace.terminated and not failing, detail))
     walk = check_trace(trace, g)
     if trace.terminated:
         steps, rounds = trace.step_count, trace.rounds

@@ -45,12 +45,14 @@ class DaemonPolicy:
 class _SeededPolicy(DaemonPolicy):
     def __init__(self, seed: int):
         self.seed = seed
-        self._step = 0
+        self._stream = -1  # the n-th select (from 0) draws from stream n
+
+    def select(self, config, g, enabled):
+        self._stream += 1
+        return self._choose(config, enabled)
 
     def _rng(self) -> random.Random:
-        rng = random.Random((self.seed + 1) * 0x9E3779B97F4A7C15 + self._step)
-        self._step += 1
-        return rng
+        return random.Random((self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream)
 
 
 class SynchronousDaemon(DaemonPolicy):
@@ -63,7 +65,7 @@ class SynchronousDaemon(DaemonPolicy):
 class CentralDaemon(_SeededPolicy):
     name = "central"
 
-    def select(self, config, g, enabled):
+    def _choose(self, config, enabled):
         return frozenset({self._rng().choice(sorted(enabled))})
 
 
@@ -77,7 +79,7 @@ class RandomDistributedDaemon(_SeededPolicy):
         self.p = p
         self.name = f"rand:p={p}"
 
-    def select(self, config, g, enabled):
+    def _choose(self, config, enabled):
         rng = self._rng()
         nodes = sorted(enabled)
         for _ in range(64):  # redraw an empty draw, then sample a nonempty one directly
@@ -106,11 +108,10 @@ class StarveCleanupDaemon(CentralDaemon):
 
     name = "adv:starve-cleanup"
 
-    def select(self, config, g, enabled):
+    def _choose(self, config, enabled):
         corrections = [u for u, move in enabled.items() if move.rule is R_C]
         if not corrections:
-            return super().select(config, g, enabled)
-        self._step += 1  # keep the counter in lockstep with draws
+            return super()._choose(config, enabled)
         return frozenset(corrections)
 
 
@@ -121,7 +122,7 @@ class MaxChurnDaemon(CentralDaemon):
 
     name = "adv:max-churn"
 
-    def select(self, config, g, enabled):
+    def _choose(self, config, enabled):
         best: tuple[int, int] | None = None  # (delta, -u)
         for u, (rule, state) in enabled.items():
             if rule is R_C or rule is R_R:
@@ -129,8 +130,7 @@ class MaxChurnDaemon(CentralDaemon):
                 if best is None or cand > best:
                     best = cand
         if best is None:
-            return super().select(config, g, enabled)
-        self._step += 1  # keep the counter in lockstep with draws
+            return super()._choose(config, enabled)
         return frozenset({-best[1]})
 
 

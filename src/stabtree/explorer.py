@@ -337,6 +337,8 @@ def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = DEFAULT_MA
     every reachable legitimate configuration terminal, no step creating an
     alive abnormal root, and the longest execution within the step bound.
 
+    Every component is a factor, an isolated root's own too, so every
+    graph enumerates and a ``d_cap`` below 1 is refused on every graph.
     No edge crosses components and the root is pinned, so the whole
     configuration graph is the product of the factors' graphs, each step
     moving one or more factors while the rest stay idle. Each property
@@ -351,7 +353,6 @@ def certify_instance(g: WeightedGraph, d_cap: int, max_visited: int = DEFAULT_MA
     factors = [
         _Explorer(g, {*nodes, root}, max_visited)
         for nodes in component_info(g).components
-        if nodes != (root,)
     ]
     started: list[_Explorer] = []
     try:

@@ -31,12 +31,20 @@ from stabtree.engine import (
 )
 from stabtree.cli import EXIT_CHECK_FAILED, corpus_instances, main
 from stabtree.explorer import enumerate_initial_configs
-from stabtree.graph import build_graph, component_info, format_graph, generate_random_graph
+from stabtree.graph import (
+    INFINITY,
+    build_graph,
+    component_info,
+    format_graph,
+    generate_random_graph,
+    root_distances,
+)
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
 
 from conftest import (
     RULE_LETTER,
     SEGMENT_RE,
+    ab_root_far_parent,
     ab_root_without_distance,
     alive_abnormal_roots,
     check_round_milestones,
@@ -90,8 +98,7 @@ class TestBoundFormulas:
 class TestLegitimacy:
     def test_solved_configuration(self, path3):
         config = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
-        report = legitimate_config(config, path3)
-        assert report.config_legitimate
+        assert legitimate_config(config, path3) == {}
         assert spanning_tree_holds(config, path3)
 
     def test_wrong_distance_flagged(self, path3):
@@ -106,7 +113,7 @@ class TestLegitimacy:
 
     def test_outside_root_component_must_be_isolated(self, two_comp):
         good = mk_config(two_comp)
-        assert legitimate_config(good, two_comp).config_legitimate
+        assert legitimate_config(good, two_comp) == {}
         bad = mk_config(two_comp, n1=(Status.C, 2, 1))
         ok, why = legitimate_state(bad, two_comp, 1)
         assert not ok
@@ -120,7 +127,29 @@ class TestLegitimacy:
         # giving d inconsistent with its claimed parent
         g = build_graph([(0, 1, 1), (0, 2, 1), (1, 2, 1)], 3, 0)
         config = mk_config(g, n1=(Status.C, 0, 1), n2=(Status.C, 1, 1))
-        assert not legitimate_config(config, g).config_legitimate
+        assert legitimate_config(config, g) == {2: "distance inconsistent with parent"}
+
+    def test_config_lists_each_failing_clause(self):
+        # legitimate_config's keys are exactly the processes whose
+        # legitimate_state fails, each with that clause: every enumerated
+        # configuration at d_cap 1 of the weighted triangle and a 4-node
+        # graph with 2 components, each also with the root moved off its
+        # constant state, and run finals on random graphs.
+        configs = []
+        for edges, n in (([(0, 1, 2), (1, 2, 3), (2, 0, 1)], 3), ([(0, 1, 1), (2, 3, 2)], 4)):
+            g = build_graph(edges, n, 0)
+            for config in enumerate_initial_configs(g, 1):
+                configs += [(g, config), (g, (ProcessState(Status.C, None, 1),) + config[1:])]
+        for trial in range(20):
+            g = generate_random_graph(900 + trial, 2 + trial % 7, 0.5, 3, component_hint=1 + trial % 2)
+            configs.append((g, run(random_configuration(g, trial, 9), g, CentralDaemon(trial)).final))
+        sizes = set()
+        for g, config in configs:
+            verdicts = {u: legitimate_state(config, g, u) for u in range(g.node_count)}
+            failing = legitimate_config(config, g)
+            assert failing == {u: why for u, (ok, why) in verdicts.items() if not ok}
+            sizes.add(min(len(failing), 2))
+        assert sizes == {0, 1, 2}
 
     def test_per_node_clauses_imply_spanning_tree(self):
         # legitimate_config makes no spanning-tree walk of its own: wherever
@@ -141,7 +170,7 @@ class TestLegitimacy:
         for edges, n, root in instances:
             g = build_graph(edges, n, root)
             for config in enumerate_initial_configs(g, 2):
-                if legitimate_config(config, g).config_legitimate:
+                if not legitimate_config(config, g):
                     assert spanning_tree_holds(config, g), (edges, root, config)
                     legitimate.append((g, config))
         # One each; none on the weighted 3-path or the 4-node graph, which
@@ -155,7 +184,7 @@ class TestLegitimacy:
             )
             for daemon in (SynchronousDaemon(), CentralDaemon(trial)):
                 final = run(random_configuration(g, trial, 3 * n), g, daemon).final
-                assert legitimate_config(final, g).config_legitimate
+                assert legitimate_config(final, g) == {}
                 assert spanning_tree_holds(final, g)
                 legitimate.append((g, final))
         # The root's clause is its constant state: any other root state is
@@ -169,7 +198,7 @@ class TestLegitimacy:
             ):
                 bad = config[:root] + (state,) + config[root + 1:]
                 assert legitimate_state(bad, g, root)[0] is False
-                assert not legitimate_config(bad, g).config_legitimate
+                assert legitimate_config(bad, g)[root] == "root state is not (C, None, 0)"
             assert config[root] == ROOT_STATE
 
 
@@ -205,8 +234,7 @@ class TestForestView:
             ProcessState(Status.C, None, 0) if u == n - 1 else ProcessState(Status.C, u + 1, n - 1 - u)
             for u in range(n)
         )
-        report = legitimate_config(config, g)
-        assert report.config_legitimate
+        assert legitimate_config(config, g) == {}
         assert spanning_tree_holds(config, g)
         view = forest_view(config, g)
         assert view.abnormal_roots == {}
@@ -240,9 +268,8 @@ class TestLabelIndependence:
                 rng.shuffle(perm)
                 h, image = relabelled(g, start, perm)
                 legit, legit_h = legitimate_config(start, g), legitimate_config(image, h)
-                assert legit_h.config_legitimate == legit.config_legitimate
                 assert spanning_tree_holds(image, h) == spanning_tree_holds(start, g)
-                assert {perm[u]: v for u, v in legit.per_node.items()} == legit_h.per_node
+                assert {perm[u]: why for u, why in legit.items()} == legit_h
                 view, view_h = forest_view(start, g), forest_view(image, h)
                 assert {perm[u]: a for u, a in view.abnormal_roots.items()} == view_h.abnormal_roots
                 edges, edges_h = branch_edges(start, g), branch_edges(image, h)
@@ -681,16 +708,16 @@ class TestMilestones:
         # Node 1 of the rootless component {1, 2} heads a broken tree (its
         # parent is itself) at every step of a trace that closes a round
         # per step. Once 3 * n_max_cc rounds complete, cleared fails on
-        # both counts: an abnormal root remains, and so does an
-        # illegitimate process outside V_r. One configuration earlier,
-        # cleared still holds.
+        # its one line: an abnormal root remains. It is also an
+        # illegitimate process outside V_r, which the reference checks on
+        # its own. One configuration earlier, cleared still holds.
         nm = component_info(two_comp).n_max_cc
         stuck = mk_config(two_comp, n1=(status, 1, 3))
         assert protocol.ab_root(stuck, two_comp, 1)
         assert not legitimate_state(stuck, two_comp, 1)[0]
         lines, first = inspect.getsourcelines(check_trace)
         cleared = {first + i for i, line in enumerate(lines) if line.strip() == "ok_cleared = False"}
-        assert len(cleared) == 2
+        assert len(cleared) == 1
         for count, ok in ((3 * nm + 1, False), (3 * nm, True)):
             trace = fabricated_trace([stuck] * count, [{1: rule}] * (count - 1))
             report, ran = lines_run(check_trace, trace, two_comp)
@@ -778,6 +805,45 @@ class TestLocalFacts:
         else:
             assert seen["loose"] == 0
 
+    @pytest.mark.parametrize(
+        "ab_root",
+        [protocol.ab_root, ab_root_without_distance, ab_root_far_parent],
+        ids=["real", "without distance", "far parent"],
+    )
+    def test_process_outside_root_component_implies_a_cleared_fact(self, monkeypatch, ab_root):
+        # check_trace's cleared clause reads only the abnormal roots and
+        # loose links, by the argument in its docstring: every enumerated
+        # configuration of these graphs with a rootless component, in which
+        # a process outside V_r is not isolated, has one of the two there.
+        # Some such configurations need the parent-chain step: the process
+        # is neither itself. Only the mutant without the distance clause
+        # leaves a loose link, and some configuration has no abnormal root
+        # there but a loose link.
+        monkeypatch.setattr(protocol, "ab_root", ab_root)
+        instances = [
+            ([(1, 2, 1)], 3, 0),
+            ([(0, 1, 1), (2, 3, 2)], 4, 0),
+            ([(1, 2, 1), (2, 3, 1)], 4, 0),
+            ([(1, 2, 2), (2, 3, 3), (3, 1, 1)], 4, 0),
+            ([(0, 1, 1), (1, 2, 2)], 4, 3),
+        ]
+        seen = {"configs": 0, "by_chain": 0, "loose_only": 0}
+        for edges, n, root in instances:
+            g = build_graph(edges, n, root)
+            outside = [u for u, d in enumerate(root_distances(g)) if d == INFINITY]
+            for config in enumerate_initial_configs(g, 2):
+                awake = [u for u in outside if config[u].status is not Status.I]
+                if not awake:
+                    continue
+                facts = {u: _local_facts(config, g, u) for u in outside}
+                ab, _, loose = map(any, zip(*facts.values()))
+                assert ab or loose, (edges, root, config)
+                seen["configs"] += 1
+                seen["by_chain"] += any(not (facts[u][0] or facts[u][2]) for u in awake)
+                seen["loose_only"] += not ab
+        assert 0 < seen["by_chain"] < seen["configs"]
+        assert (seen["loose_only"] > 0) == (ab_root is ab_root_without_distance)
+
 
 class TestFaultyProtocol:
     def test_parent_cycle_fails_milestones(self, monkeypatch, tmp_path, capsys):
@@ -810,7 +876,7 @@ class TestTerminalLegitimateEquivalence:
             trace = run(config, triangle, parse_daemon_spec("rand:p=0.5", seed))
             for c in replay(trace):
                 terminal = not enabled(c, triangle)
-                legit = legitimate_config(c, triangle).config_legitimate
+                legit = not legitimate_config(c, triangle)
                 assert terminal == legit
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 
 from stabtree.daemon import (
     CentralDaemon,
+    DaemonPolicy,
     DaemonSpecError,
     MaxChurnDaemon,
     RandomDistributedDaemon,
@@ -27,6 +28,11 @@ from conftest import mk_config, reference_path, replay
 def star():
     """r(0) with spokes u(1) and v(2), unit weights."""
     return build_graph([(0, 1, 1), (0, 2, 1)], 3, 0)
+
+
+def _stream(seed, n):
+    """The generator a seeded daemon's n-th selection (from 0) draws from."""
+    return random.Random((seed + 1) * 0x9E3779B97F4A7C15 + n)
 
 
 class TestSynchronous:
@@ -58,6 +64,15 @@ class TestCentral:
         rules = enabled(config, star)
         picks = [CentralDaemon(42).select(config, star, rules) for _ in range(5)]
         assert picks == [CentralDaemon(42).select(config, star, rules) for _ in range(5)]
+
+    def test_nth_call_draws_from_stream_n(self, star):
+        config = normal_initial_configuration(star)
+        rules = enabled(config, star)
+        for seed in range(5):
+            daemon = CentralDaemon(seed)
+            picks = [daemon.select(config, star, rules) for _ in range(20)]
+            assert picks == [{_stream(seed, n).choice([1, 2])} for n in range(20)]
+            assert len(set(picks)) == 2
 
 
 class TestRandomDistributed:
@@ -122,22 +137,25 @@ class TestAdversarial:
         assert MaxChurnDaemon(0).select(config, star, rules) == {1}
 
 
-class _ReferenceAdversarial(CentralDaemon):
+class _ReferenceAdversarial(DaemonPolicy):
     """The adversarial selections as written before moves carried the
     state they write, both behind one ``strategy`` string: max-churn runs
-    ``compute_path`` itself on every enabled ``R_C``/``R_R`` process."""
+    ``compute_path`` itself on every enabled ``R_C``/``R_R`` process. The
+    n-th call (from 0) falls back to a draw from its own stream n, keyed
+    as the seeded daemons' streams are, with a call count of its own."""
 
     def __init__(self, seed, strategy):
-        super().__init__(seed)
+        self.seed = seed
         self.strategy = strategy
+        self.calls = 0
 
     def select(self, config, g, enabled):
+        n = self.calls
+        self.calls += 1
+        fallback = frozenset({_stream(self.seed, n).choice(sorted(enabled))})
         if self.strategy == "starve-cleanup":
             corrections = [u for u, move in enabled.items() if move.rule is Rule.R_C]
-            if corrections:
-                self._step += 1
-                return frozenset(corrections)
-            return frozenset({self._rng().choice(sorted(enabled))})
+            return frozenset(corrections) if corrections else fallback
         best = None  # (delta, -u, u)
         for u, move in enabled.items():
             if move.rule is Rule.R_C or move.rule is Rule.R_R:
@@ -145,10 +163,7 @@ class _ReferenceAdversarial(CentralDaemon):
                 cand = (abs(new.d - config[u].d), -u, u)
                 if best is None or cand > best:
                     best = cand
-        if best is not None:
-            self._step += 1
-            return frozenset({best[2]})
-        return frozenset({self._rng().choice(sorted(enabled))})
+        return fallback if best is None else frozenset({best[2]})
 
 
 class TestAdversarialReference:

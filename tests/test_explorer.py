@@ -173,7 +173,7 @@ class TestSuccessorOrder:
         for config in samples:
             succs, _ = _mask_successors(g, config, connected_only=True)
             alive = sum(1 << u for u in alive_abnormal_roots(config, g))
-            legit = analysis.legitimate_config(config, g).config_legitimate
+            legit = not analysis.legitimate_config(config, g)
             assert ex._successors(config) == (succs, alive, legit), config
             most = max(most, len(succs))
             legit_seen.add(legit)
@@ -615,6 +615,14 @@ class TestCertify:
         result = certify_instance(two_comp, 2)
         assert result.passed
 
+    @pytest.mark.parametrize("edges,n", [([], 1), ([(0, 1, 1)], 2)], ids=["1-node", "2-node"])
+    @pytest.mark.parametrize("d_cap", [0, -1])
+    def test_bad_cap_refused_on_every_graph(self, edges, n, d_cap):
+        # The 1-node graph's one factor is the root alone: it enumerates,
+        # so the cap is refused there too, with the same message.
+        with pytest.raises(ValueError, match=rf"^d_cap must be >= 1, got {d_cap}$"):
+            certify_instance(build_graph(edges, n, 0), d_cap)
+
     def test_budget_carries_partial_result(self, triangle):
         partial = certify_instance(triangle, 4, max_visited=50)
         assert partial.verdict == "INCONCLUSIVE"
@@ -684,7 +692,7 @@ class TestByComponent:
             return None if move is None else move._replace(state=config[u])
 
         monkeypatch.setattr(protocol, "enabled_rule", idle_move)
-        g = build_graph([(2, 3, 2)], 4, 1)  # factors {0, 1} and {1, 2, 3}
+        g = build_graph([(2, 3, 2)], 4, 1)  # factors {0, 1}, {1} and {1, 2, 3}
         result = certify_instance(g, 1)
         assert result.verdict == "FAIL"
         assert result.witness is not None

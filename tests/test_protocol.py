@@ -372,3 +372,15 @@ def test_correct_node_with_wrong_distance_is_enabled(data):
         inconsistent = par not in g.adjacency[u] or d != config[par].d + g.adjacency[u][par]
         if inconsistent:
             assert enabled_rule(config, g, u) is not None
+
+
+class TestPackageNamespace:
+    def test_star_import_exports_no_module(self):
+        # ``from stabtree import *`` must not rebind a caller's ``graph``
+        # (or any other submodule's name).
+        assert not [name for name in stabtree.__all__ if inspect.ismodule(getattr(stabtree, name))]
+        namespace = {"graph": "caller's"}
+        exec("from stabtree import *", namespace)
+        assert namespace["graph"] == "caller's"
+        assert {"legitimate_config", "run", "certify_instance", "build_graph"} <= set(stabtree.__all__)
+        assert stabtree.graph is importlib.import_module("stabtree.graph")
