@@ -12,7 +12,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -201,38 +201,110 @@ def component_info(g: WeightedGraph) -> ComponentInfo:
     )
 
 
+def _balls(g: WeightedGraph, members: tuple[int, ...]) -> Iterator[list[int]]:
+    """Distance balls over ``members`` (a component, increasing ids): level
+    ``t`` is the list of ``B_t(v)`` for the members ``v`` in order, each
+    an int whose bit ``k`` is set iff ``dist(v, members[k]) <= t``.
+
+    ``B_0(v) = {v}``, and ``B_t(v)`` is ``{v}`` joined with ``B_{t-w}(u)``
+    for each neighbour ``u`` of ``v`` whose edge weight ``w`` is at most
+    ``t``: dropping the first edge of a path of weight at most ``t`` leaves
+    a path of weight at most ``t - w``. Only the last ``w_max`` levels are
+    kept; a level costs one int OR per directed edge.
+    """
+    index = dict(zip(members, range(len(members))))
+    nbrs = [[(w - 1, index[u]) for u, w in g.adjacency[v].items()] for v in members]
+    keep = max((j for row in nbrs for j, _ in row), default=0) + 1  # w_max
+    level = [1 << k for k in range(len(members))]
+    window, t = [level], 0  # window[j] is B_{t-j}
+    while True:
+        yield level
+        level = []
+        for k, row in enumerate(nbrs):
+            b = 1 << k
+            for j, u in row:
+                if j <= t:  # B_{t+1-w} with w = j + 1 exists
+                    b |= window[j][u]
+            level.append(b)
+        window, t = [level, *window[: keep - 1]], t + 1
+
+
+#: ``bytes.translate`` table from the digits of ``bin()`` to bytes 0 and 1.
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 @_per_graph
 def hop_diameter_root(g: WeightedGraph) -> int:
-    """Hop diameter of the root's component (0 when the root is alone),
+    """Hop diameter of the root's component V_r (0 when the root is alone),
     counting the edges of minimum-weight paths; only the round bound needs
-    it. Exact by eccentricity bounds: a sweep from ``w`` gives its
-    eccentricity, and ``ecc(u) <= (dist(u, w) + ecc_dist(w)) // w_min``
-    (a path of weight ``d`` has at most ``d // w_min`` edges) and
-    ``<= |V_r| - 1``. Sweeps start with the root's memoised one and go on
-    from the largest bound (smallest id on ties) until none beats the best
-    eccentricity. Only a sweep with ``ecc_dist(w) // w_min`` at most the
-    best can prune, so only such a sweep sets bounds.
+    it. Exact, from two kinds of evidence.
+
+    Node bounds: a sweep from ``w`` gives its eccentricity, and
+    ``ecc(u) <= (dist(u, w) + ecc_dist(w)) // w_min`` (a path of weight
+    ``d`` has at most ``d // w_min`` edges) and ``<= |V_r| - 1``. Sweeps
+    start with the root's memoised one and go on from the largest bound
+    (smallest id on ties) until none beats ``best``, the largest
+    eccentricity found. Only a sweep with ``ecc_dist(w) // w_min`` at most
+    ``best`` can prune, so only such a sweep sets bounds.
+
+    Pair bounds: with ``T = (best + 1) * w_min - 1``, a pair ``{u, v}``
+    with ``dist(u, v) <= T`` has at most ``T // w_min = best`` edges on
+    any minimum-weight path, so it cannot raise D. A pair is settled when
+    ``u`` or ``v`` was swept, when either node's bound is at most
+    ``best``, or when ``v`` is in the distance ball ``B_T(u)`` of
+    :func:`_balls`. If every pair is settled, every pair has at most
+    ``best`` hops and ``best`` is D. Building the balls to level ``T``
+    costs about what ``T`` sweeps cost, so they are built only once ``T``
+    sweeps beyond the root's have not finished, and extended whenever
+    ``best`` grows. From then on the node with the most unsettled pairs
+    (smallest id on ties) is swept, until none is left. The counts are
+    kept incrementally: closing ``c`` settles its pairs with the open
+    nodes outside ``B_T(c)``.
     """
     info = component_info(g)
     members = info.components[info.component_of[g.root_id]]
     if len(members) == 1:
         return 0
     n, m = g.node_count, len(members)
-    scale = n * min(min(g.adjacency[u].values()) for u in members)  # n * w_min
+    w_min = min(min(g.adjacency[u].values()) for u in members)
+    scale = n * w_min
     get = itemgetter(*members)
     keys = get(_root_keys(g))
     bound, diameter, i, adj = [m - 1] * m, 0, members.index(g.root_id), None
+    sweeps, balls, reach = 0, None, -1  # ball is B_reach
     while True:
         diameter = max(diameter, max(map(n.__rmod__, keys)))
         far = max(keys) // n * n  # ecc_dist(w) * n; (key + far) // scale is the bound, as hops < n
-        if far // scale <= diameter:
+        bounded = far // scale <= diameter
+        if bounded:
             bound = list(map(min, bound, map(scale.__rfloordiv__, map(far.__add__, keys))))
         bound[i] = 0
-        i = bound.index(max(bound))
-        if bound[i] <= diameter:
-            return diameter
+        limit = (diameter + 1) * w_min - 1  # T
+        if balls is None and sweeps < limit:
+            i = bound.index(max(bound))
+            if bound[i] <= diameter:
+                return diameter
+        else:
+            if reach < limit:  # (re)count the unsettled pairs of each open node at the new T
+                balls = balls or _balls(g, members)
+                while reach < limit:
+                    ball, reach = next(balls), reach + 1
+                live = sum(1 << k for k in range(m) if bound[k] > diameter)
+                total = live.bit_count()
+                unsettled = [total - (live & b).bit_count() if bound[k] > diameter else 0 for k, b in enumerate(ball)]
+            else:  # settle the pairs of each node that closed
+                for c in [k for k, u in enumerate(unsettled) if u and bound[k] <= diameter] if bounded else [i]:
+                    live ^= 1 << c
+                    unsettled[c] = 0
+                    # byte k is 1 iff k is open and outside B_T(c): bit k of the mask, low bit first
+                    row = bin(live & ~ball[c])[:1:-1].ljust(m, "0").encode().translate(_BIT)
+                    unsettled = list(map(sub, unsettled, row))
+            i = unsettled.index(max(unsettled))
+            if not unsettled[i]:
+                return diameter
         adj = adj or _lex_adjacency(g)
         keys = get(_lex_dijkstra(adj, members[i]))
+        sweeps += 1
 
 
 def induced_subgraph(g: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:

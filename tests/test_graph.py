@@ -166,6 +166,15 @@ def lex_floyd_warshall(g):
     return dist
 
 
+def floyd_warshall_hop_diameter(g):
+    """The largest lex_floyd_warshall hop count between two nodes of the
+    root's component: the reference for hop_diameter_root."""
+    dist = lex_floyd_warshall(g)
+    info = component_info(g)
+    members = info.components[info.component_of[g.root_id]]
+    return max(dist[u][v][1] for u in members for v in members)
+
+
 WEIGHT_REGIMES = {
     "unit": lambda rng: 1,
     "all-3": lambda rng: 3,
@@ -206,11 +215,13 @@ class TestHopOracles:
         assert seen_split and seen_detour  # some graphs split, some edges lose to a detour
 
     @pytest.mark.parametrize("regime", sorted(WEIGHT_REGIMES))
-    def test_diameter_in_every_weight_regime(self, regime):
+    def test_diameter_in_every_weight_regime(self, regime, monkeypatch):
         # The sweeps prune by (dist + ecc_dist) // w_min. Random weights in
         # 1..5 alone let some wrong bounds through (the hop eccentricity in
         # place of ecc_dist passes them), so uniform weights and weights
-        # above 1 are checked too.
+        # above 1 are checked too. Non-uniform weights must also reach the
+        # pair bounds of the distance balls, or this checks only the sweeps.
+        ball_phases = _record_ball_phases(monkeypatch)
         rng = random.Random(f"hop-{regime}")
         draw = WEIGHT_REGIMES[regime]
         checked = 0
@@ -234,28 +245,123 @@ class TestHopOracles:
                         assert hop_diameter_root(h) == diameter, (kind, extra, root, perm)
                     checked += 1
         assert checked == 36
+        if regime in ("1-to-5", "2-to-5"):
+            assert ball_phases
+
+    @pytest.mark.parametrize("max_weight", [2, 3])
+    def test_light_random_graphs_reach_the_pair_bounds(self, max_weight, monkeypatch):
+        # Weights near w_min leave pairs whose distance is just above T,
+        # so the balls' level decides them.
+        ball_phases = _record_ball_phases(monkeypatch)
+        for trial in range(120):
+            n = 6 + trial % 15
+            g = generate_random_graph(
+                900 + trial, n, (0.25, 0.4)[trial % 2], max_weight, component_hint=1 + trial % 3, root_id=5 * trial % n
+            )
+            assert hop_diameter_root(g) == floyd_warshall_hop_diameter(g), trial
+        assert len(ball_phases) >= 40
 
     def test_sweep_counts(self, monkeypatch):
-        """Sweeps made by hop_diameter_root beyond the root's memoised one:
-        none on a unit path rooted at an end (the root's eccentricity is
-        already |V_r| - 1), and 5 of the 899 possible on a unit 30x30 grid."""
+        """Sweeps made by hop_diameter_root beyond the root's memoised one,
+        and the last distance-ball level it builds: no sweep and no ball on
+        a unit path rooted at an end (the root's eccentricity is already
+        |V_r| - 1), 5 of the 899 possible sweeps and no ball on a unit 30x30
+        grid, and on the weighted grid of perfbench's ``large`` workload 54
+        sweeps (178 by the node bounds alone) with the balls built up to
+        T = 30."""
         real_lex, sweeps = graph_mod._lex_dijkstra, []
+        real_balls, levels = graph_mod._balls, []
 
         def lex(adj, src):
             sweeps.append(src)
             return real_lex(adj, src)
 
+        def balls(g, members):
+            for t, level in enumerate(real_balls(g, members)):
+                levels.append(t)
+                yield level
+
         grid_pairs, _, _ = _shape("grid", 30)
         cases = (
-            (build_graph([(i, i + 1, 1) for i in range(1999)], 2000, 0), 1999, 0),
-            (build_graph([(u, v, 1) for u, v in grid_pairs], 900, 0), 58, 5),
+            (build_graph([(i, i + 1, 1) for i in range(1999)], 2000, 0), 1999, 0, 0),
+            (build_graph([(u, v, 1) for u, v in grid_pairs], 900, 0), 58, 5, 0),
+            (_large_grid(seed=1), 30, 54, 30),
         )
         monkeypatch.setattr(graph_mod, "_lex_dijkstra", lex)
-        for g, diameter, count in cases:
+        monkeypatch.setattr(graph_mod, "_balls", balls)
+        for g, diameter, count, reach in cases:
             root_hop_distances(g)
             sweeps.clear()
+            levels.clear()
             assert hop_diameter_root(g) == diameter
-            assert len(sweeps) == count
+            assert (len(sweeps), max(levels, default=0)) == (count, reach)
+
+    def test_balls_match_floyd_warshall(self):
+        """Level t of _balls holds, per node of the root's component, the
+        nodes of that component within weighted distance t, for every t up
+        to the weighted diameter."""
+        rng = random.Random("balls")
+        grid_pairs, size, _ = _shape("grid", 5)
+        graphs = [build_graph([(u, v, rng.randint(1, 4)) for u, v in grid_pairs], size, 7)]
+        graphs += [
+            generate_random_graph(700 + trial, 3 + trial % 10, 0.35, 6, component_hint=1 + trial % 3, root_id=trial % 3)
+            for trial in range(30)
+        ]
+        for g in graphs:
+            dist = lex_floyd_warshall(g)
+            info = component_info(g)
+            members = info.components[info.component_of[g.root_id]]
+            reach = max(dist[u][v][0] for u in members for v in members)
+            for t, level in zip(range(reach + 1), graph_mod._balls(g, members)):
+                assert level == [
+                    sum(1 << k for k, v in enumerate(members) if dist[u][v][0] <= t) for u in members
+                ], (t, sorted(g.edges()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hs.data())
+    def test_matches_floyd_warshall_on_any_small_graph(self, data):
+        n = data.draw(hs.integers(1, 12), label="n")
+        every_pair = list(itertools.combinations(range(n), 2))
+        pairs = data.draw(hs.sets(hs.sampled_from(every_pair), max_size=2 * n) if every_pair else hs.just(set()), label="pairs")
+        low = data.draw(hs.integers(1, 3), label="lightest weight")
+        edges = [(u, v, data.draw(hs.integers(low, low + 2), label="w")) for u, v in sorted(pairs)]
+        g = build_graph(edges, n, data.draw(hs.integers(0, n - 1), label="root"))
+        assert hop_diameter_root(g) == floyd_warshall_hop_diameter(g)
+
+
+def _record_ball_phases(monkeypatch):
+    """The graphs for which hop_diameter_root builds distance balls, from
+    now until the test ends."""
+    real_balls, graphs = graph_mod._balls, []
+
+    def balls(g, members):
+        graphs.append(g)
+        return real_balls(g, members)
+
+    monkeypatch.setattr(graph_mod, "_balls", balls)
+    return graphs
+
+
+def _large_grid(seed):
+    """The weighted 16x16 grid of perfbench's ``large`` workload: weights 1-3
+    drawn after those of its 240-path, nodes relabelled by the seed's
+    permutation of the grid (drawn after the path's and four daemon seeds)."""
+    shape = random.Random(0)
+    for _ in range(239):
+        shape.randint(1, 3)
+    edges = []
+    for u in range(256):
+        if u % 16 < 15:
+            edges.append((u, u + 1, shape.randint(1, 3)))
+        if u < 240:
+            edges.append((u, u + 16, shape.randint(1, 3)))
+    rng = random.Random(seed)
+    rng.shuffle(list(range(240)))
+    for _ in range(4):
+        rng.randrange(2**32)
+    perm = list(range(256))
+    rng.shuffle(perm)
+    return build_graph([(perm[u], perm[v], w) for u, v, w in edges], 256, perm[0])
 
 
 class TestInducedSubgraph:
