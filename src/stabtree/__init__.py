@@ -37,6 +37,7 @@ from .daemon import (
     parse_daemon_spec,
 )
 from .analysis import (
+    TraceWalk,
     check_trace,
     full_trace_report,
     legitimate_config,

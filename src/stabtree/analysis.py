@@ -11,7 +11,7 @@ each process's local view: no check walks a parent chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from collections import Counter
 from typing import Sequence
 
 from . import protocol
@@ -23,7 +23,7 @@ from .graph import (
     root_distances,
     root_hop_distances,
 )
-from .protocol import R_C, R_EB, R_EF, R_I, R_R, ROOT_STATE, S_C, S_EB, S_EF, S_I, ProcessState, Status
+from .protocol import R_C, R_EB, R_EF, R_I, R_R, ROOT_STATE, S_C, S_EB, S_EF, S_I, Move, ProcessState, Status
 
 
 # --- bound formulas ---------------------------------------------------------
@@ -147,9 +147,11 @@ class TraceReport:
     milestones_ok: bool | None
 
 
-def check_trace(trace, g: WeightedGraph) -> TraceReport:
-    """One walk that applies the trace's steps: segments, alive-abnormal-root
-    monotonicity and round milestones.
+class TraceWalk:
+    """The one walk over an execution: segments, alive-abnormal-root
+    monotonicity and round milestones. ``engine.run`` calls ``step`` after
+    each step it fires, and ``check_trace`` feeds it a recorded trace;
+    ``report`` gives the verdicts.
 
     Per node, the trace splits into segments. A segment of a component
     ends at the first step where one of its alive abnormal roots stops
@@ -162,14 +164,18 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     exceeds n_max_cc + 1. The same series of alive abnormal root sets also
     yields ``aar_monotone``.
 
-    Each set the walk keeps holds the processes with some local fact, one
-    that reads only the process and its parent, a neighbour. So a set is
-    taken once (the alive abnormal roots at the initial configuration, the
-    ``_local_facts`` once n_max_cc rounds complete) and then kept up to
-    date at the fired nodes and their neighbours, the only nodes a step
-    can change. A round counter follows ``trace.round_ends``: each
-    configuration must meet the milestones of the rounds completed when it
-    is reached, and only a terminated trace reports them.
+    Each set the walk keeps holds the processes with some local fact, and
+    ``_alive_ab_root``, ``_local_facts`` and ``legitimate_state`` each read
+    only the process and its parent. A step changes only the fired
+    processes, so it changes the facts of the fired processes and of
+    their children (neighbours whose parent fired) only; a process whose
+    parent did not fire keeps its facts. So a set is taken once (the alive
+    abnormal roots at the initial configuration, the ``_local_facts`` once
+    n_max_cc rounds complete) and then kept up to date at the fired
+    processes and their children. A round counter follows the round
+    ends: each configuration must meet the milestones of the rounds
+    completed when it is reached, and only a terminated trace reports
+    them.
 
     The milestones speak of illegal branches, parent chains that end at an
     abnormal root or close a cycle, yet need no walk up a chain. Lemma: if
@@ -191,97 +197,144 @@ def check_trace(trace, g: WeightedGraph) -> TraceReport:
     process outside V_r leads to one: it is not in status I, so it is an
     abnormal root, a loose link, or has a non-I neighbour parent with a
     strictly smaller ``d``; the root is not in its component, so its parent
-    chain ends at an abnormal root or a loose link. For ``hops``, the
-    illegitimate processes are kept from ``3*n_max_cc`` rounds on and
-    judged whole when a round end raises the budget, at the updated nodes
-    otherwise.
+    chain ends at an abnormal root or a loose link.
+
+    For ``hops``, the illegitimate processes are kept from ``3*n_max_cc``
+    rounds on, with their number at each hop. ``hops`` fails at the first
+    configuration with an illegitimate process at a hop within the budget.
+    Until then every illegitimate process lies beyond the budget, so a
+    process that turns illegitimate is judged alone, and a round end,
+    which raises the budget by one, reads only the count at the new budget.
     """
-    info = component_info(g)
-    comp_of = info.component_of
-    adjacency = g.adjacency
-    root = g.root_id
-    nodes = range(g.node_count)
-    hops = root_hop_distances(g)
-    nm = info.n_max_cc
-    aar = {u for u in nodes if u != root and _alive_ab_root(trace.initial, g, u)}
-    facts = None  # abnormal roots, C heads, loose links: kept from n_max_cc rounds on
-    illegit = None  # illegitimate processes: kept from 3 * n_max_cc rounds on
-    monotone = True
-    segment = [0] * len(info.components)  # current segment of each component
-    last = [(-1, 0)] * g.node_count  # (segment, rank) of each node's last firing
-    bad = set()  # nodes whose firings break the order
-    ends = iter(trace.round_ends)
-    next_end = next(ends, None)
-    completed = 0  # rounds completed when the current configuration is reached
-    ok_c = ok_cleared = ok_hop = ok_acyclic = True
-    config = list(trace.initial)
-    # The initial configuration is reached by no step.
-    for idx, fired in enumerate(chain([{}], trace.steps)):
-        touched = set(fired)
-        for u, move in fired.items():
-            pair = (segment[comp_of[u]], _RANK[move.rule])
-            if pair < last[u] or (pair == last[u] and move.rule is not R_C):
-                bad.add(u)
+
+    def __init__(self, initial: Sequence[ProcessState], g: WeightedGraph):
+        info = component_info(g)
+        self._g = g
+        self._comp_of = info.component_of
+        self._nm = info.n_max_cc
+        self._hops = root_hop_distances(g)
+        root = g.root_id
+        self._aar = {u for u in range(g.node_count) if u != root and _alive_ab_root(initial, g, u)}
+        self._facts = None  # abnormal roots, C heads, loose links: kept from n_max_cc rounds on
+        self._illegit = None  # illegitimate processes: kept from 3 * n_max_cc rounds on
+        self._at_hop = None  # the number of them at each hop
+        self._monotone = True
+        self._segment = [0] * len(info.components)  # current segment of each component
+        self._last = [(-1, 0)] * g.node_count  # (segment, rank) of each node's last firing
+        self._bad = set()  # nodes whose firings break the order
+        self._completed = 0  # rounds completed when the current configuration is reached
+        self._ok_c = self._ok_cleared = self._ok_hop = self._ok_acyclic = True
+        # The initial configuration is reached by no step.
+        self.step(initial, {}, False)
+
+    def step(self, config: Sequence[ProcessState], fired: dict[int, Move], round_closed: bool) -> None:
+        """Judge the configuration that ``fired`` led to; ``round_closed``
+        says whether the step closed a round."""
+        g = self._g
+        adjacency = g.adjacency
+        comp_of, segment, last = self._comp_of, self._segment, self._last
+        touched = set(fired)  # the root never fires and is no process's child
+        for u, (rule, _) in fired.items():
+            pair = (segment[comp_of[u]], _RANK[rule])
+            if pair < last[u] or (pair == last[u] and rule is not R_C):
+                self._bad.add(u)
             last[u] = pair
-            config[u] = move.state
-            touched.update(adjacency[u])
-        touched.discard(root)
+            for v in adjacency[u]:
+                if config[v].par == u:
+                    touched.add(v)
+        aar = self._aar
         ended = set()
         for u in touched:
             if _alive_ab_root(config, g, u):
                 if u not in aar:
                     aar.add(u)
-                    monotone = False
+                    self._monotone = False
             elif u in aar:
                 aar.remove(u)
                 ended.add(comp_of[u])
         for c in ended:
             segment[c] += 1
-        grew = idx == next_end  # a round ends here and raises the hop budget
-        if grew:
-            completed += 1
-            next_end = next(ends, None)
+        completed = self._completed = self._completed + round_closed
+        nm = self._nm
         if completed < nm:
-            continue
+            return
+        facts = self._facts
         if facts is None:
-            facts, touched = (set(), set(), set()), set(nodes) - {root}
+            facts = self._facts = (set(), set(), set())
+            touched = set(range(g.node_count)) - {g.root_id}
         for u in touched:
             for held, flag in zip(facts, _local_facts(config, g, u)):
                 (held.add if flag else held.discard)(u)
         ab_roots, heads, loose = facts
-        ok_c = ok_c and not heads
-        ok_acyclic = ok_acyclic and not loose
+        if heads:
+            self._ok_c = False
+        if loose:
+            self._ok_acyclic = False
         if completed < 3 * nm:
-            continue
+            return
         if ab_roots or loose:
-            ok_cleared = False
+            self._ok_cleared = False
+        illegit, at_hop, hops = self._illegit, self._at_hop, self._hops
         if illegit is None:
-            illegit, touched, grew = set(), nodes, True
-        for u in touched:
-            (illegit.discard if legitimate_state(config, g, u)[0] else illegit.add)(u)
+            illegit, at_hop = self._illegit, self._at_hop = set(), Counter()
+            touched = range(g.node_count)
         budget = completed - 3 * nm
-        for u in illegit if grew else touched & illegit:
-            if hops[u] <= budget:
-                ok_hop = False
-    if not trace.terminated:
-        ok_c = ok_cleared = ok_hop = ok_acyclic = None
-    per_node_ok: dict[int, bool] = {}
-    counts: dict[int, int] = {}
-    for u in nodes:
-        if u != root:
-            counts[u] = segment[comp_of[u]] + 1
-            per_node_ok[u] = u not in bad and counts[u] <= nm + 1
-    return TraceReport(
-        per_node_ok=per_node_ok,
-        segment_counts=counts,
-        segments_ok=all(per_node_ok.values()),
-        aar_monotone=monotone,
-        no_status_c_in_illegal_ok=ok_c,
-        illegal_cleared_ok=ok_cleared,
-        hop_legitimacy_ok=ok_hop,
-        acyclic_ok=ok_acyclic,
-        milestones_ok=ok_c and ok_cleared and ok_hop and ok_acyclic,
-    )
+        for u in touched:
+            if legitimate_state(config, g, u)[0]:
+                if u in illegit:
+                    illegit.remove(u)
+                    at_hop[hops[u]] -= 1
+            elif u not in illegit:
+                illegit.add(u)
+                at_hop[hops[u]] += 1
+                if hops[u] <= budget:
+                    self._ok_hop = False
+        if round_closed and at_hop[budget]:
+            self._ok_hop = False
+
+    def report(self, terminated: bool) -> TraceReport:
+        """The verdicts of the walk so far; the milestones read None unless
+        the execution terminated."""
+        if terminated:
+            ok_c, ok_cleared, ok_hop, ok_acyclic = self._ok_c, self._ok_cleared, self._ok_hop, self._ok_acyclic
+        else:
+            ok_c = ok_cleared = ok_hop = ok_acyclic = None
+        nm, comp_of, segment = self._nm, self._comp_of, self._segment
+        per_node_ok: dict[int, bool] = {}
+        counts: dict[int, int] = {}
+        for u in range(self._g.node_count):
+            if u != self._g.root_id:
+                counts[u] = segment[comp_of[u]] + 1
+                per_node_ok[u] = u not in self._bad and counts[u] <= nm + 1
+        return TraceReport(
+            per_node_ok=per_node_ok,
+            segment_counts=counts,
+            segments_ok=all(per_node_ok.values()),
+            aar_monotone=self._monotone,
+            no_status_c_in_illegal_ok=ok_c,
+            illegal_cleared_ok=ok_cleared,
+            hop_legitimacy_ok=ok_hop,
+            acyclic_ok=ok_acyclic,
+            milestones_ok=ok_c and ok_cleared and ok_hop and ok_acyclic,
+        )
+
+
+def check_trace(trace, g: WeightedGraph) -> TraceReport:
+    """The ``TraceWalk`` of a trace that kept its steps: each recorded step
+    is written into a copy of the initial configuration and fed to the
+    walk, with the round ends the trace records."""
+    config = list(trace.initial)
+    walk = TraceWalk(config, g)
+    ends = iter(trace.round_ends)
+    next_end = next(ends, None)
+    for index, fired in enumerate(trace.steps, 1):
+        for u, move in fired.items():
+            config[u] = move.state
+        closed = index == next_end
+        if closed:
+            next_end = next(ends, None)
+        walk.step(config, fired, closed)
+    return walk.report(trace.terminated)
 
 
 # --- aggregate report -------------------------------------------------------
@@ -294,15 +347,18 @@ class CheckResult:
     detail: str = ""
 
 
-def full_trace_report(trace, g: WeightedGraph) -> list[CheckResult]:
-    """Every per-trace check, as a flat pass/fail list."""
+def full_trace_report(trace, g: WeightedGraph, walk: TraceReport | None = None) -> list[CheckResult]:
+    """Every per-trace check, as a flat pass/fail list. ``walk`` is the
+    report of the ``TraceWalk`` that ``run`` fed live, if any; without it
+    ``check_trace`` walks the trace's recorded steps."""
     results = [
         CheckResult("terminated", trace.terminated, f"steps={trace.step_count}")
     ]
     failing = legitimate_config(trace.final, g)
     detail = "; ".join(f"node {u}: {why}" for u, why in failing.items())
     results.append(CheckResult("final_legitimate", trace.terminated and not failing, detail))
-    walk = check_trace(trace, g)
+    if walk is None:
+        walk = check_trace(trace, g)
     if trace.terminated:
         steps, rounds = trace.step_count, trace.rounds
         s_limit, r_limit = step_bound_for(g), round_bound_for(g)

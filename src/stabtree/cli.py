@@ -109,12 +109,15 @@ def cmd_run(args) -> int:
         except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
-        trace = engine.run(config, g, policy, args.max_steps)
+        walk = analysis.TraceWalk(config, g)
+        consumers = [walk]
         if trace_out:
-            engine.write_trace(
-                trace, trace_out, graph_name=args.graph, seed=args.seed, daemon=policy.name
-            )
-        results = analysis.full_trace_report(trace, g)
+            writer = engine.TraceWriter(trace_out, config, graph_name=args.graph, seed=args.seed, daemon=policy.name)
+            consumers.append(outputs.enter_context(contextlib.closing(writer)))
+        trace = engine.run(config, g, policy, args.max_steps, consumers)
+        if trace_out:
+            writer.finish(trace.terminated)
+        results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))
         print(f"steps={trace.step_count} rounds={trace.rounds} terminated={trace.terminated}")
         _print_report(results)
         if report_out:
@@ -189,8 +192,9 @@ def bench_corpus(count: int, seed: int, daemons: Iterable[str]) -> list[BenchRun
         step_limit, round_limit = analysis.step_bound_for(g), analysis.round_bound_for(g)
         for spec in daemons:
             policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
-            trace = engine.run(init, g, policy)
-            results = analysis.full_trace_report(trace, g)
+            walk = analysis.TraceWalk(init, g)
+            trace = engine.run(init, g, policy, consumers=[walk])
+            results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))
             failures = [r.name for r in results if not r.ok]
             runs.append(
                 BenchRun(

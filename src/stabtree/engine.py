@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
+import tempfile
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import IO, Iterable, Mapping
 
 from . import analysis, protocol
 from .graph import WeightedGraph
-from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
+from .protocol import R_EF, R_I, ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
 
 
 class SelectionError(ValueError):
@@ -120,26 +122,23 @@ class ExecutionTrace:
     and, per step, the move each selected process fired. ``steps[i]`` maps
     each process selected at step ``i`` to its rule and the state it wrote,
     so configuration ``i + 1`` differs from configuration ``i`` only at the
-    keys of ``steps[i]``, and a check that applies the steps in order can
-    update per-node facts at the fired nodes and their neighbors instead of
-    rescanning. ``final`` is the last configuration. ``round_ends`` lists
-    the configuration indices at which each round closes."""
+    keys of ``steps[i]``. ``steps`` is None when ``run`` fed each step to
+    consumers instead of keeping it; ``step_count`` counts the steps either
+    way. ``final`` is the last configuration. ``round_ends`` lists the
+    configuration indices at which each round closes."""
 
     initial: Configuration
-    steps: list[dict[int, Move]]
+    steps: list[dict[int, Move]] | None
+    step_count: int
     final: Configuration
     terminated: bool
     round_ends: list[int]
 
     @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-    @property
     def rounds(self) -> int:
         """Closed rounds, plus one for a trailing partial round if any."""
         closed = self.round_ends[-1] if self.round_ends else 0
-        return len(self.round_ends) + (1 if closed < len(self.steps) else 0)
+        return len(self.round_ends) + (1 if closed < self.step_count else 0)
 
 
 def default_max_steps(g: WeightedGraph) -> int:
@@ -153,11 +152,37 @@ def run(
     g: WeightedGraph,
     policy,
     max_steps: int | None = None,
+    consumers=None,
 ) -> ExecutionTrace:
     """Drive ``policy`` until a terminal configuration or ``max_steps``.
 
+    This loop is the package's one step path. After each step it calls
+    ``consumer.step(config, fired, round_closed)`` on each of
+    ``consumers`` (the live configuration, valid only during the call, the
+    fired moves by node, and whether the step closed a round); given
+    none, it keeps every step in ``trace.steps`` instead.
+
     A round closes once every process enabled at its start has either
     fired or been neutralized (enabled before a step, disabled after).
+
+    After a step, only the guards that read a field the step changed are
+    evaluated again: those of the fired processes, and of each neighbour
+    ``v`` of a fired ``u`` that reads ``u``. ``enabled_rule`` reads a
+    neighbour ``u`` of ``v`` in three places only:
+
+    - the cheapest-C scan, which reads ``u`` only if ``u`` is in status C,
+      so it matters when ``u`` is in status C before or after the step:
+      ``R_C``, ``R_R`` and ``R_EB`` re-evaluate every neighbour;
+    - ``ab_root(v)`` and the EB-parent test, which read ``u`` only if
+      ``par_v == u``;
+    - an EB process's child scan, which reads ``u`` only if
+      ``par_u == v`` and changes its answer only when ``u``'s status
+      leaves or enters {I, EF} at an unchanged ``d``: that is ``R_EF``.
+
+    So after ``R_EF`` or ``R_I`` (EB to EF, EF to I, ``par`` and ``d``
+    kept), only the neighbours with ``par_v == u`` and, after ``R_EF``,
+    ``par_u`` read anything that changed. The argument holds for any guard
+    that reads a neighbour only in these three ways.
     """
     validate_configuration(config, g)
     if max_steps is None:
@@ -165,21 +190,28 @@ def run(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     root = g.root_id
+    adjacency = g.adjacency
     moves = enabled(config, g)
     view = MappingProxyType(moves)
     pending = set(moves)
     initial, config = config, list(config)
-    steps: list[dict[int, Move]] = []
+    steps: list[dict[int, Move]] | None = None if consumers else []
+    feeds = [consumer.step for consumer in consumers or ()]
     round_ends: list[int] = []
-    while moves and len(steps) < max_steps:
+    count = 0
+    while moves and count < max_steps:
         selection = frozenset(policy.select(config, g, view))
         fired = _fire(config, selection, moves)
         pending -= selection
-        # Guards and actions read only the process and its neighbors, so
-        # only the moves of the selected nodes and their neighbors change.
         affected = set(selection)
-        for u in selection:
-            affected.update(g.adjacency[u])
+        for u, (rule, state) in fired.items():
+            if rule is R_EF or rule is R_I:
+                par = state.par if rule is R_EF else None
+                for v in adjacency[u]:
+                    if v == par or config[v].par == u:
+                        affected.add(v)
+            else:
+                affected.update(adjacency[u])
         affected.discard(root)
         for u in affected:
             move = protocol.enabled_rule(config, g, u)
@@ -188,12 +220,22 @@ def run(
                 pending.discard(u)  # neutralized: enabled before, disabled now
             else:
                 moves[u] = move
-        steps.append(fired)
-        if not pending:
-            round_ends.append(len(steps))
+        count += 1
+        closed = not pending
+        if closed:
+            round_ends.append(count)
             pending = set(moves)
+        if steps is not None:
+            steps.append(fired)
+        for feed in feeds:
+            feed(config, fired, closed)
     return ExecutionTrace(
-        initial=initial, steps=steps, final=tuple(config), terminated=not moves, round_ends=round_ends
+        initial=initial,
+        steps=steps,
+        step_count=count,
+        final=tuple(config),
+        terminated=not moves,
+        round_ends=round_ends,
     )
 
 
@@ -267,6 +309,32 @@ def _state_json(state: ProcessState) -> list:
     return [_STATUS_NAME[state.status], state.par, state.d]
 
 
+def _header(initial: Configuration, terminated: bool, graph_name: str, seed: int | None, daemon: str) -> str:
+    header = {
+        "type": "header",
+        "graph": graph_name,
+        "seed": seed,
+        "daemon": daemon,
+        "terminated": terminated,
+        "initial": [_state_json(s) for s in initial],
+    }
+    return json.dumps(header) + "\n"
+
+
+def _step_record(index: int, fired: Mapping[int, Move]) -> str:
+    """The record of step ``index``. Every step field is an int or a fixed
+    ASCII name, so it is formatted directly, byte for byte as
+    ``json.dumps`` would write it."""
+    moves = sorted(fired.items())
+    return '{"type": "step", "index": %d, "selected": [%s], "fired": {%s}, "post": {%s}}\n' % (
+        index,
+        ", ".join([str(u) for u, _ in moves]),
+        ", ".join(['"%d": "%s"' % (u, _RULE_NAME[rule]) for u, (rule, _) in moves]),
+        ", ".join(['"%d": ["%s", %d, %d]' % (u, _STATUS_NAME[status], par, d)
+                   for u, (_, (status, par, d)) in moves]),
+    )
+
+
 def write_trace(
     trace: ExecutionTrace,
     fh: IO[str],
@@ -275,26 +343,41 @@ def write_trace(
     seed: int | None = None,
     daemon: str = "",
 ) -> None:
-    header = {
-        "type": "header",
-        "graph": graph_name,
-        "seed": seed,
-        "daemon": daemon,
-        "terminated": trace.terminated,
-        "initial": [_state_json(s) for s in trace.initial],
-    }
-    fh.write(json.dumps(header) + "\n")
-    # Every step field is an int or a fixed ASCII name, so the records are
-    # formatted directly, byte for byte as ``json.dumps`` would write them.
+    """Write a trace that kept its steps."""
+    fh.write(_header(trace.initial, trace.terminated, graph_name, seed, daemon))
     for i, fired in enumerate(trace.steps):
-        moves = sorted(fired.items())
-        fh.write(
-            '{"type": "step", "index": %d, "selected": [%s], "fired": {%s}, "post": {%s}}\n'
-            % (
-                i,
-                ", ".join([str(u) for u, _ in moves]),
-                ", ".join(['"%d": "%s"' % (u, _RULE_NAME[rule]) for u, (rule, _) in moves]),
-                ", ".join(['"%d": ["%s", %d, %d]' % (u, _STATUS_NAME[status], par, d)
-                           for u, (_, (status, par, d)) in moves]),
-            )
-        )
+        fh.write(_step_record(i, fired))
+
+
+#: Bytes of step records a ``TraceWriter`` holds in memory before it
+#: moves them to a temporary file.
+_SPOOL_BYTES = 4 << 20
+
+
+class TraceWriter:
+    """A ``run`` consumer that writes the trace file as the steps fire.
+
+    The header holds ``terminated``, known only at the end, and comes
+    first. So each step's record is formatted as the step fires into a
+    spooled temporary file, and ``finish`` writes the header and copies the
+    records after it: the bytes ``write_trace`` writes. ``close`` releases
+    the spooled file.
+    """
+
+    def __init__(self, fh: IO[str], initial: Configuration, *, graph_name="", seed=None, daemon=""):
+        self._fh, self._initial, self._header = fh, initial, (graph_name, seed, daemon)
+        self._records = tempfile.SpooledTemporaryFile(_SPOOL_BYTES, mode="w+", encoding="ascii")
+        self._index = 0
+
+    def step(self, config, fired: Mapping[int, Move], round_closed: bool) -> None:
+        self._records.write(_step_record(self._index, fired))
+        self._index += 1
+
+    def finish(self, terminated: bool) -> None:
+        self._fh.write(_header(self._initial, terminated, *self._header))
+        self._records.seek(0)
+        shutil.copyfileobj(self._records, self._fh)
+
+    def close(self) -> None:
+        """Drop the spooled records, and their temporary file if any."""
+        self._records.close()

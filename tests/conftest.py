@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from stabtree import protocol
-from stabtree.analysis import _alive_ab_root, check_trace, legitimate_state
+from stabtree.analysis import _alive_ab_root, _local_facts, check_trace, legitimate_state
 from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, enabled_rule
 
@@ -128,6 +128,8 @@ def children(config, g, u) -> frozenset[int]:
 #: that order.
 RULE_LETTER = {Rule.R_I: "I", Rule.R_R: "R", Rule.R_C: "C", Rule.R_EB: "B", Rule.R_EF: "F"}
 SEGMENT_RE = re.compile(r"I?R?C*B?F?")
+#: The same order as ranks, for the references that keep one pair per node.
+RANK = {Rule.R_I: 0, Rule.R_R: 1, Rule.R_C: 2, Rule.R_EB: 3, Rule.R_EF: 4}
 
 
 def ab_root_without_distance(config, g, u):
@@ -166,6 +168,40 @@ def eb_before_c(config, g, u):
     if su is Status.C and (ab_root(config, g, u) or (pu in adj and config[pu].status is Status.EB)):
         return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
     return enabled_rule(config, g, u)
+
+
+def restless_enabled_rule(config, g, u):
+    """A faulty ``protocol.enabled_rule``: a status-C process with no move
+    fires ``R_EB`` all the same, so a legitimate configuration is not
+    terminal and a freeze can loop back through a rejoin. Wraps the real
+    ``enabled_rule``."""
+    move = enabled_rule(config, g, u)
+    if move is None and config[u].status is Status.C:
+        _, pu, du = config[u]
+        return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
+    return move
+
+
+def never_ef(config, g, u):
+    """A faulty ``protocol.enabled_rule`` whose EB processes never
+    acknowledge the freeze. Wraps the real ``enabled_rule``."""
+    move = enabled_rule(config, g, u)
+    return None if move is not None and move.rule is Rule.R_EF else move
+
+
+def reversed_tie_break(config, g, u):
+    """A faulty ``protocol.enabled_rule``: among correct neighbours with
+    equal ``d_v + w``, adopt the largest id instead of the smallest. Wraps
+    the real ``enabled_rule``."""
+    move = enabled_rule(config, g, u)
+    if move is None or move.state.status is not Status.C:
+        return move
+    tied = [
+        v
+        for v, w in g.adjacency[u].items()
+        if config[v].status is Status.C and config[v].d + w == move.state.d
+    ]
+    return move._replace(state=move.state._replace(par=max(tied)))
 
 
 def initial_configs_by_fill(g, d_cap):
@@ -282,6 +318,19 @@ def alive_abnormal_roots(config, g) -> frozenset[int]:
     return frozenset(u for u, alive in forest_view(config, g).abnormal_roots.items() if alive)
 
 
+class Recorder:
+    """A ``run`` consumer that keeps each step's fired moves and whether
+    the step closed a round."""
+
+    def __init__(self):
+        self.steps = []
+        self.closed = []
+
+    def step(self, config, fired, round_closed):
+        self.steps.append(fired)
+        self.closed.append(round_closed)
+
+
 def replay(trace):
     """Every configuration of ``trace`` as a tuple: ``trace.initial``, then
     the configuration after each step, each step's fired states written
@@ -384,17 +433,109 @@ def check_round_milestones(trace, g) -> dict:
     }
 
 
+def neighbourhood_walk(trace, g) -> dict:
+    """Test-side reference for ``analysis.TraceWalk``, field by field: the
+    walk as it was before it narrowed its updates, on a replay of its own.
+    Each step updates the sets at the fired nodes and all their
+    neighbours, and each round end from ``3 * n_max_cc`` rounds on judges
+    every illegitimate process against the raised hop budget."""
+    info = component_info(g)
+    comp_of = info.component_of
+    adjacency = g.adjacency
+    root = g.root_id
+    nodes = range(g.node_count)
+    hops = root_hop_distances(g)
+    nm = info.n_max_cc
+    aar = {u for u in nodes if u != root and _alive_ab_root(trace.initial, g, u)}
+    facts = None
+    illegit = None
+    monotone = True
+    segment = [0] * len(info.components)
+    last = [(-1, 0)] * g.node_count
+    bad = set()
+    ends = iter(trace.round_ends)
+    next_end = next(ends, None)
+    completed = 0
+    ok_c = ok_cleared = ok_hop = ok_acyclic = True
+    config = list(trace.initial)
+    for idx, fired in enumerate(itertools.chain([{}], trace.steps)):
+        touched = set(fired)
+        for u, move in fired.items():
+            pair = (segment[comp_of[u]], RANK[move.rule])
+            if pair < last[u] or (pair == last[u] and move.rule is not Rule.R_C):
+                bad.add(u)
+            last[u] = pair
+            config[u] = move.state
+            touched.update(adjacency[u])
+        touched.discard(root)
+        ended = set()
+        for u in touched:
+            if _alive_ab_root(config, g, u):
+                if u not in aar:
+                    aar.add(u)
+                    monotone = False
+            elif u in aar:
+                aar.remove(u)
+                ended.add(comp_of[u])
+        for c in ended:
+            segment[c] += 1
+        grew = idx == next_end
+        if grew:
+            completed += 1
+            next_end = next(ends, None)
+        if completed < nm:
+            continue
+        if facts is None:
+            facts, touched = (set(), set(), set()), set(nodes) - {root}
+        for u in touched:
+            for held, flag in zip(facts, _local_facts(config, g, u)):
+                (held.add if flag else held.discard)(u)
+        ab_roots, heads, loose = facts
+        ok_c = ok_c and not heads
+        ok_acyclic = ok_acyclic and not loose
+        if completed < 3 * nm:
+            continue
+        if ab_roots or loose:
+            ok_cleared = False
+        if illegit is None:
+            illegit, touched, grew = set(), nodes, True
+        for u in touched:
+            (illegit.discard if legitimate_state(config, g, u)[0] else illegit.add)(u)
+        budget = completed - 3 * nm
+        for u in illegit if grew else touched & illegit:
+            if hops[u] <= budget:
+                ok_hop = False
+    if not trace.terminated:
+        ok_c = ok_cleared = ok_hop = ok_acyclic = None
+    per_node_ok, counts = {}, {}
+    for u in nodes:
+        if u != root:
+            counts[u] = segment[comp_of[u]] + 1
+            per_node_ok[u] = u not in bad and counts[u] <= nm + 1
+    return {
+        "per_node_ok": per_node_ok,
+        "segment_counts": counts,
+        "segments_ok": all(per_node_ok.values()),
+        "aar_monotone": monotone,
+        "no_status_c_in_illegal_ok": ok_c,
+        "illegal_cleared_ok": ok_cleared,
+        "hop_legitimacy_ok": ok_hop,
+        "acyclic_ok": ok_acyclic,
+        "milestones_ok": ok_c and ok_cleared and ok_hop and ok_acyclic,
+    }
+
+
 def walk_matches_references(trace, g) -> bool:
     """``analysis.check_trace`` gives, field by field, what the two
-    reference replays give; on a trace that did not terminate, its
-    milestone fields are all None."""
+    reference replays give, and what ``neighbourhood_walk`` gives; on a
+    trace that did not terminate, its milestone fields are all None."""
     report = vars(check_trace(trace, g))
     reference = segment_language_check(trace, g)
     if trace.terminated:
         reference |= check_round_milestones(trace, g)
     else:
         reference |= dict.fromkeys(report.keys() - reference.keys())
-    return report == reference
+    return report == reference == neighbourhood_walk(trace, g)
 
 
 def reference_write_trace(trace, fh, *, graph_name="", seed=None, daemon="") -> None:

@@ -9,6 +9,7 @@ import pytest
 from stabtree import analysis, protocol
 from stabtree.analysis import (
     _alive_ab_root,
+    TraceWalk,
     _local_facts,
     check_trace,
     full_trace_report,
@@ -43,6 +44,7 @@ from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
 
 from conftest import (
     RULE_LETTER,
+    Recorder,
     SEGMENT_RE,
     ab_root_far_parent,
     ab_root_without_distance,
@@ -51,6 +53,7 @@ from conftest import (
     children,
     forest_view,
     mk_config,
+    neighbourhood_walk,
     replay,
     segment_language_check,
     spanning_tree_holds,
@@ -376,6 +379,7 @@ def fabricated_trace(configs, fired_maps):
     return ExecutionTrace(
         initial=configs[0],
         steps=steps,
+        step_count=len(steps),
         final=configs[-1],
         terminated=True,
         round_ends=list(range(1, len(steps) + 1)),
@@ -536,6 +540,40 @@ class TestTraceWalk:
                     assert walk_matches_references(marked, g)
                 judged += len(cut.round_ends) >= component_info(g).n_max_cc
         assert judged
+
+    @pytest.mark.parametrize("mutant", [False, True], ids=["protocol", "ab_root mutant"])
+    def test_live_walk_matches_neighbourhood_walk(self, monkeypatch, mutant):
+        # The walk that ``run`` feeds as each step fires, which updates
+        # only the fired processes and their children and reads one count
+        # at a round end, equals the reference that updates every
+        # neighbour of a fired process and rescans at each round end, on
+        # the same steps: on corpus traces, full and cut short, and on
+        # graphs of two to five nodes, whose runs complete 3 * n_max_cc
+        # rounds often enough to judge the hops. No run tried completes
+        # more, so the fabricated traces below judge the raised budgets.
+        if mutant:
+            monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
+        graphs = list(corpus_instances(40, CORPUS_SEED))
+        graphs += [
+            generate_random_graph(trial, 2 + trial % 4, 0.6, 3, component_hint=1 + trial % 2, root_id=trial % 2)
+            for trial in range(60)
+        ]
+        compared = cut_short = hop_judged = 0
+        for idx, g in enumerate(graphs):
+            start = random_configuration(g, idx, component_info(g).w_max * g.node_count)
+            for spec in DAEMONS:
+                full = run(start, g, parse_daemon_spec(spec, idx), max_steps=200)
+                for max_steps in (200, max(1, full.step_count // 2)):
+                    walk, recorder = TraceWalk(start, g), Recorder()
+                    trace = run(start, g, parse_daemon_spec(spec, idx), max_steps, consumers=[walk, recorder])
+                    recorded = dataclasses.replace(trace, steps=recorder.steps)
+                    live = vars(walk.report(trace.terminated))
+                    assert live == neighbourhood_walk(recorded, g)
+                    assert live == vars(check_trace(recorded, g))
+                    compared += 1
+                    cut_short += not trace.terminated
+                    hop_judged += len(trace.round_ends) >= 3 * component_info(g).n_max_cc
+        assert compared == 1000 and cut_short and hop_judged
 
     def test_first_configuration_of_round_n_max_cc_is_judged(self, path3):
         # The only configuration with status C in an illegal branch sits at
@@ -715,12 +753,12 @@ class TestMilestones:
         stuck = mk_config(two_comp, n1=(status, 1, 3))
         assert protocol.ab_root(stuck, two_comp, 1)
         assert not legitimate_state(stuck, two_comp, 1)[0]
-        lines, first = inspect.getsourcelines(check_trace)
-        cleared = {first + i for i, line in enumerate(lines) if line.strip() == "ok_cleared = False"}
+        lines, first = inspect.getsourcelines(TraceWalk.step)
+        cleared = {first + i for i, line in enumerate(lines) if line.strip() == "self._ok_cleared = False"}
         assert len(cleared) == 1
         for count, ok in ((3 * nm + 1, False), (3 * nm, True)):
             trace = fabricated_trace([stuck] * count, [{1: rule}] * (count - 1))
-            report, ran = lines_run(check_trace, trace, two_comp)
+            report, ran = lines_run(TraceWalk.step, check_trace, trace, two_comp)
             assert report.illegal_cleared_ok is ok
             assert report.no_status_c_in_illegal_ok and report.acyclic_ok
             assert cleared & ran == (set() if ok else cleared)
@@ -728,8 +766,9 @@ class TestMilestones:
             assert walk_matches_references(trace, two_comp)
 
 
-def lines_run(func, *args):
-    """``func(*args)`` and the line numbers of ``func``'s own code that ran."""
+def lines_run(watched, func, *args):
+    """``func(*args)`` and the line numbers of ``watched``'s own code that
+    ran during the call."""
     ran = set()
 
     def in_func(frame, event, arg):
@@ -738,7 +777,7 @@ def lines_run(func, *args):
         return in_func
 
     def on_call(frame, event, arg):
-        return in_func if frame.f_code is func.__code__ else None
+        return in_func if frame.f_code is watched.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(on_call)

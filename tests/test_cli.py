@@ -18,9 +18,9 @@ from stabtree.cli import (
 )
 from stabtree.engine import ConfigurationError, normal_initial_configuration
 from stabtree.graph import build_graph, format_graph, save_graph
-from stabtree.protocol import Rule, Status
+from stabtree.protocol import Status
 
-from conftest import mk_config
+from conftest import mk_config, never_ef
 
 
 @pytest.fixture
@@ -240,12 +240,6 @@ class TestBenchCommand:
     def test_mutant_fails_with_a_line_per_run(self, monkeypatch, capsys):
         # A protocol whose EB processes never acknowledge the freeze stops
         # with an EB process left: every run ends illegitimate.
-        real = protocol.enabled_rule
-
-        def never_ef(config, g, u):
-            move = real(config, g, u)
-            return None if move is not None and move.rule is Rule.R_EF else move
-
         monkeypatch.setattr(protocol, "enabled_rule", never_ef)
         code = main(["bench", "--count", "2", "--seed", "1", "--daemons", "sync,adv:churn"])
         out = capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import random
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from stabtree import engine, protocol
+from stabtree.cli import corpus_instances
 from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
     ConfigurationError,
@@ -26,7 +29,17 @@ from stabtree.engine import (
 from stabtree.graph import build_graph, component_info, generate_random_graph, root_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
-from conftest import mk_config, reference_write_trace, replay
+from conftest import (
+    Recorder,
+    ab_root_without_distance,
+    eb_before_c,
+    mk_config,
+    never_ef,
+    reference_write_trace,
+    replay,
+    restless_enabled_rule,
+    reversed_tie_break,
+)
 
 
 class TestEnabledSet:
@@ -367,6 +380,77 @@ class TestValidateConfiguration:
             random_configuration(triangle, 0, -1)
 
 
+class MoveMapCheck(DaemonPolicy):
+    """Wraps a policy. Before each selection it checks the engine's move
+    map, kept up to date at the processes whose guards read what the last
+    step changed, against ``enabled``'s evaluation of every process."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.checked = 0
+
+    def select(self, config, g, moves):
+        assert dict(moves) == enabled(tuple(config), g)
+        self.checked += 1
+        return self.inner.select(config, g, moves)
+
+
+#: The committed mutants whose guards and ``ab_root`` read only N[u]: the
+#: engine's argument for re-evaluating only the guards that read a changed
+#: field must hold under each. ``conftest.ab_root_far_parent`` is left out:
+#: it reads the state of a parent that is not a neighbour, which no rule
+#: based on the fired processes' neighbourhoods can follow. The lowered
+#: step bound changes no guard.
+NEIGHBOURHOOD_MUTANTS = {
+    "protocol": None,
+    "ab_root_without_distance": ("ab_root", ab_root_without_distance),
+    "restless": ("enabled_rule", restless_enabled_rule),
+    "never_ef": ("enabled_rule", never_ef),
+    "eb_before_c": ("enabled_rule", eb_before_c),
+    "reversed_tie_break": ("enabled_rule", reversed_tie_break),
+}
+
+
+class TestIncrementalMoves:
+    @pytest.mark.parametrize("mutant", NEIGHBOURHOOD_MUTANTS)
+    def test_move_map_matches_full_evaluation(self, monkeypatch, mutant):
+        # After every step, on corpus graphs and on random graphs rooted
+        # off node 0, under every daemon; a terminated run ends terminal.
+        if NEIGHBOURHOOD_MUTANTS[mutant]:
+            name, fn = NEIGHBOURHOOD_MUTANTS[mutant]
+            monkeypatch.setattr(protocol, name, fn)
+        daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
+        graphs = list(corpus_instances(8, 17))
+        graphs += [
+            generate_random_graph(trial, 5 + trial, 0.5, 4, component_hint=1 + trial % 2, root_id=1 + trial)
+            for trial in range(4)
+        ]
+        checked = 0
+        for trial, g in enumerate(graphs):
+            start = random_configuration(g, trial, 4 * g.node_count)
+            for spec in daemons:
+                policy = MoveMapCheck(parse_daemon_spec(spec, trial))
+                trace = run(start, g, policy, max_steps=150)
+                assert trace.terminated == (not enabled(trace.final, g))
+                checked += policy.checked
+        assert checked > 300
+
+
+class TestConsumers:
+    def test_consumers_see_every_step_and_trace_keeps_none(self):
+        for trial in range(10):
+            g = generate_random_graph(trial, 8, 0.5, 3, component_hint=1 + trial % 2)
+            start = random_configuration(g, trial, 24)
+            kept = run(start, g, CentralDaemon(trial))
+            recorder = Recorder()
+            fed = run(start, g, CentralDaemon(trial), consumers=[recorder])
+            assert fed.steps is None and kept.steps == recorder.steps
+            assert fed.step_count == kept.step_count == len(recorder.steps)
+            assert fed.round_ends == kept.round_ends
+            assert [i for i, closed in enumerate(recorder.closed, 1) if closed] == kept.round_ends
+            assert (fed.final, fed.terminated, fed.rounds) == (kept.final, kept.terminated, kept.rounds)
+
+
 class TestTraceOutput:
     def test_header_and_step_records(self, path3):
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
@@ -433,6 +517,24 @@ class TestTraceOutput:
                 top = max([top, *(u for fired in trace.steps for u in fired)])
         assert traces >= 100 and split >= 10 and rooted_off_zero >= 20
         assert rules == set(Rule) and top >= 10
+
+    @pytest.mark.parametrize("spool_bytes", [engine._SPOOL_BYTES, 64], ids=["in memory", "spilled"])
+    def test_writer_matches_write_trace(self, monkeypatch, spool_bytes):
+        # The writer fed live by ``run`` writes the bytes ``write_trace``
+        # writes from the kept steps, also once its records spill to disk.
+        monkeypatch.setattr(engine, "_SPOOL_BYTES", spool_bytes)
+        for trial in range(12):
+            g = generate_random_graph(trial, 6 + trial, 0.4, 4, root_id=trial % 6)
+            start = random_configuration(g, trial, 4 * g.node_count)
+            kwargs = {"graph_name": "g.g", "seed": trial, "daemon": "central"}
+            for max_steps in (None, 3):
+                want = io.StringIO()
+                write_trace(run(start, g, CentralDaemon(trial), max_steps), want, **kwargs)
+                got = io.StringIO()
+                with contextlib.closing(engine.TraceWriter(got, start, **kwargs)) as writer:
+                    trace = run(start, g, CentralDaemon(trial), max_steps, consumers=[writer])
+                    writer.finish(trace.terminated)
+                assert got.getvalue() == want.getvalue()
 
 
 def read_back(text):

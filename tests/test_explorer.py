@@ -19,7 +19,7 @@ from stabtree.explorer import (
     enumerate_initial_configs,
 )
 from stabtree.graph import build_graph, generate_random_graph
-from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status
+from stabtree.protocol import ROOT_STATE, ProcessState, Status
 
 from conftest import (
     ab_root_far_parent,
@@ -27,6 +27,7 @@ from conftest import (
     alive_abnormal_roots,
     initial_configs_by_fill,
     mk_config,
+    restless_enabled_rule,
 )
 
 
@@ -221,20 +222,6 @@ class TestSuccessorOrder:
         got = certify_instance(g, 1, max_visited=max_visited)
         assert got.verdict == "INCONCLUSIVE"
         assert (got.initial_configs, got.reachable_count, got.max_steps_any_path) == partial
-
-
-_real_enabled_rule = protocol.enabled_rule
-
-
-def restless_enabled_rule(config, g, u):
-    """A faulty ``protocol.enabled_rule``: a status-C process with no move
-    fires ``R_EB`` all the same, so a legitimate configuration is not
-    terminal and a freeze can loop back through a rejoin."""
-    move = _real_enabled_rule(config, g, u)
-    if move is None and config[u].status is Status.C:
-        _, pu, du = config[u]
-        return Move(Rule.R_EB, ProcessState(Status.EB, pu, du))
-    return move
 
 
 # Instances on which ``ab_root_without_distance`` leaves terminal

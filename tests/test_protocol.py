@@ -23,7 +23,7 @@ from stabtree.protocol import (
     enabled_rule,
 )
 
-from conftest import children, eb_before_c, mk_config, reference_move, reference_rules
+from conftest import children, eb_before_c, mk_config, reference_move, reference_rules, reversed_tie_break
 
 
 @pytest.fixture
@@ -270,28 +270,10 @@ def test_guard_agreement_exhaustive(edges, n, d_cap):
     assert _disagreements(edges, n, d_cap) == []
 
 
-def _reversed_tie_break(enabled_rule):
-    """Mutant of ``enabled_rule``: among correct neighbours with equal
-    ``d_v + w``, adopt the largest id instead of the smallest."""
-
-    def mutant(config, g, u):
-        move = enabled_rule(config, g, u)
-        if move is None or move.state.status is not Status.C:
-            return move
-        tied = [
-            v
-            for v, w in g.adjacency[u].items()
-            if config[v].status is Status.C and config[v].d + w == move.state.d
-        ]
-        return move._replace(state=move.state._replace(par=max(tied)))
-
-    return mutant
-
-
 def test_action_agreement_catches_reversed_tie_break(monkeypatch):
     # The mutant fires the same rules everywhere, so guard agreement alone
     # passes it; only the written state tells it apart.
-    monkeypatch.setattr(protocol, "enabled_rule", _reversed_tie_break(enabled_rule))
+    monkeypatch.setattr(protocol, "enabled_rule", reversed_tie_break)
     edges, n, d_cap = AGREEMENT_INSTANCES[2]  # the triangle: 2 can tie 0 and 1 at w 2
     g = build_graph(edges, n, 0)
     caught = _disagreements(edges, n, d_cap)
