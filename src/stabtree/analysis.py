@@ -322,7 +322,10 @@ class TraceWalk:
 def check_trace(trace, g: WeightedGraph) -> TraceReport:
     """The ``TraceWalk`` of a trace that kept its steps: each recorded step
     is written into a copy of the initial configuration and fed to the
-    walk, with the round ends the trace records."""
+    walk, with the round ends the trace records. A trace whose steps went
+    to consumers (``trace.steps`` is None) raises ``ValueError``."""
+    if trace.steps is None:
+        raise ValueError("check_trace needs the trace's steps; run kept none, as it fed consumers")
     config = list(trace.initial)
     walk = TraceWalk(config, g)
     ends = iter(trace.round_ends)
@@ -347,8 +350,8 @@ class CheckResult:
     detail: str = ""
 
 
-def full_trace_report(trace, g: WeightedGraph, walk: TraceReport | None = None) -> list[CheckResult]:
-    """Every per-trace check, as a flat pass/fail list. ``walk`` is the
+def full_trace_report(trace, g: WeightedGraph, report: TraceReport | None = None) -> list[CheckResult]:
+    """Every per-trace check, as a flat pass/fail list. ``report`` is the
     report of the ``TraceWalk`` that ``run`` fed live, if any; without it
     ``check_trace`` walks the trace's recorded steps."""
     results = [
@@ -357,8 +360,8 @@ def full_trace_report(trace, g: WeightedGraph, walk: TraceReport | None = None) 
     failing = legitimate_config(trace.final, g)
     detail = "; ".join(f"node {u}: {why}" for u, why in failing.items())
     results.append(CheckResult("final_legitimate", trace.terminated and not failing, detail))
-    if walk is None:
-        walk = check_trace(trace, g)
+    if report is None:
+        report = check_trace(trace, g)
     if trace.terminated:
         steps, rounds = trace.step_count, trace.rounds
         s_limit, r_limit = step_bound_for(g), round_bound_for(g)
@@ -374,20 +377,20 @@ def full_trace_report(trace, g: WeightedGraph, walk: TraceReport | None = None) 
         results.append(
             CheckResult(
                 "round_milestones",
-                walk.milestones_ok,
-                f"statusC={walk.no_status_c_in_illegal_ok} "
-                f"cleared={walk.illegal_cleared_ok} hops={walk.hop_legitimacy_ok}"
-                + ("" if walk.acyclic_ok else " acyclic=False"),
+                report.milestones_ok,
+                f"statusC={report.no_status_c_in_illegal_ok} "
+                f"cleared={report.illegal_cleared_ok} hops={report.hop_legitimacy_ok}"
+                + ("" if report.acyclic_ok else " acyclic=False"),
             )
         )
     else:
         results += [CheckResult(name, False, "NonTerminated") for name in ("step_bound", "round_bound", "round_milestones")]
-    results.append(CheckResult("aar_monotone", walk.aar_monotone))
+    results.append(CheckResult("aar_monotone", report.aar_monotone))
     results.append(
         CheckResult(
             "segment_language",
-            walk.segments_ok,
-            f"max_segments={max(walk.segment_counts.values(), default=0)}",
+            report.segments_ok,
+            f"max_segments={max(report.segment_counts.values(), default=0)}",
         )
     )
     return results

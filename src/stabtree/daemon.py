@@ -12,8 +12,6 @@ selections are evaluated.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import random
 from typing import Mapping
@@ -34,11 +32,7 @@ class DaemonPolicy:
     returned set must be a nonempty subset of its keys. Both ``config`` and
     ``enabled`` are the engine's live state, read-only (``enabled`` rejects
     writes) and valid only during the call. A policy instance is bound to
-    a single execution at a time (it keeps a step counter). A policy may
-    also keep state derived from its own previous selections: the engine
-    passes the same ``enabled`` mapping at every step of one execution,
-    and a step changes only the moves of the selected processes and their
-    neighbours.
+    a single execution at a time (it keeps a step counter).
     """
 
     name = "daemon"
@@ -126,59 +120,20 @@ class StarveCleanupDaemon(CentralDaemon):
 class MaxChurnDaemon(CentralDaemon):
     """Fires the single process whose move shifts its distance value the
     most (smallest id on ties); one random enabled process when no
-    correction or reset is enabled.
-
-    The candidates wait in a lazy max-heap of ``(-delta, u, counter,
-    move)`` entries; ``counter`` keeps equal ``(delta, u)`` pairs from
-    comparing moves. An entry is stale once ``enabled.get(u) is not
-    move``. A step changes only the moves of the processes it fired and
-    their neighbours, so each call pushes the new moves found around the
-    previous selection, and every move on the first call of an execution
-    (a new ``enabled`` mapping).
-    """
+    correction or reset is enabled."""
 
     name = "adv:max-churn"
 
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self._enabled: Mapping[int, Move] | None = None  # the mapping the heap follows
-        self._last = -1  # the process selected last
-        self._heap: list[tuple[int, int, int, Move]] = []
-        self._pushed: dict[int, Move] = {}  # the move of each process's newest entry
-        self._tick = itertools.count().__next__  # numbers the entries in push order
-
-    def select(self, config, g, enabled):
-        heap, pushed = self._heap, self._pushed
-        if enabled is self._enabled:
-            around = (self._last, *g.adjacency[self._last])
-        else:
-            self._enabled, around = enabled, enabled
-            heap.clear()
-            pushed.clear()
-        tick, current, newest = self._tick, enabled.get, pushed.get
-        for u in around:
-            move = current(u)
-            if move is not newest(u):
-                if move is not None and (move.rule is R_C or move.rule is R_R):
-                    pushed[u] = move
-                    heapq.heappush(heap, (-abs(move.state.d - config[u].d), u, tick(), move))
-                else:
-                    pushed.pop(u, None)
-        if len(heap) > 2 * len(pushed):  # more stale entries than live ones
-            heap[:] = [entry for entry in heap if pushed.get(entry[1]) is entry[3]]
-            heapq.heapify(heap)
-        chosen = super().select(config, g, enabled)
-        (self._last,) = chosen
-        return chosen
-
     def _choose(self, config, enabled):
-        heap = self._heap
-        while heap:
-            _, u, _, move = heap[0]
-            if enabled.get(u) is move:
-                return frozenset({u})
-            heapq.heappop(heap)
-        return super()._choose(config, enabled)
+        best: tuple[int, int] | None = None  # (delta, -u)
+        for u, (rule, state) in enabled.items():
+            if rule is R_C or rule is R_R:
+                cand = (abs(state.d - config[u].d), -u)
+                if best is None or cand > best:
+                    best = cand
+        if best is None:
+            return super()._choose(config, enabled)
+        return frozenset({-best[1]})
 
 
 def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:

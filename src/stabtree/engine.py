@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping
 
 from . import analysis, protocol
 from .graph import WeightedGraph
-from .protocol import R_EF, R_I, ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
+from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, Status
 
 
 class SelectionError(ValueError):
@@ -166,23 +166,8 @@ def run(
     fired or been neutralized (enabled before a step, disabled after).
 
     After a step, only the guards that read a field the step changed are
-    evaluated again: those of the fired processes, and of each neighbour
-    ``v`` of a fired ``u`` that reads ``u``. ``enabled_rule`` reads a
-    neighbour ``u`` of ``v`` in three places only:
-
-    - the cheapest-C scan, which reads ``u`` only if ``u`` is in status C,
-      so it matters when ``u`` is in status C before or after the step:
-      ``R_C``, ``R_R`` and ``R_EB`` re-evaluate every neighbour;
-    - ``ab_root(v)`` and the EB-parent test, which read ``u`` only if
-      ``par_v == u``;
-    - an EB process's child scan, which reads ``u`` only if
-      ``par_u == v`` and changes its answer only when ``u``'s status
-      leaves or enters {I, EF} at an unchanged ``d``: that is ``R_EF``.
-
-    So after ``R_EF`` or ``R_I`` (EB to EF, EF to I, ``par`` and ``d``
-    kept), only the neighbours with ``par_v == u`` and, after ``R_EF``,
-    ``par_u`` read anything that changed. The argument holds for any guard
-    that reads a neighbour only in these three ways.
+    evaluated again: those of the fired processes, and of the neighbours
+    that ``protocol.readers`` names for each fired move.
     """
     validate_configuration(config, g)
     if max_steps is None:
@@ -190,7 +175,7 @@ def run(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     root = g.root_id
-    adjacency = g.adjacency
+    readers = protocol.readers
     moves = enabled(config, g)
     view = MappingProxyType(moves)
     pending = set(moves)
@@ -204,14 +189,8 @@ def run(
         fired = _fire(config, selection, moves)
         pending -= selection
         affected = set(selection)
-        for u, (rule, state) in fired.items():
-            if rule is R_EF or rule is R_I:
-                par = state.par if rule is R_EF else None
-                for v in adjacency[u]:
-                    if v == par or config[v].par == u:
-                        affected.add(v)
-            else:
-                affected.update(adjacency[u])
+        for u, move in fired.items():
+            affected.update(readers(config, g, u, move))
         affected.discard(root)
         for u in affected:
             move = protocol.enabled_rule(config, g, u)
@@ -343,7 +322,11 @@ def write_trace(
     seed: int | None = None,
     daemon: str = "",
 ) -> None:
-    """Write a trace that kept its steps."""
+    """Write a trace that kept its steps; a trace whose steps went to
+    consumers (``trace.steps`` is None) raises ``ValueError``, since a
+    ``TraceWriter`` writes such a run as it happens."""
+    if trace.steps is None:
+        raise ValueError("write_trace needs the trace's steps; run kept none, as it fed consumers")
     fh.write(_header(trace.initial, trace.terminated, graph_name, seed, daemon))
     for i, fired in enumerate(trace.steps):
         fh.write(_step_record(i, fired))

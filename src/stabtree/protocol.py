@@ -9,7 +9,7 @@ return values instead of mutating anything. A configuration is a tuple of
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import WeightedGraph
 
@@ -132,3 +132,33 @@ def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Move | None
     if best_d is not None:
         return Move(R_R, ProcessState(S_C, best_v, best_d))
     return Move(R_I, ProcessState(S_I, pu, du)) if su is S_EF else None
+
+
+def readers(config: Configuration, g: WeightedGraph, u: int, move: Move) -> Iterable[int]:
+    """The neighbours of ``u`` whose ``enabled_rule`` reads a field that
+    ``move``, just fired by ``u``, changed; ``config`` is the configuration
+    after the step. With the processes that fired, these are the only
+    processes whose guards read a field the step changed.
+
+    ``enabled_rule(config, g, v)`` reads a neighbour ``u`` of ``v`` in
+    three places only:
+
+    - the cheapest-C scan, which reads ``u`` only if ``u`` is in status C,
+      so it matters when ``u`` is in status C before or after the step:
+      after ``R_C``, ``R_R`` and ``R_EB`` every neighbour reads ``u``;
+    - ``ab_root(v)`` and the EB-parent test, which read ``u`` only if
+      ``par_v == u``;
+    - an EB process's child scan, which reads ``u`` only if
+      ``par_u == v`` and changes its answer only when ``u``'s status
+      leaves or enters {I, EF} at an unchanged ``d``: that is ``R_EF``.
+
+    So after ``R_EF`` or ``R_I`` (EB to EF, EF to I, ``par`` and ``d``
+    kept), only the neighbours with ``par_v == u`` and, after ``R_EF``,
+    ``par_u`` read anything that changed. A change to how a guard reads
+    its neighbours must change this function with it.
+    """
+    rule, state = move
+    if rule is R_EF or rule is R_I:
+        par = state.par if rule is R_EF else None
+        return [v for v in g.adjacency[u] if v == par or config[v].par == u]
+    return g.adjacency[u]

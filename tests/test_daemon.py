@@ -17,7 +17,6 @@ from stabtree.daemon import (
     _nonempty_selection,
     parse_daemon_spec,
 )
-from stabtree.cli import corpus_instances
 from stabtree.engine import enabled, normal_initial_configuration, random_configuration, run
 from stabtree.graph import build_graph, component_info, generate_random_graph
 from stabtree.protocol import Rule, Status
@@ -192,98 +191,6 @@ class TestAdversarialReference:
                 assert got.steps == want.steps, (trial, seed)
                 assert got.round_ends == want.round_ends, (trial, seed)
         assert split >= 10
-
-
-class FullScanChurn(CentralDaemon):
-    """Reference for ``MaxChurnDaemon``: a scan of every enabled move at
-    every call for the largest distance shift, smallest id on ties."""
-
-    def _choose(self, config, enabled):
-        best = None  # (delta, -u)
-        for u, (rule, state) in enabled.items():
-            if rule is Rule.R_C or rule is Rule.R_R:
-                cand = (abs(state.d - config[u].d), -u)
-                if best is None or cand > best:
-                    best = cand
-        return super()._choose(config, enabled) if best is None else frozenset({-best[1]})
-
-
-class HeapAudit(DaemonPolicy):
-    """Drives a ``MaxChurnDaemon`` and checks each pick against the full
-    scan's argmax. It counts the calls whose largest shift is tied, and
-    how often each process's move was evaluated afresh while it stayed a
-    candidate."""
-
-    def __init__(self, seed):
-        self.inner = MaxChurnDaemon(seed)
-        self.ties = 0
-        self.seen = {}  # candidate -> its move at the previous call
-        self.renewed = Counter()  # candidate -> calls with a new move object
-
-    def select(self, config, g, enabled):
-        shifts = {
-            u: abs(move.state.d - config[u].d)
-            for u, move in enabled.items()
-            if move.rule is Rule.R_C or move.rule is Rule.R_R
-        }
-        for u in shifts:
-            self.renewed[u] += u in self.seen and self.seen[u] is not enabled[u]
-        self.seen = {u: enabled[u] for u in shifts}
-        chosen = self.inner.select(config, g, enabled)
-        heap, live = self.inner._heap, self.inner._pushed
-        assert len(heap) <= 2 * len(live)  # compacted once stale entries outnumber live ones
-        if shifts:
-            top = max(shifts.values())
-            tied = [u for u, delta in shifts.items() if delta == top]
-            self.ties += len(tied) > 1
-            assert chosen == {min(tied)}
-        return chosen
-
-
-class TestMaxChurnHeap:
-    def test_executions_match_full_scan(self):
-        # The same steps and round ends as the full scan, on corpus graphs
-        # and on random graphs rooted off node 0.
-        graphs = list(corpus_instances(30, 5))
-        graphs += [generate_random_graph(t, 4 + t % 9, 0.5, 4, root_id=1 + t % 3) for t in range(20)]
-        for trial, g in enumerate(graphs):
-            config = random_configuration(g, trial, 4 * g.node_count)
-            got = run(config, g, MaxChurnDaemon(trial))
-            want = run(config, g, FullScanChurn(trial))
-            assert (got.steps, got.round_ends) == (want.steps, want.round_ends), trial
-
-    def test_picks_match_argmax_with_ties_and_renewed_moves(self):
-        # A hub and ten leaves, each joined to the root and to one another
-        # by unit edges. The leaves start at distance 50 and the hub at 2,
-        # so the leaves' shifts of 49 tie and go first, and the hub, whose
-        # shift is 1, has its move evaluated afresh each time a leaf moves.
-        leaves = range(2, 12)
-        g = build_graph([(0, 1, 1), *((0, v, 1) for v in leaves), *((1, v, 1) for v in leaves)], 12, 0)
-        start = mk_config(g, n1=(Status.C, 0, 2), **{f"n{v}": (Status.C, 0, 50) for v in leaves})
-        audits = []
-        for seed in range(4):
-            audit = HeapAudit(seed)
-            assert run(start, g, audit).terminated
-            audits.append(audit)
-        assert all(audit.ties for audit in audits)
-        assert all(audit.renewed[1] >= 5 for audit in audits)
-
-    def test_picks_match_argmax_on_corpus(self):
-        audits = []
-        for idx, g in enumerate(corpus_instances(40, 3)):
-            audit = HeapAudit(idx)
-            run(random_configuration(g, idx, 4 * g.node_count), g, audit)
-            audits.append(audit)
-        assert sum(audit.ties for audit in audits) > 10
-
-    def test_a_new_execution_rebuilds_the_heap(self, star):
-        # One daemon, two executions: the second gets a new enabled
-        # mapping, so no candidate of the first survives into it.
-        daemon = MaxChurnDaemon(0)
-        first = mk_config(star, n1=(Status.C, 0, 10), n2=(Status.C, 0, 3))
-        second = mk_config(star, n1=(Status.C, 0, 1), n2=(Status.C, 0, 7))
-        assert daemon.select(first, star, enabled(first, star)) == {1}
-        assert daemon.select(second, star, enabled(second, star)) == {2}
 
 
 class TestForcedSelection:

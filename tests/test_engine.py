@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from stabtree import engine, protocol
+from stabtree import analysis, engine, protocol
 from stabtree.cli import corpus_instances
 from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
@@ -449,6 +449,16 @@ class TestConsumers:
             assert fed.round_ends == kept.round_ends
             assert [i for i, closed in enumerate(recorder.closed, 1) if closed] == kept.round_ends
             assert (fed.final, fed.terminated, fed.rounds) == (kept.final, kept.terminated, kept.rounds)
+
+    def test_replays_of_a_fed_run_raise_value_error(self, path3):
+        # A run fed to consumers keeps no steps, so nothing can replay it.
+        fed = run(normal_initial_configuration(path3), path3, SynchronousDaemon(), consumers=[Recorder()])
+        with pytest.raises(ValueError, match="kept none"):
+            analysis.check_trace(fed, path3)
+        with pytest.raises(ValueError, match="kept none"):
+            analysis.full_trace_report(fed, path3)
+        with pytest.raises(ValueError, match="kept none"):
+            write_trace(fed, io.StringIO())
 
 
 class TestTraceOutput:
