@@ -25,7 +25,6 @@ from .engine import (
     normal_initial_configuration,
     random_configuration,
     run,
-    step,
 )
 from .daemon import (
     CentralDaemon,

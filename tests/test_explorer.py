@@ -28,6 +28,7 @@ from conftest import (
     initial_configs_by_fill,
     mk_config,
     restless_enabled_rule,
+    step,
 )
 
 
@@ -205,10 +206,10 @@ class TestSuccessorOrder:
                 for part in parts:
                     now = engine.enabled(current, g)
                     assert all(now.get(u) == moves[u] for u in part), (config, chosen, part)
-                    step = engine.step(current, g, part)
-                    assert step in ex._successors(current)[0]
-                    current = step
-                assert current == engine.step(config, g, chosen)
+                    after = step(current, g, part)
+                    assert after in ex._successors(current)[0]
+                    current = after
+                assert current == step(config, g, chosen)
         assert dropped > 50
 
     @pytest.mark.parametrize(
