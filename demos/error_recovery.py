@@ -13,6 +13,7 @@ from stabtree import (
     Status,
     build_graph,
     CentralDaemon,
+    check_trace,
     full_trace_report,
     run,
 )
@@ -39,7 +40,7 @@ def main():
         print(f"  {u}: {state.status.value} par={state.par} d={state.d}")
 
     print("\nchecks:")
-    for result in full_trace_report(trace, g):
+    for result in full_trace_report(trace, g, check_trace(trace, g)):
         print(f"  {result.name}: {'PASS' if result.ok else 'FAIL'} {result.detail}")
 
 

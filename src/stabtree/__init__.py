@@ -21,6 +21,7 @@ from .graph import (
 from .protocol import ROOT_STATE, Configuration, Move, ProcessState, Rule, Status
 from .engine import (
     ExecutionTrace,
+    check_trace,
     enabled,
     normal_initial_configuration,
     random_configuration,
@@ -37,7 +38,6 @@ from .daemon import (
 )
 from .analysis import (
     TraceWalk,
-    check_trace,
     full_trace_report,
     legitimate_config,
     legitimate_state,

@@ -151,7 +151,7 @@ class TraceWalk:
     """The one walk over an execution: segments, alive-abnormal-root
     monotonicity and round milestones. ``engine.run`` calls ``step`` after
     each step it fires, whether it runs a daemon or replays a recorded
-    trace for ``check_trace``; ``report`` gives the verdicts.
+    trace for ``engine.check_trace``; ``report`` gives the verdicts.
 
     Per node, the trace splits into segments. A segment of a component
     ends at the first step where one of its alive abnormal roots stops
@@ -319,51 +319,6 @@ class TraceWalk:
         )
 
 
-class _RecordedSelections:
-    """The daemon of a replay: each recorded step in turn, once the protocol
-    computes its moves; ``run`` refuses a recorded process not enabled."""
-
-    def __init__(self, steps):
-        self._steps = enumerate(steps)
-
-    def select(self, config, g, enabled):
-        index, fired = next(self._steps, (None, None))
-        if fired is None:
-            raise ValueError(f"the trace records no step, yet processes {sorted(enabled)} are enabled")
-        for u, move in fired.items():
-            if u in enabled and enabled[u] != move:
-                from .engine import SelectionError  # engine imports this module
-
-                text = "{} to ({}, {}, {})".format
-                raise SelectionError(
-                    f"step {index}: process {u} records {text(move.rule, *move.state)}, "
-                    f"the protocol computes {text(enabled[u].rule, *enabled[u].state)}"
-                )
-        return fired
-
-
-def check_trace(trace, g: WeightedGraph) -> TraceReport:
-    """The ``TraceWalk`` of a trace that kept its steps, fed by replaying
-    them through ``engine.run``. A step the protocol would not take raises
-    ``SelectionError``; a trace whose steps went to consumers (``steps`` is
-    None) or that ends other than its replay raises ``ValueError``."""
-    from . import engine  # engine imports this module
-
-    if trace.steps is None:
-        raise ValueError("check_trace needs the trace's steps; run kept none, as it fed consumers")
-    if len(trace.steps) != trace.step_count:
-        raise ValueError(f"the trace records {len(trace.steps)} steps and a step_count of {trace.step_count}")
-    engine.validate_configuration(trace.initial, g)  # before the walk reads it
-    walk = TraceWalk(trace.initial, g)
-    replay = engine.run(trace.initial, g, _RecordedSelections(trace.steps), max(1, trace.step_count), [walk])
-    for field in ("step_count", "round_ends", "terminated"):
-        if getattr(replay, field) != getattr(trace, field):
-            raise ValueError(f"the trace records {field}={getattr(trace, field)}, the replay {getattr(replay, field)}")
-    if replay.final != trace.final:
-        raise ValueError("the trace's final configuration is not the replay's")
-    return walk.report(trace.terminated)
-
-
 # --- aggregate report -------------------------------------------------------
 
 
@@ -374,19 +329,16 @@ class CheckResult:
     detail: str = ""
 
 
-def full_trace_report(trace, g: WeightedGraph, report: TraceReport | None = None) -> list[CheckResult]:
+def full_trace_report(trace, g: WeightedGraph, report: TraceReport) -> list[CheckResult]:
     """Every per-trace check, as a flat pass/fail list. ``report`` is the
-    report of the ``TraceWalk`` that ``run`` fed live, if any; without it
-    ``check_trace`` replays the trace's recorded steps, and refuses a
-    trace the protocol could not have produced."""
+    ``TraceWalk`` report of the same execution: the walk ``run`` fed live,
+    or ``engine.check_trace`` of a trace that kept its steps."""
     results = [
         CheckResult("terminated", trace.terminated, f"steps={trace.step_count}")
     ]
     failing = legitimate_config(trace.final, g)
     detail = "; ".join(f"node {u}: {why}" for u, why in failing.items())
     results.append(CheckResult("final_legitimate", trace.terminated and not failing, detail))
-    if report is None:
-        report = check_trace(trace, g)
     if trace.terminated:
         steps, rounds = trace.step_count, trace.rounds
         s_limit, r_limit = step_bound_for(g), round_bound_for(g)

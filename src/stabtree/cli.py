@@ -268,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="sync",
         help="daemon: sync | central | rand:p=<float> | adv:starve | adv:churn",
     )
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--max-steps", type=_at_least_one, default=None)
+    p_run.add_argument("--seed", type=int, default=0, help="seeds the daemon's random streams")
+    p_run.add_argument("--max-steps", type=_at_least_one, help="step budget, by default 10 x the step bound; a run cut "
+                       "short fails step_bound, round_bound and round_milestones with NonTerminated")
     p_run.add_argument("--trace", help="write the trace to this path")
     p_run.add_argument("--report", help="write machine-readable verdicts to this path")
     p_run.set_defaults(func=cmd_run)
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_explore)
 
     p_bench = sub.add_parser("bench", help="seeded corpus sweep against the bounds")
-    p_bench.add_argument("--count", type=_at_least_one, default=100)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--count", type=_at_least_one, default=100, help="corpus instances, each run under every daemon")
+    p_bench.add_argument("--seed", type=int, default=0, help="seeds the corpus graphs, initial configurations and daemons")
     p_bench.add_argument(
         "--daemons",
         default="sync,central,rand:p=0.5,adv:starve,adv:churn",

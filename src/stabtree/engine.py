@@ -197,6 +197,51 @@ def run(
     )
 
 
+class _RecordedSelections:
+    """The daemon of a replay: each recorded step in turn, refused by index
+    if it selects no process, a process not enabled, or another move."""
+
+    def __init__(self, steps):
+        self._steps = enumerate(steps)
+
+    def select(self, config, g, enabled):
+        index, fired = next(self._steps, (None, None))
+        if fired is None:
+            raise ValueError(f"the trace records no step, yet processes {sorted(enabled)} are enabled")
+        if not fired:
+            raise SelectionError(f"step {index}: selection must be nonempty")
+        for u, move in fired.items():
+            if u not in enabled:
+                raise SelectionError(f"step {index}: process {u} is not enabled")
+            if enabled[u] != move:
+                text = "{} to ({}, {}, {})".format
+                raise SelectionError(
+                    f"step {index}: process {u} records {text(move.rule, *move.state)}, "
+                    f"the protocol computes {text(enabled[u].rule, *enabled[u].state)}"
+                )
+        return fired
+
+
+def check_trace(trace: ExecutionTrace, g: WeightedGraph) -> analysis.TraceReport:
+    """The ``TraceWalk`` of a trace that kept its steps, fed by replaying
+    them through ``run``. A step the protocol would not take raises
+    ``SelectionError``; a trace whose steps went to consumers (``steps`` is
+    None) or that ends other than its replay raises ``ValueError``."""
+    if trace.steps is None:
+        raise ValueError("check_trace needs the trace's steps; run kept none, as it fed consumers")
+    if len(trace.steps) != trace.step_count:
+        raise ValueError(f"the trace records {len(trace.steps)} steps and a step_count of {trace.step_count}")
+    validate_configuration(trace.initial, g)  # before the walk reads it
+    walk = analysis.TraceWalk(trace.initial, g)
+    replay = run(trace.initial, g, _RecordedSelections(trace.steps), max(1, trace.step_count), [walk])
+    for field in ("step_count", "round_ends", "terminated"):
+        if getattr(replay, field) != getattr(trace, field):
+            raise ValueError(f"the trace records {field}={getattr(trace, field)}, the replay {getattr(replay, field)}")
+    if replay.final != trace.final:
+        raise ValueError("the trace's final configuration is not the replay's")
+    return walk.report(trace.terminated)
+
+
 # --- configuration file format ---------------------------------------------
 #
 # One line per non-root process (the constant root line is omitted):

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import pytest
 
 from stabtree import protocol
-from stabtree.analysis import TraceWalk, _alive_ab_root, _local_facts, check_trace, legitimate_state
-from stabtree.engine import run
+from stabtree.analysis import TraceWalk, _alive_ab_root, _local_facts, legitimate_state
+from stabtree.engine import check_trace, run
 from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, enabled_rule
 
@@ -362,7 +362,7 @@ def replay(trace):
 
 
 def segment_language_check(trace, g) -> dict:
-    """Test-side reference for ``analysis.check_trace``'s segment fields and
+    """Test-side reference for ``engine.check_trace``'s segment fields and
     ``aar_monotone``, on a replay of its own: the alive-abnormal-root set
     of the initial configuration, then kept up to date at the fired nodes
     and their neighbors only, and each (node, segment) word of fired rules
@@ -410,7 +410,7 @@ def segment_language_check(trace, g) -> dict:
 
 
 def check_round_milestones(trace, g) -> dict:
-    """Test-side reference for ``analysis.check_trace``'s milestone fields,
+    """Test-side reference for ``engine.check_trace``'s milestone fields,
     on a replay of its own: each configuration's completed rounds by
     bisection in ``trace.round_ends``, and one legitimacy loop for the
     processes outside V_r and another for those within the hop budget."""
@@ -544,7 +544,7 @@ def neighbourhood_walk(trace, g) -> dict:
 
 
 def walk_recorded(trace, g):
-    """Test-side reference for ``analysis.check_trace``, as it stood before
+    """Test-side reference for ``check_trace``, as it stood before
     it replayed traces through ``engine.run``: each recorded step's states
     written into a copy of ``trace.initial`` and fed to a ``TraceWalk``
     with the round ends the trace records, whether or not the protocol
@@ -560,7 +560,7 @@ def walk_recorded(trace, g):
 
 
 def walk_matches_references(trace, g, walk=check_trace) -> bool:
-    """``walk`` (``analysis.check_trace``, or ``walk_recorded`` for a trace
+    """``walk`` (``engine.check_trace``, or ``walk_recorded`` for a trace
     the protocol would not produce) gives, field by field, what the two
     reference replays give, and what ``neighbourhood_walk`` gives; on a
     trace that did not terminate, its milestone fields are all None."""

@@ -81,7 +81,7 @@ def corpus():
             policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
             trace = engine.run(init, g, policy)
             failing = analysis.legitimate_config(trace.final, g)
-            walk = analysis.check_trace(trace, g)
+            walk = engine.check_trace(trace, g)
             uniform = info.w_min == info.w_max
             result.runs.append(
                 RunRecord(

@@ -2,7 +2,6 @@ import dataclasses
 import inspect
 import random
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +10,6 @@ from stabtree.analysis import (
     _alive_ab_root,
     TraceWalk,
     _local_facts,
-    check_trace,
     full_trace_report,
     legitimate_config,
     legitimate_state,
@@ -26,6 +24,7 @@ from stabtree.engine import (
     ConfigurationError,
     ExecutionTrace,
     SelectionError,
+    check_trace,
     enabled,
     format_configuration,
     normal_initial_configuration,
@@ -495,22 +494,25 @@ class TestSegmentReference:
 class TestTraceWalk:
     def test_one_walk_per_report(self, monkeypatch, triangle):
         # A terminated run that reaches the milestones, so every check
-        # runs, and the same run cut short: one walk each.
+        # runs, and the same run cut short: one walk each, which judges
+        # the initial configuration and each step once.
         full = run(random_configuration(triangle, 16, 10), triangle, parse_daemon_spec("adv:churn", 16))
         assert full.terminated and full.rounds > component_info(triangle).n_max_cc
         cut = run(full.initial, triangle, parse_daemon_spec("adv:churn", 16), max_steps=full.step_count // 2)
         assert not cut.terminated
-        walk = analysis.check_trace
-        calls = []
+        step = TraceWalk.step
+        calls = 0
 
-        def counted(trace, g):
-            calls.append(trace)
-            return walk(trace, g)
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
 
-        monkeypatch.setattr(analysis, "check_trace", counted)
+        monkeypatch.setattr(TraceWalk, "step", counted)
         for trace in (full, cut):
-            full_trace_report(trace, triangle)
-        assert calls == [full, cut]
+            calls = 0
+            full_trace_report(trace, triangle, check_trace(trace, triangle))
+            assert calls == trace.step_count + 1
 
     @pytest.mark.parametrize("mutant", [False, True], ids=["protocol", "ab_root mutant"])
     def test_cut_traces_walk_as_if_terminated(self, monkeypatch, mutant):
@@ -703,7 +705,12 @@ def foreign_traces():
         "disabled process selected": (
             replace(trace, steps=[*steps[:2], {**steps[2], idle: Move(Rule.R_C, pre[idle])}, *steps[3:]]),
             SelectionError,
-            f"selected processes [{idle}] are not enabled",
+            f"step 2: process {idle} is not enabled",
+        ),
+        "empty step": (
+            replace(trace, steps=[*steps[:2], {}, *steps[3:]]),
+            SelectionError,
+            "step 2: selection must be nonempty",
         ),
         "last step dropped": (
             replace(trace, steps=steps[:-1], step_count=n - 1, round_ends=[10]),
@@ -755,21 +762,19 @@ class TestReplay:
 
     @pytest.mark.parametrize("case", list(foreign_traces()[2]))
     def test_foreign_trace_is_refused(self, case):
-        # A trace the protocol could not produce is refused, by the full
-        # report too, with a message that names the fault. Each message is
-        # its own.
+        # A trace the protocol could not produce is refused with a message
+        # that names the fault. Each message is its own.
         _, g, cases = foreign_traces()
         assert len({message for _, _, message in cases.values()}) == len(cases)
         foreign, error, message = cases[case]
-        for check in (check_trace, full_trace_report):
-            with pytest.raises(ValueError) as info:
-                check(foreign, g)
-            assert type(info.value) is error and str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            check_trace(foreign, g)
+        assert type(info.value) is error and str(info.value) == message
 
 
 def _bound_lines(trace, g):
     """``(ok, detail)`` of the report's step and round bound lines."""
-    lines = {r.name: (r.ok, r.detail) for r in full_trace_report(trace, g)}
+    lines = {r.name: (r.ok, r.detail) for r in full_trace_report(trace, g, check_trace(trace, g))}
     return lines["step_bound"], lines["round_bound"]
 
 
@@ -819,7 +824,7 @@ class TestBoundsCheck:
         with pytest.raises(ValueError, match="terminated trace"):
             check_round_milestones(trace, path3)
         assert check_trace(trace, path3).milestones_ok is None
-        lines = {r.name: (r.ok, r.detail) for r in full_trace_report(trace, path3)}
+        lines = {r.name: (r.ok, r.detail) for r in full_trace_report(trace, path3, check_trace(trace, path3))}
         for name in ("step_bound", "round_bound", "round_milestones"):
             assert lines[name] == (False, "NonTerminated")
 
@@ -995,7 +1000,7 @@ class TestFaultyProtocol:
         start = mk_config(g, n0=(Status.EB, 1, 5), n1=(Status.EB, 0, 2))
         trace = run(start, g, SynchronousDaemon())
         assert trace.terminated and trace.rounds == 2
-        by_name = {r.name: r for r in full_trace_report(trace, g)}
+        by_name = {r.name: r for r in full_trace_report(trace, g, check_trace(trace, g))}
         assert not by_name["round_milestones"].ok
         assert by_name["round_milestones"].detail.endswith(" acyclic=False")
         assert not check_trace(trace, g).acyclic_ok
@@ -1023,7 +1028,7 @@ class TestTerminalLegitimateEquivalence:
 class TestFullReport:
     def test_clean_run_all_green(self, path3):
         trace = run(normal_initial_configuration(path3), path3, SynchronousDaemon())
-        results = full_trace_report(trace, path3)
+        results = full_trace_report(trace, path3, check_trace(trace, path3))
         assert [r.name for r in results] == [
             "terminated",
             "final_legitimate",
@@ -1039,7 +1044,7 @@ class TestFullReport:
         trace = run(
             normal_initial_configuration(path3), path3, SynchronousDaemon(), max_steps=1
         )
-        by_name = {r.name: r for r in full_trace_report(trace, path3)}
+        by_name = {r.name: r for r in full_trace_report(trace, path3, check_trace(trace, path3))}
         assert not by_name["terminated"].ok
         assert not by_name["step_bound"].ok
         assert by_name["step_bound"].detail == "NonTerminated"

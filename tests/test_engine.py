@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from stabtree import analysis, engine, protocol
+from stabtree import engine, protocol
 from stabtree.cli import corpus_instances
 from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
@@ -446,9 +446,7 @@ class TestConsumers:
         # A run fed to consumers keeps no steps, so nothing can replay it.
         fed = run(normal_initial_configuration(path3), path3, SynchronousDaemon(), consumers=[Recorder()])
         with pytest.raises(ValueError, match="kept none"):
-            analysis.check_trace(fed, path3)
-        with pytest.raises(ValueError, match="kept none"):
-            analysis.full_trace_report(fed, path3)
+            engine.check_trace(fed, path3)
         with pytest.raises(ValueError, match="kept none"):
             write_trace(fed, io.StringIO())
 
