@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser("explore", help="exhaustively certify a small instance")
-    p_exp.add_argument("-g", "--graph", required=True)
+    p_exp.add_argument("-g", "--graph", required=True, help="graph file")
     p_exp.add_argument("--dcap", type=_at_least_one, required=True, help="initial distance cap")
     p_exp.add_argument(
         "--max-visited",

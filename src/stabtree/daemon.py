@@ -46,6 +46,7 @@ class _SeededPolicy(DaemonPolicy):
     def __init__(self, seed: int):
         self.seed = seed
         self._stream = -1  # the n-th select (from 0) draws from stream n
+        self._random = random.Random()  # seeded again for every stream
 
     def select(self, config, g, enabled):
         self._stream += 1
@@ -54,7 +55,10 @@ class _SeededPolicy(DaemonPolicy):
         return self._choose(config, enabled)
 
     def _rng(self) -> random.Random:
-        return random.Random((self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream)
+        """The policy's generator, seeded for this select's stream: the
+        draws of ``random.Random(key)``, without building one."""
+        self._random.seed((self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream)
+        return self._random
 
 
 class SynchronousDaemon(DaemonPolicy):
@@ -125,15 +129,15 @@ class MaxChurnDaemon(CentralDaemon):
     name = "adv:max-churn"
 
     def _choose(self, config, enabled):
-        best: tuple[int, int] | None = None  # (delta, -u)
+        best_u = best_delta = -1
         for u, (rule, state) in enabled.items():
             if rule is R_C or rule is R_R:
-                cand = (abs(state.d - config[u].d), -u)
-                if best is None or cand > best:
-                    best = cand
-        if best is None:
+                delta = abs(state.d - config[u].d)
+                if delta > best_delta or (delta == best_delta and u < best_u):
+                    best_u, best_delta = u, delta
+        if best_u < 0:
             return super()._choose(config, enabled)
-        return frozenset({-best[1]})
+        return frozenset({best_u})
 
 
 def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:

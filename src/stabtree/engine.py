@@ -135,16 +135,17 @@ def run(
     A round closes once every process enabled at its start has either
     fired or been neutralized (enabled before a step, disabled after).
 
-    After a step, only the guards that read a field the step changed are
-    evaluated again: those of the fired processes, and of the neighbours
-    that ``protocol.readers`` names for each fired move.
+    After a step, only the answers the step can change are evaluated
+    again: those of the fired processes, and of the neighbours that
+    ``protocol.readers`` names for each fired move. It is asked before the
+    fired process writes its state, while the move map still holds every
+    answer from before the step.
     """
     validate_configuration(config, g)
     if max_steps is None:
         max_steps = default_max_steps(g)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    root = g.root_id
     readers = protocol.readers
     moves = enabled(config, g)
     view = MappingProxyType(moves)
@@ -159,18 +160,16 @@ def run(
         if not selection:
             raise SelectionError("selection must be nonempty")
         fired: dict[int, Move] = {}
+        affected = set(selection)
         for u in selection:
             move = moves.get(u)
             if move is None:
                 idle = sorted(v for v in selection if v not in moves)
                 raise SelectionError(f"selected processes {idle} are not enabled")
             fired[u] = move
+            affected.update(readers(config, g, u, move, moves))
             config[u] = move.state
         pending -= selection
-        affected = set(selection)
-        for u, move in fired.items():
-            affected.update(readers(config, g, u, move))
-        affected.discard(root)
         for u in affected:
             move = protocol.enabled_rule(config, g, u)
             if move is None:
@@ -356,31 +355,51 @@ def write_trace(
 #: moves them to a temporary file.
 _SPOOL_BYTES = 4 << 20
 
+#: Bytes of formatted records a ``TraceWriter`` joins before one write to
+#: its spool. A size, not a record count, keeps the batch small however
+#: many processes fire per step.
+_FLUSH_BYTES = 64 << 10
+
 
 class TraceWriter:
     """A ``run`` consumer that writes the trace file as the steps fire.
 
     The header holds ``terminated``, known only at the end, and comes
-    first. So each step's record is formatted as the step fires into a
-    spooled temporary file, and ``finish`` writes the header and copies the
-    records after it: the bytes ``write_trace`` writes. ``close`` releases
-    the spooled file.
+    first. So each step's record is formatted as the step fires, the
+    records are joined into one write to a spooled temporary file once
+    they reach ``_FLUSH_BYTES``, and ``finish`` writes the header and
+    copies the records after it: the bytes ``write_trace`` writes.
+    ``close`` releases the spooled file.
     """
 
     def __init__(self, fh: IO[str], initial: Configuration, *, graph_name="", seed=None, daemon=""):
         self._fh, self._initial, self._header = fh, initial, (graph_name, seed, daemon)
         self._records = tempfile.SpooledTemporaryFile(_SPOOL_BYTES, mode="w+", encoding="ascii")
+        self._batch: list[str] = []
+        self._batch_bytes = 0
         self._index = 0
 
     def step(self, config, fired: Mapping[int, Move], round_closed: bool) -> None:
-        self._records.write(_step_record(self._index, fired))
+        record = _step_record(self._index, fired)
         self._index += 1
+        self._batch.append(record)
+        self._batch_bytes += len(record)  # ASCII: one byte per character
+        if self._batch_bytes >= _FLUSH_BYTES:
+            self._flush()
+
+    def _flush(self) -> None:
+        self._records.write("".join(self._batch))
+        self._batch.clear()
+        self._batch_bytes = 0
 
     def finish(self, terminated: bool) -> None:
+        self._flush()
         self._fh.write(_header(self._initial, terminated, *self._header))
         self._records.seek(0)
         shutil.copyfileobj(self._records, self._fh)
 
     def close(self) -> None:
-        """Drop the spooled records, and their temporary file if any."""
+        """Drop the records, batched or spooled, and the spool's temporary
+        file if any."""
+        self._batch.clear()
         self._records.close()

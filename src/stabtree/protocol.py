@@ -9,7 +9,7 @@ return values instead of mutating anything. A configuration is a tuple of
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .graph import WeightedGraph
 
@@ -134,31 +134,54 @@ def enabled_rule(config: Configuration, g: WeightedGraph, u: int) -> Move | None
     return Move(R_I, ProcessState(S_I, pu, du)) if su is S_EF else None
 
 
-def readers(config: Configuration, g: WeightedGraph, u: int, move: Move) -> Iterable[int]:
-    """The neighbours of ``u`` whose ``enabled_rule`` reads a field that
-    ``move``, just fired by ``u``, changed; ``config`` is the configuration
-    after the step. With the processes that fired, these are the only
-    processes whose guards read a field the step changed.
+def readers(config: Configuration, g: WeightedGraph, u: int, move: Move, moves: Mapping[int, Move]) -> list[int]:
+    """The neighbours of ``u`` whose answer from ``enabled_rule`` can change
+    when ``u`` fires ``move``. ``config[u]`` is still ``u``'s old state,
+    and ``moves`` maps each process to its answer before the step. The
+    root is never named: its parent is None and no offer is below its 0.
 
     ``enabled_rule(config, g, v)`` reads a neighbour ``u`` of ``v`` in
-    three places only:
+    three places only, and ``v`` is named when one of them can change:
 
-    - the cheapest-C scan, which reads ``u`` only if ``u`` is in status C,
-      so it matters when ``u`` is in status C before or after the step:
-      after ``R_C``, ``R_R`` and ``R_EB`` every neighbour reads ``u``;
-    - ``ab_root(v)`` and the EB-parent test, which read ``u`` only if
-      ``par_v == u``;
-    - an EB process's child scan, which reads ``u`` only if
-      ``par_u == v`` and changes its answer only when ``u``'s status
-      leaves or enters {I, EF} at an unchanged ``d``: that is ``R_EF``.
+    - ``ab_root(v)`` and the EB-parent test read ``u`` only if
+      ``par_v == u``: always named;
+    - an EB process's child scan reads ``u`` only if ``par_u == v``. It is
+      named when ``u`` starts or stops holding it up: a child of ``v``, in
+      status C or EB, with ``d_u >= d_v + w``;
+    - the cheapest-C scan reads ``u``'s offer ``d_u + w`` only while ``u``
+      is in status C. If ``v``'s recorded ``R_C`` or ``R_R`` parent is
+      ``u``, or ``u`` now ties or beats it, ``v`` is named; a tie counts,
+      so no tie-break is assumed. With no recorded best, ``v`` is named
+      when ``u`` now offers less than ``d_v`` (``v`` in status C) or offers
+      anything (``v`` in status I, or EF with ``R_I``). An EF process with
+      no move is not an abnormal root and answers None whatever it is
+      offered.
 
-    So after ``R_EF`` or ``R_I`` (EB to EF, EF to I, ``par`` and ``d``
-    kept), only the neighbours with ``par_v == u`` and, after ``R_EF``,
-    ``par_u`` read anything that changed. A change to how a guard reads
-    its neighbours must change this function with it.
+    When several neighbours of ``v`` fire in one step, each is judged
+    against the same recorded answer. If none names ``v``, its parent did
+    not fire, its standing as an EB parent did not change, and its recorded
+    best offer did not fire while every changed offer is worse: so ``v``
+    keeps the recorded answer. A change to how a guard reads its
+    neighbours must change this function with it.
     """
-    rule, state = move
-    if rule is R_EF or rule is R_I:
-        par = state.par if rule is R_EF else None
-        return [v for v in g.adjacency[u] if v == par or config[v].par == u]
-    return g.adjacency[u]
+    su, pu, du = config[u]
+    sn, pn, dn = move.state
+    old_blocks = su is S_C or su is S_EB  # the statuses that hold up an EB parent
+    new_blocks = sn is S_C or sn is S_EB
+    offers = su is S_C or sn is S_C
+    named = []
+    for v, w in g.adjacency[u].items():
+        sv, pv, dv = config[v]
+        if pv == u:
+            named.append(v)
+        elif sv is S_EB:
+            if (pu == v and old_blocks and du >= dv + w) != (pn == v and new_blocks and dn >= dv + w):
+                named.append(v)
+        elif offers:
+            mv = moves.get(v)
+            if mv is not None and (mv.rule is R_C or mv.rule is R_R):
+                if mv.state.par == u or (sn is S_C and dn + w <= mv.state.d):
+                    named.append(v)
+            elif sn is S_C and (dn + w < dv if sv is S_C else sv is S_I or mv is not None):
+                named.append(v)
+    return named

@@ -123,6 +123,21 @@ def children(config, g, u) -> frozenset[int]:
     return frozenset(out)
 
 
+def readers_by_rule(config, g, u, move):
+    """Test-side reference for ``protocol.readers``, by the fired rule
+    alone: every neighbour after ``R_C``, ``R_R`` and ``R_EB``, which
+    change ``u``'s offer; after ``R_EF`` and ``R_I``, which keep ``par``
+    and ``d``, only the neighbours whose parent is ``u`` and, after
+    ``R_EF``, ``par_u``. It reads only the neighbours' states, so it gives
+    the same set whether ``config[u]`` holds ``u``'s old or new state.
+    ``protocol.readers`` must name a subset of it."""
+    rule, state = move
+    if rule is Rule.R_EF or rule is Rule.R_I:
+        par = state.par if rule is Rule.R_EF else None
+        return [v for v in g.adjacency[u] if v == par or config[v].par == u]
+    return list(g.adjacency[u])
+
+
 #: One letter per rule, and the rule pattern every (node, segment) word of
 #: fired rules must match: at most one isolate, one rejoin, any number of
 #: corrections, one freeze broadcast and one freeze acknowledgement, in
@@ -203,6 +218,30 @@ def reversed_tie_break(config, g, u):
         if config[v].status is Status.C and config[v].d + w == move.state.d
     ]
     return move._replace(state=move.state._replace(par=max(tied)))
+
+
+#: The committed mutants whose guards and ``ab_root`` read only N[u]: the
+#: engine's argument for re-evaluating only the guards that read a changed
+#: field must hold under each. ``ab_root_far_parent`` is left out: it reads
+#: the state of a parent that is not a neighbour, which no rule based on
+#: the fired processes' neighbourhoods can follow. The lowered step bound
+#: changes no guard.
+NEIGHBOURHOOD_MUTANTS = {
+    "protocol": None,
+    "ab_root_without_distance": ("ab_root", ab_root_without_distance),
+    "restless": ("enabled_rule", restless_enabled_rule),
+    "never_ef": ("enabled_rule", never_ef),
+    "eb_before_c": ("enabled_rule", eb_before_c),
+    "reversed_tie_break": ("enabled_rule", reversed_tie_break),
+}
+
+
+def use_mutant(monkeypatch, mutant):
+    """Patch ``protocol`` with the ``NEIGHBOURHOOD_MUTANTS`` entry named
+    ``mutant``; ``"protocol"`` leaves it as it is."""
+    if NEIGHBOURHOOD_MUTANTS[mutant]:
+        name, fn = NEIGHBOURHOOD_MUTANTS[mutant]
+        monkeypatch.setattr(protocol, name, fn)
 
 
 def initial_configs_by_fill(g, d_cap):

@@ -29,16 +29,14 @@ from stabtree.graph import build_graph, component_info, generate_random_graph, r
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
 from conftest import (
+    NEIGHBOURHOOD_MUTANTS,
     Recorder,
-    ab_root_without_distance,
-    eb_before_c,
     mk_config,
-    never_ef,
+    readers_by_rule,
     reference_write_trace,
     replay,
-    restless_enabled_rule,
-    reversed_tie_break,
     step,
+    use_mutant,
 )
 
 
@@ -387,36 +385,42 @@ class MoveMapCheck(DaemonPolicy):
         return self.inner.select(config, g, moves)
 
 
-#: The committed mutants whose guards and ``ab_root`` read only N[u]: the
-#: engine's argument for re-evaluating only the guards that read a changed
-#: field must hold under each. ``conftest.ab_root_far_parent`` is left out:
-#: it reads the state of a parent that is not a neighbour, which no rule
-#: based on the fired processes' neighbourhoods can follow. The lowered
-#: step bound changes no guard.
-NEIGHBOURHOOD_MUTANTS = {
-    "protocol": None,
-    "ab_root_without_distance": ("ab_root", ab_root_without_distance),
-    "restless": ("enabled_rule", restless_enabled_rule),
-    "never_ef": ("enabled_rule", never_ef),
-    "eb_before_c": ("enabled_rule", eb_before_c),
-    "reversed_tie_break": ("enabled_rule", reversed_tie_break),
-}
+def _grid_edges(side):
+    """The edges of a unit-weight ``side`` x ``side`` grid: degree up to 4
+    and many tied offers."""
+    edges = [(r * side + c, r * side + c + 1, 1) for r in range(side) for c in range(side - 1)]
+    return edges + [(r * side + c, (r + 1) * side + c, 1) for r in range(side - 1) for c in range(side)]
 
 
 class TestIncrementalMoves:
     @pytest.mark.parametrize("mutant", NEIGHBOURHOOD_MUTANTS)
     def test_move_map_matches_full_evaluation(self, monkeypatch, mutant):
-        # After every step, on corpus graphs and on random graphs rooted
-        # off node 0, under every daemon; a terminated run ends terminal.
-        if NEIGHBOURHOOD_MUTANTS[mutant]:
-            name, fn = NEIGHBOURHOOD_MUTANTS[mutant]
-            monkeypatch.setattr(protocol, name, fn)
+        # After every step, on corpus graphs, random graphs rooted off node
+        # 0, unit grids and a grid beside a rootless path, under every
+        # daemon; a terminated run ends terminal. Each call to ``readers``
+        # names a subset of what the rule-based reference names.
+        use_mutant(monkeypatch, mutant)
+        exact = protocol.readers
+
+        def checked_readers(config, g, u, move, moves):
+            named = exact(config, g, u, move, moves)
+            assert set(named) <= set(readers_by_rule(config, g, u, move)), (u, move)
+            return named
+
+        monkeypatch.setattr(protocol, "readers", checked_readers)
         daemons = ["sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"]
         graphs = list(corpus_instances(8, 17))
         graphs += [
             generate_random_graph(trial, 5 + trial, 0.5, 4, component_hint=1 + trial % 2, root_id=1 + trial)
             for trial in range(4)
         ]
+        rootless_path = [(16 + i, 17 + i, 1) for i in range(4)]
+        graphs += [
+            build_graph(_grid_edges(4), 16, 0),
+            build_graph(_grid_edges(5), 25, 12),
+            build_graph(_grid_edges(4) + rootless_path, 21, 5),
+        ]
+        assert len(component_info(graphs[-1]).components) == 2
         checked = 0
         for trial, g in enumerate(graphs):
             start = random_configuration(g, trial, 4 * g.node_count)
@@ -518,11 +522,22 @@ class TestTraceOutput:
         assert traces >= 100 and split >= 10 and rooted_off_zero >= 20
         assert rules == set(Rule) and top >= 10
 
-    @pytest.mark.parametrize("spool_bytes", [engine._SPOOL_BYTES, 64], ids=["in memory", "spilled"])
-    def test_writer_matches_write_trace(self, monkeypatch, spool_bytes):
+    @pytest.mark.parametrize(
+        "spool_bytes, flush_bytes",
+        [
+            pytest.param(engine._SPOOL_BYTES, engine._FLUSH_BYTES, id="in memory"),
+            pytest.param(64, engine._FLUSH_BYTES, id="spilled"),
+            pytest.param(engine._SPOOL_BYTES, 1, id="flush every record"),
+            pytest.param(64, 300, id="records straddle flushes"),
+        ],
+    )
+    def test_writer_matches_write_trace(self, monkeypatch, spool_bytes, flush_bytes):
         # The writer fed live by ``run`` writes the bytes ``write_trace``
-        # writes from the kept steps, also once its records spill to disk.
+        # writes from the kept steps, also once its records spill to disk,
+        # when every record is written alone, and when a flush comes once
+        # a few records of 100 to 200 bytes pass 300.
         monkeypatch.setattr(engine, "_SPOOL_BYTES", spool_bytes)
+        monkeypatch.setattr(engine, "_FLUSH_BYTES", flush_bytes)
         for trial in range(12):
             g = generate_random_graph(trial, 6 + trial, 0.4, 4, root_id=trial % 6)
             start = random_configuration(g, trial, 4 * g.node_count)
@@ -535,6 +550,19 @@ class TestTraceOutput:
                     trace = run(start, g, CentralDaemon(trial), max_steps, consumers=[writer])
                     writer.finish(trace.terminated)
                 assert got.getvalue() == want.getvalue()
+
+    def test_writer_closed_without_finish_writes_nothing(self, monkeypatch):
+        # A run that raised is closed, never finished: the output stays
+        # empty, and the batch and the spilled spool are dropped.
+        monkeypatch.setattr(engine, "_SPOOL_BYTES", 64)
+        monkeypatch.setattr(engine, "_FLUSH_BYTES", 300)
+        g = generate_random_graph(3, 12, 0.4, 4)
+        start = random_configuration(g, 3, 48)
+        out = io.StringIO()
+        with contextlib.closing(engine.TraceWriter(out, start)) as writer:
+            trace = run(start, g, CentralDaemon(3), consumers=[writer])
+            assert trace.step_count > 10 and writer._batch
+        assert out.getvalue() == "" and writer._batch == [] and writer._records.closed
 
 
 def read_back(text):
