@@ -12,6 +12,7 @@ selections are evaluated.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Mapping
@@ -33,6 +34,15 @@ class DaemonPolicy:
     ``enabled`` are the engine's live state, read-only (``enabled`` rejects
     writes) and valid only during the call. A policy instance is bound to
     a single execution at a time (it keeps a step counter).
+
+    A policy may also define ``moves_changed(config, enabled, changed)``,
+    which ``engine.run`` looks up once per run and calls right before each
+    ``select``: with ``changed`` None before the first, and after that
+    with the processes the last step evaluated again, the only ones whose
+    move or state the step can have changed. Its arguments are valid only
+    during the call, as ``select``'s are. A wrapper that forwards only
+    ``select`` hides the hook, so a policy must not trust what it learned
+    from the hook unless the hook was called since its last ``select``.
     """
 
     name = "daemon"
@@ -46,7 +56,7 @@ class _SeededPolicy(DaemonPolicy):
     def __init__(self, seed: int):
         self.seed = seed
         self._stream = -1  # the n-th select (from 0) draws from stream n
-        self._random = random.Random()  # seeded again for every stream
+        self._random: random.Random | None = None  # built by the first draw
 
     def select(self, config, g, enabled):
         self._stream += 1
@@ -56,8 +66,13 @@ class _SeededPolicy(DaemonPolicy):
 
     def _rng(self) -> random.Random:
         """The policy's generator, seeded for this select's stream: the
-        draws of ``random.Random(key)``, without building one."""
-        self._random.seed((self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream)
+        draws of ``random.Random(key)``, without building one after the
+        first."""
+        key = (self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream
+        if self._random is None:
+            self._random = random.Random(key)
+        else:
+            self._random.seed(key)
         return self._random
 
 
@@ -121,23 +136,73 @@ class StarveCleanupDaemon(CentralDaemon):
         return frozenset(corrections)
 
 
+#: ``MaxChurnDaemon`` drops its heap's stale entries once the heap holds
+#: more than ``_HEAP_FACTOR`` times its current entries plus
+#: ``_HEAP_SLACK``, so stale entries do not grow with the step count.
+_HEAP_FACTOR = 2
+_HEAP_SLACK = 16
+
+
 class MaxChurnDaemon(CentralDaemon):
     """Fires the single process whose move shifts its distance value the
     most (smallest id on ties); one random enabled process when no
-    correction or reset is enabled."""
+    correction or reset is enabled.
+
+    It keeps a lazy max-heap of ``(-shift, u)`` entries, and ``_entry``
+    maps each process with a correction or reset to its newest entry: an
+    entry is current only while it is that very object. ``moves_changed``
+    pushes an entry for each changed process; a ``select`` with no
+    ``moves_changed`` call since the last one rebuilds the heap from
+    ``enabled`` instead of trusting it.
+    """
 
     name = "adv:max-churn"
 
-    def _choose(self, config, enabled):
-        best_u = best_delta = -1
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._heap: list[tuple[int, int]] = []
+        self._entry: dict[int, tuple[int, int]] = {}
+        self._fed = False  # moves_changed was called since the last select
+
+    def moves_changed(self, config, enabled, changed):
+        self._fed = True
+        if changed is None:
+            self._rebuild(config, enabled)
+            return
+        heap, entry = self._heap, self._entry
+        for u in changed:
+            move = enabled.get(u)
+            if move is not None and (move.rule is R_C or move.rule is R_R):
+                entry[u] = item = (-abs(move.state.d - config[u].d), u)
+                heapq.heappush(heap, item)
+            else:
+                entry.pop(u, None)
+        if len(heap) > _HEAP_FACTOR * len(entry) + _HEAP_SLACK:
+            heap[:] = [item for item in heap if entry.get(item[1]) is item]
+            heapq.heapify(heap)
+
+    def _rebuild(self, config, enabled):
+        entry = self._entry
+        entry.clear()
         for u, (rule, state) in enabled.items():
             if rule is R_C or rule is R_R:
-                delta = abs(state.d - config[u].d)
-                if delta > best_delta or (delta == best_delta and u < best_u):
-                    best_u, best_delta = u, delta
-        if best_u < 0:
+                entry[u] = (-abs(state.d - config[u].d), u)
+        self._heap = list(entry.values())
+        heapq.heapify(self._heap)
+
+    def select(self, config, g, enabled):
+        if not self._fed:
+            self._rebuild(config, enabled)
+        self._fed = False
+        return super().select(config, g, enabled)
+
+    def _choose(self, config, enabled):
+        heap, entry = self._heap, self._entry
+        while heap and entry.get(heap[0][1]) is not heap[0]:
+            heapq.heappop(heap)
+        if not heap:
             return super()._choose(config, enabled)
-        return frozenset({best_u})
+        return frozenset({heap[0][1]})
 
 
 def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:

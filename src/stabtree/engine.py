@@ -139,7 +139,9 @@ def run(
     again: those of the fired processes, and of the neighbours that
     ``protocol.readers`` names for each fired move. It is asked before the
     fired process writes its state, while the move map still holds every
-    answer from before the step.
+    answer from before the step. A policy with a ``moves_changed`` hook
+    (see ``DaemonPolicy``) is told, before each selection, which processes
+    were evaluated again.
     """
     validate_configuration(config, g)
     if max_steps is None:
@@ -155,7 +157,11 @@ def run(
     feeds = [consumer.step for consumer in consumers or ()]
     round_ends: list[int] = []
     count = 0
+    moves_changed = getattr(policy, "moves_changed", None)
+    affected = None  # before the first selection: every process
     while moves and count < max_steps:
+        if moves_changed is not None:
+            moves_changed(config, view, affected)
         selection = frozenset(policy.select(config, g, view))
         if not selection:
             raise SelectionError("selection must be nonempty")
@@ -322,14 +328,16 @@ def _header(initial: Configuration, terminated: bool, graph_name: str, seed: int
 def _step_record(index: int, fired: Mapping[int, Move]) -> str:
     """The record of step ``index``. Every step field is an int or a fixed
     ASCII name, so it is formatted directly, byte for byte as
-    ``json.dumps`` would write it."""
-    moves = sorted(fired.items())
+    ``json.dumps`` would write it, in one pass over the fired processes
+    in id order."""
+    selected, rules, posts = [], [], []
+    for u in sorted(fired):
+        rule, (status, par, d) = fired[u]
+        selected.append(str(u))
+        rules.append('"%d": "%s"' % (u, _RULE_NAME[rule]))
+        posts.append('"%d": ["%s", %d, %d]' % (u, _STATUS_NAME[status], par, d))
     return '{"type": "step", "index": %d, "selected": [%s], "fired": {%s}, "post": {%s}}\n' % (
-        index,
-        ", ".join([str(u) for u, _ in moves]),
-        ", ".join(['"%d": "%s"' % (u, _RULE_NAME[rule]) for u, (rule, _) in moves]),
-        ", ".join(['"%d": ["%s", %d, %d]' % (u, _STATUS_NAME[status], par, d)
-                   for u, (_, (status, par, d)) in moves]),
+        index, ", ".join(selected), ", ".join(rules), ", ".join(posts)
     )
 
 

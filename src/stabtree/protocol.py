@@ -144,10 +144,12 @@ def readers(config: Configuration, g: WeightedGraph, u: int, move: Move, moves: 
     three places only, and ``v`` is named when one of them can change:
 
     - ``ab_root(v)`` and the EB-parent test read ``u`` only if
-      ``par_v == u``: always named;
-    - an EB process's child scan reads ``u`` only if ``par_u == v``. It is
-      named when ``u`` starts or stops holding it up: a child of ``v``, in
-      status C or EB, with ``d_u >= d_v + w``;
+      ``par_v == u``, and only when ``v`` is not in status EB: then always
+      named;
+    - an EB process's guard is its child scan alone, which reads ``u``
+      only if ``par_u == v``. It is named when ``u`` starts or stops
+      holding it up: a child of ``v``, in status C or EB, with
+      ``d_u >= d_v + w``;
     - the cheapest-C scan reads ``u``'s offer ``d_u + w`` only while ``u``
       is in status C. If ``v``'s recorded ``R_C`` or ``R_R`` parent is
       ``u``, or ``u`` now ties or beats it, ``v`` is named; a tie counts,
@@ -158,11 +160,12 @@ def readers(config: Configuration, g: WeightedGraph, u: int, move: Move, moves: 
       offered.
 
     When several neighbours of ``v`` fire in one step, each is judged
-    against the same recorded answer. If none names ``v``, its parent did
-    not fire, its standing as an EB parent did not change, and its recorded
-    best offer did not fire while every changed offer is worse: so ``v``
-    keeps the recorded answer. A change to how a guard reads its
-    neighbours must change this function with it.
+    against the same recorded answer. If none names ``v``, its standing as
+    an EB parent did not change, and, unless ``v`` is in status EB, its
+    parent did not fire and its recorded best offer did not fire while
+    every changed offer is worse: so ``v`` keeps the recorded answer. A
+    change to how a guard reads its neighbours must change this function
+    with it.
     """
     su, pu, du = config[u]
     sn, pn, dn = move.state
@@ -172,11 +175,11 @@ def readers(config: Configuration, g: WeightedGraph, u: int, move: Move, moves: 
     named = []
     for v, w in g.adjacency[u].items():
         sv, pv, dv = config[v]
-        if pv == u:
-            named.append(v)
-        elif sv is S_EB:
+        if sv is S_EB:
             if (pu == v and old_blocks and du >= dv + w) != (pn == v and new_blocks and dn >= dv + w):
                 named.append(v)
+        elif pv == u:
+            named.append(v)
         elif offers:
             mv = moves.get(v)
             if mv is not None and (mv.rule is R_C or mv.rule is R_R):

@@ -138,6 +138,20 @@ def readers_by_rule(config, g, u, move):
     return list(g.adjacency[u])
 
 
+def max_churn_by_scan(config, enabled):
+    """Test-side reference for ``MaxChurnDaemon``'s argmax, the scan of
+    every enabled move it ran at each step before it kept a heap: the
+    process whose correction or reset shifts its distance the most,
+    smallest id on ties, or None when no correction or reset is enabled."""
+    best_u = best_delta = -1
+    for u, (rule, state) in enabled.items():
+        if rule is Rule.R_C or rule is Rule.R_R:
+            delta = abs(state.d - config[u].d)
+            if delta > best_delta or (delta == best_delta and u < best_u):
+                best_u, best_delta = u, delta
+    return None if best_u < 0 else best_u
+
+
 #: One letter per rule, and the rule pattern every (node, segment) word of
 #: fired rules must match: at most one isolate, one rejoin, any number of
 #: corrections, one freeze broadcast and one freeze acknowledgement, in

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from stabtree import daemon as daemon_module
+from stabtree.cli import corpus_instances
 from stabtree.daemon import (
     CentralDaemon,
     DaemonPolicy,
@@ -21,7 +23,7 @@ from stabtree.engine import enabled, normal_initial_configuration, random_config
 from stabtree.graph import build_graph, component_info, generate_random_graph
 from stabtree.protocol import Rule, Status
 
-from conftest import mk_config, reference_path, replay
+from conftest import max_churn_by_scan, mk_config, reference_path, replay
 
 
 @pytest.fixture
@@ -191,6 +193,113 @@ class TestAdversarialReference:
                 assert got.steps == want.steps, (trial, seed)
                 assert got.round_ends == want.round_ends, (trial, seed)
         assert split >= 10
+
+
+class ChurnCheck(DaemonPolicy):
+    """Runs a ``MaxChurnDaemon`` and checks each of its selections against
+    ``max_churn_by_scan``. It forwards ``moves_changed`` only when
+    ``forward`` is set; otherwise it forwards ``select`` alone, as a
+    timing wrapper does, and the daemon never sees the hook."""
+
+    def __init__(self, inner, forward):
+        self.inner = inner
+        self.checked = 0
+        if forward:
+            self.moves_changed = inner.moves_changed
+
+    def select(self, config, g, enabled):
+        want = max_churn_by_scan(config, enabled)
+        got = self.inner.select(config, g, enabled)
+        assert got == {want} if want is not None else len(got) == 1, (self.checked, want, got)
+        self.checked += 1
+        return got
+
+
+def _churn_instances():
+    """(name, graph, start) for the max-churn checks: a corpus sample,
+    perfbench's ``large`` 240-path and 16x16 grid (weights 1 to 3 and
+    starts drawn as there, before its relabelling), a graph with a rootless
+    component, and CI's churn30 grid with its start."""
+    out = []
+    for i, g in enumerate(corpus_instances(12, 1)):
+        w_max = max(w for adj in g.adjacency for w in adj.values())
+        out.append((f"corpus-{i}", g, random_configuration(g, i, w_max * g.node_count)))
+    shape = random.Random(0)
+    path = [(i, i + 1, shape.randint(1, 3)) for i in range(239)]
+    grid = []
+    for r in range(16):
+        for c in range(16):
+            u = r * 16 + c
+            if c + 1 < 16:
+                grid.append((u, u + 1, shape.randint(1, 3)))
+            if r + 1 < 16:
+                grid.append((u, u + 16, shape.randint(1, 3)))
+    for name, edges, n in (("large-path", path, 240), ("large-grid", grid, 256)):
+        g = build_graph(edges, n, 0)
+        out.append((name, g, random_configuration(g, shape.randrange(2**32), 3 * n)))
+    rootless = build_graph([(0, 1, 2), (1, 2, 1), (0, 3, 3), (4, 5, 1), (5, 6, 2), (6, 4, 1)], 7, 2)
+    assert len(component_info(rootless).components) == 2
+    out.append(("rootless", rootless, random_configuration(rootless, 5, 20)))
+    grid30 = []
+    for r in range(30):
+        for c in range(30):
+            u = r * 30 + c
+            if c + 1 < 30:
+                grid30.append((u, u + 1, 1 + (r + 2 * c) % 3))
+            if r + 1 < 30:
+                grid30.append((u, u + 30, 1 + (2 * r + c) % 3))
+    g = build_graph(grid30, 900, 0)
+    out.append(("churn30", g, random_configuration(g, 3, 2700)))
+    return out
+
+
+class TestMaxChurnHeap:
+    def test_selects_what_the_scan_selects(self):
+        # At every step, fed by the hook and behind a select-only wrapper
+        # alike, the daemon picks the scan's process; both runs are the
+        # same execution.
+        checked = 0
+        for trial, (name, g, start) in enumerate(_churn_instances()):
+            traces = []
+            for forward in (True, False):
+                policy = ChurnCheck(MaxChurnDaemon(trial), forward)
+                traces.append(run(start, g, policy))
+                checked += policy.checked
+            fed, hidden = traces
+            assert fed.steps == hidden.steps and fed.round_ends == hidden.round_ends, name
+        assert checked > 20_000
+
+    def test_heap_stays_bounded(self):
+        # On churn30's 6 990 steps the heap would keep one stale entry per
+        # re-evaluated process; compaction holds it to a constant multiple
+        # of the current entries at every step.
+        _, g, start = _churn_instances()[-1]
+        daemon = MaxChurnDaemon(1)
+        sizes = []
+
+        class Watch(ChurnCheck):
+            def select(self, config, g, enabled):
+                heap, entry = daemon._heap, daemon._entry
+                bound = daemon_module._HEAP_FACTOR * len(entry) + daemon_module._HEAP_SLACK
+                assert len(entry) <= len(enabled) and len(heap) <= bound
+                sizes.append(len(heap))
+                return super().select(config, g, enabled)
+
+        trace = run(start, g, Watch(daemon, forward=True))
+        assert trace.terminated and trace.step_count > 5_000
+        assert len(daemon._heap) <= daemon_module._HEAP_SLACK
+        assert max(sizes) < trace.step_count // 10
+
+    def test_stale_heap_is_not_trusted(self, star):
+        # A daemon fed by one run and then selecting without the hook (a
+        # wrapper, or a new run behind one) scans instead of popping the
+        # heap the hook last built.
+        daemon = MaxChurnDaemon(0)
+        high = mk_config(star, n1=(Status.C, 0, 10), n2=(Status.C, 0, 3))
+        daemon.moves_changed(high, enabled(high, star), None)
+        assert daemon.select(high, star, enabled(high, star)) == {1}
+        low = mk_config(star, n1=(Status.C, 0, 3), n2=(Status.C, 0, 10))
+        assert daemon.select(low, star, enabled(low, star)) == {2}
 
 
 class TestForcedSelection:

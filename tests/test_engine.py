@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -523,24 +524,45 @@ class TestTraceOutput:
         assert rules == set(Rule) and top >= 10
 
     @pytest.mark.parametrize(
-        "spool_bytes, flush_bytes",
+        "spool_bytes, flush_bytes, descending",
         [
-            pytest.param(engine._SPOOL_BYTES, engine._FLUSH_BYTES, id="in memory"),
-            pytest.param(64, engine._FLUSH_BYTES, id="spilled"),
-            pytest.param(engine._SPOOL_BYTES, 1, id="flush every record"),
-            pytest.param(64, 300, id="records straddle flushes"),
+            pytest.param(engine._SPOOL_BYTES, engine._FLUSH_BYTES, False, id="in memory"),
+            pytest.param(64, engine._FLUSH_BYTES, False, id="spilled"),
+            pytest.param(engine._SPOOL_BYTES, 1, False, id="flush every record"),
+            pytest.param(64, 300, False, id="records straddle flushes"),
+            pytest.param(engine._SPOOL_BYTES, engine._FLUSH_BYTES, True, id="several fired out of id order"),
         ],
     )
-    def test_writer_matches_write_trace(self, monkeypatch, spool_bytes, flush_bytes):
+    def test_writer_matches_write_trace(self, monkeypatch, spool_bytes, flush_bytes, descending):
         # The writer fed live by ``run`` writes the bytes ``write_trace``
         # writes from the kept steps, also once its records spill to disk,
         # when every record is written alone, and when a flush comes once
-        # a few records of 100 to 200 bytes pass 300.
+        # a few records of 100 to 200 bytes pass 300. ``descending`` feeds
+        # the writer synchronous steps with each step's moves in descending
+        # id order, and checks its bytes against json.dumps of the same
+        # records too: the one-pass formatter sorts by id and joins the
+        # three fields in the same order.
         monkeypatch.setattr(engine, "_SPOOL_BYTES", spool_bytes)
         monkeypatch.setattr(engine, "_FLUSH_BYTES", flush_bytes)
+        several = 0
         for trial in range(12):
             g = generate_random_graph(trial, 6 + trial, 0.4, 4, root_id=trial % 6)
             start = random_configuration(g, trial, 4 * g.node_count)
+            if descending:
+                kwargs = {"graph_name": "g.g", "seed": trial, "daemon": "sync"}
+                kept = run(start, g, SynchronousDaemon())
+                steps = [dict(sorted(fired.items(), reverse=True)) for fired in kept.steps]
+                several += sum(len(fired) > 2 for fired in steps)
+                trace = dataclasses.replace(kept, steps=steps)
+                want, reference, got = io.StringIO(), io.StringIO(), io.StringIO()
+                write_trace(trace, want, **kwargs)
+                reference_write_trace(trace, reference, **kwargs)
+                with contextlib.closing(engine.TraceWriter(got, start, **kwargs)) as writer:
+                    for fired in steps:
+                        writer.step(None, fired, False)
+                    writer.finish(trace.terminated)
+                assert got.getvalue() == want.getvalue() == reference.getvalue(), trial
+                continue
             kwargs = {"graph_name": "g.g", "seed": trial, "daemon": "central"}
             for max_steps in (None, 3):
                 want = io.StringIO()
@@ -550,6 +572,7 @@ class TestTraceOutput:
                     trace = run(start, g, CentralDaemon(trial), max_steps, consumers=[writer])
                     writer.finish(trace.terminated)
                 assert got.getvalue() == want.getvalue()
+        assert several >= 20 or not descending
 
     def test_writer_closed_without_finish_writes_nothing(self, monkeypatch):
         # A run that raised is closed, never finished: the output stays
