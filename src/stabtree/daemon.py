@@ -30,15 +30,17 @@ class DaemonPolicy:
 
     ``enabled`` maps each enabled node id to its :class:`~.protocol.Move`:
     the rule it would fire and the state that rule would write. The
-    returned set must be a nonempty subset of its keys. Both ``config`` and
-    ``enabled`` are the engine's live state, read-only (``enabled`` rejects
-    writes) and valid only during the call. A policy instance is bound to
-    a single execution at a time (it keeps a step counter).
+    returned set must be a nonempty subset of its keys; ``engine.run``
+    refuses any other. Both ``config`` and ``enabled`` are the engine's
+    live state, read-only (``enabled`` rejects writes) and valid only
+    during the call. A policy instance is bound to a single execution at
+    a time (it keeps a step counter).
 
     A policy may also define ``moves_changed(config, enabled, changed)``,
     which ``engine.run`` looks up once per run and calls right before each
-    ``select``: with ``changed`` None before the first, and after that
-    with the processes the last step evaluated again, the only ones whose
+    ``select``: with ``changed`` None before the first, so a policy reused
+    across runs learns there that a new run began, and after that with
+    the processes the last step evaluated again, the only ones whose
     move or state the step can have changed. Its arguments are valid only
     during the call, as ``select``'s are. A wrapper that forwards only
     ``select`` hides the hook, so a policy must not trust what it learned
@@ -69,6 +71,7 @@ class _SeededPolicy(DaemonPolicy):
         draws of ``random.Random(key)``, without building one after the
         first."""
         key = (self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream
+        key = max(key, ~key)  # Random(key) seeds with abs(key): seeds s and -s - 2 would share stream 0
         if self._random is None:
             self._random = random.Random(key)
         else:
@@ -136,8 +139,8 @@ class StarveCleanupDaemon(CentralDaemon):
         return frozenset(corrections)
 
 
-#: ``MaxChurnDaemon`` drops its heap's stale entries once the heap holds
-#: more than ``_HEAP_FACTOR`` times its current entries plus
+#: ``MaxChurnDaemon`` rebuilds its heap from the enabled moves once the
+#: heap holds more than ``_HEAP_FACTOR`` times their number plus
 #: ``_HEAP_SLACK``, so stale entries do not grow with the step count.
 _HEAP_FACTOR = 2
 _HEAP_SLACK = 16
@@ -148,12 +151,13 @@ class MaxChurnDaemon(CentralDaemon):
     most (smallest id on ties); one random enabled process when no
     correction or reset is enabled.
 
-    It keeps a lazy max-heap of ``(-shift, u)`` entries, and ``_entry``
-    maps each process with a correction or reset to its newest entry: an
-    entry is current only while it is that very object. ``moves_changed``
-    pushes an entry for each changed process; a ``select`` with no
-    ``moves_changed`` call since the last one rebuilds the heap from
-    ``enabled`` instead of trusting it.
+    It keeps a lazy max-heap of ``(-shift, u)`` entries: ``moves_changed``
+    pushes one for each changed process with a correction or reset, so
+    every current move has its entry, and ``_choose`` pops the top until
+    its shift is the one ``enabled[u]`` and ``config[u]`` give now, what a
+    scan gives. The heap is rebuilt from ``enabled`` on the hook's None
+    call, on a ``select`` with no hook call since the last one, and once
+    it outgrows the bound above.
     """
 
     name = "adv:max-churn"
@@ -161,33 +165,26 @@ class MaxChurnDaemon(CentralDaemon):
     def __init__(self, seed: int):
         super().__init__(seed)
         self._heap: list[tuple[int, int]] = []
-        self._entry: dict[int, tuple[int, int]] = {}
         self._fed = False  # moves_changed was called since the last select
 
     def moves_changed(self, config, enabled, changed):
         self._fed = True
-        if changed is None:
-            self._rebuild(config, enabled)
-            return
-        heap, entry = self._heap, self._entry
-        for u in changed:
-            move = enabled.get(u)
-            if move is not None and (move.rule is R_C or move.rule is R_R):
-                entry[u] = item = (-abs(move.state.d - config[u].d), u)
-                heapq.heappush(heap, item)
-            else:
-                entry.pop(u, None)
-        if len(heap) > _HEAP_FACTOR * len(entry) + _HEAP_SLACK:
-            heap[:] = [item for item in heap if entry.get(item[1]) is item]
-            heapq.heapify(heap)
+        if changed is not None:
+            heap = self._heap
+            for u in changed:
+                move = enabled.get(u)
+                if move is not None and (move.rule is R_C or move.rule is R_R):
+                    heapq.heappush(heap, (-abs(move.state.d - config[u].d), u))
+            if len(heap) <= _HEAP_FACTOR * len(enabled) + _HEAP_SLACK:
+                return
+        self._rebuild(config, enabled)
 
     def _rebuild(self, config, enabled):
-        entry = self._entry
-        entry.clear()
-        for u, (rule, state) in enabled.items():
-            if rule is R_C or rule is R_R:
-                entry[u] = (-abs(state.d - config[u].d), u)
-        self._heap = list(entry.values())
+        self._heap = [
+            (-abs(state.d - config[u].d), u)
+            for u, (rule, state) in enabled.items()
+            if rule is R_C or rule is R_R
+        ]
         heapq.heapify(self._heap)
 
     def select(self, config, g, enabled):
@@ -197,12 +194,14 @@ class MaxChurnDaemon(CentralDaemon):
         return super().select(config, g, enabled)
 
     def _choose(self, config, enabled):
-        heap, entry = self._heap, self._entry
-        while heap and entry.get(heap[0][1]) is not heap[0]:
+        heap = self._heap
+        while heap:
+            shift, u = heap[0]
+            rule, state = enabled.get(u, (None, None))
+            if (rule is R_C or rule is R_R) and -shift == abs(state.d - config[u].d):
+                return frozenset({u})
             heapq.heappop(heap)
-        if not heap:
-            return super()._choose(config, enabled)
-        return frozenset({heap[0][1]})
+        return super()._choose(config, enabled)
 
 
 def parse_daemon_spec(spec: str, seed: int = 0) -> DaemonPolicy:

@@ -22,8 +22,8 @@ from .protocol import ROOT_STATE, S_I, Configuration, Move, ProcessState, Rule, 
 
 
 class SelectionError(ValueError):
-    """The daemon broke its contract: an empty selection, or one with a
-    process that is not enabled."""
+    """A daemon broke its contract (``run`` names the step): an empty
+    selection, or one with a process that has no enabled move."""
 
 
 class ConfigurationError(ValueError):
@@ -126,7 +126,9 @@ def run(
 ) -> ExecutionTrace:
     """Drive ``policy`` until a terminal configuration or ``max_steps``.
 
-    This loop is the package's one step path. After each step it calls
+    This loop is the package's one step path and the one judge of a
+    selection: one that is empty or names a process with no enabled move
+    raises ``SelectionError`` naming the step. After each step it calls
     ``consumer.step(config, fired, round_closed)`` on each of
     ``consumers`` (the live configuration, valid only during the call, the
     fired moves by node, and whether the step closed a round); given
@@ -141,7 +143,7 @@ def run(
     fired process writes its state, while the move map still holds every
     answer from before the step. A policy with a ``moves_changed`` hook
     (see ``DaemonPolicy``) is told, before each selection, which processes
-    were evaluated again.
+    were evaluated again (None before the first, as a new run begins).
     """
     validate_configuration(config, g)
     if max_steps is None:
@@ -164,14 +166,14 @@ def run(
             moves_changed(config, view, affected)
         selection = frozenset(policy.select(config, g, view))
         if not selection:
-            raise SelectionError("selection must be nonempty")
+            raise SelectionError(f"step {count}: selection must be nonempty")
         fired: dict[int, Move] = {}
         affected = set(selection)
         for u in selection:
             move = moves.get(u)
             if move is None:
                 idle = sorted(v for v in selection if v not in moves)
-                raise SelectionError(f"selected processes {idle} are not enabled")
+                raise SelectionError(f"step {count}: selected processes {idle} are not enabled")
             fired[u] = move
             affected.update(readers(config, g, u, move, moves))
             config[u] = move.state
@@ -203,8 +205,9 @@ def run(
 
 
 class _RecordedSelections:
-    """The daemon of a replay: each recorded step in turn, refused by index
-    if it selects no process, a process not enabled, or another move."""
+    """The daemon of a replay: each recorded step in turn. ``run`` judges
+    the selection; this refuses only what ``run`` cannot see, a missing
+    step and a recorded move other than the one the protocol computes."""
 
     def __init__(self, steps):
         self._steps = enumerate(steps)
@@ -213,16 +216,13 @@ class _RecordedSelections:
         index, fired = next(self._steps, (None, None))
         if fired is None:
             raise ValueError(f"the trace records no step, yet processes {sorted(enabled)} are enabled")
-        if not fired:
-            raise SelectionError(f"step {index}: selection must be nonempty")
         for u, move in fired.items():
-            if u not in enabled:
-                raise SelectionError(f"step {index}: process {u} is not enabled")
-            if enabled[u] != move:
+            computed = enabled.get(u)
+            if computed is not None and computed != move:
                 text = "{} to ({}, {}, {})".format
                 raise SelectionError(
                     f"step {index}: process {u} records {text(move.rule, *move.state)}, "
-                    f"the protocol computes {text(enabled[u].rule, *enabled[u].state)}"
+                    f"the protocol computes {text(computed.rule, *computed.state)}"
                 )
         return fired
 

@@ -705,7 +705,7 @@ def foreign_traces():
         "disabled process selected": (
             replace(trace, steps=[*steps[:2], {**steps[2], idle: Move(Rule.R_C, pre[idle])}, *steps[3:]]),
             SelectionError,
-            f"step 2: process {idle} is not enabled",
+            f"step 2: selected processes [{idle}] are not enabled",
         ),
         "empty step": (
             replace(trace, steps=[*steps[:2], {}, *steps[3:]]),

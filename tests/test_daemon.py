@@ -33,8 +33,10 @@ def star():
 
 
 def _stream(seed, n):
-    """The generator a seeded daemon's n-th selection (from 0) draws from."""
-    return random.Random((seed + 1) * 0x9E3779B97F4A7C15 + n)
+    """The generator a seeded daemon's n-th selection (from 0) draws from:
+    its key, or ``~key`` where the key is negative."""
+    key = (seed + 1) * 0x9E3779B97F4A7C15 + n
+    return random.Random(key if key >= 0 else ~key)
 
 
 class TestSynchronous:
@@ -70,11 +72,24 @@ class TestCentral:
     def test_nth_call_draws_from_stream_n(self, star):
         config = normal_initial_configuration(star)
         rules = enabled(config, star)
-        for seed in range(5):
+        for seed in range(-4, 5):
             daemon = CentralDaemon(seed)
             picks = [daemon.select(config, star, rules) for _ in range(20)]
             assert picks == [{_stream(seed, n).choice([1, 2])} for n in range(20)]
             assert len(set(picks)) == 2
+
+    def test_negative_seeds_draw_their_own_streams(self):
+        # Random(key) seeds with abs(key), so with the key passed as it is,
+        # seeds s and -s - 2 would share stream 0: on this instance seeds 3
+        # and -5 would both fire node 7 first, and 4 and -6 node 3.
+        for seed in range(8):
+            assert _stream(seed, 0).getstate() != _stream(-seed - 2, 0).getstate()
+        g = generate_random_graph(5, 14, 0.4, 3)
+        start = random_configuration(g, 9, 40)
+        rules = enabled(start, g)
+        first = {seed: CentralDaemon(seed).select(start, g, rules) for seed in (3, -5, 4, -6)}
+        assert first[3] == {7} and first[4] == {3}
+        assert first[-5] != first[3] and first[-6] != first[4]
 
 
 class TestRandomDistributed:
@@ -269,19 +284,28 @@ class TestMaxChurnHeap:
             assert fed.steps == hidden.steps and fed.round_ends == hidden.round_ends, name
         assert checked > 20_000
 
+    def test_reused_daemon_selects_what_the_scan_selects(self):
+        # One daemon, fed by the hook, runs corpus instances back to back.
+        # The hook's None call before each run's first selection is how it
+        # learns that a new run began; a daemon that trusted the heap the
+        # last run left would pick from another graph's moves.
+        policy = ChurnCheck(MaxChurnDaemon(0), forward=True)
+        for i, g in enumerate(corpus_instances(30, 1)):
+            run(random_configuration(g, i, component_info(g).w_max * g.node_count), g, policy)
+        assert policy.checked > 500
+
     def test_heap_stays_bounded(self):
         # On churn30's 6 990 steps the heap would keep one stale entry per
-        # re-evaluated process; compaction holds it to a constant multiple
-        # of the current entries at every step.
+        # re-evaluated process; rebuilding it holds it to a constant
+        # multiple of the enabled moves at every step.
         _, g, start = _churn_instances()[-1]
         daemon = MaxChurnDaemon(1)
         sizes = []
 
         class Watch(ChurnCheck):
             def select(self, config, g, enabled):
-                heap, entry = daemon._heap, daemon._entry
-                bound = daemon_module._HEAP_FACTOR * len(entry) + daemon_module._HEAP_SLACK
-                assert len(entry) <= len(enabled) and len(heap) <= bound
+                heap = daemon._heap
+                assert len(heap) <= daemon_module._HEAP_FACTOR * len(enabled) + daemon_module._HEAP_SLACK
                 sizes.append(len(heap))
                 return super().select(config, g, enabled)
 
@@ -293,13 +317,15 @@ class TestMaxChurnHeap:
     def test_stale_heap_is_not_trusted(self, star):
         # A daemon fed by one run and then selecting without the hook (a
         # wrapper, or a new run behind one) scans instead of popping the
-        # heap the hook last built.
+        # heap the hook last built. That heap holds (-9, 1) and (-2, 2):
+        # node 1's shift is now 4, so popping would stop at node 2, whose
+        # shift is still 2.
         daemon = MaxChurnDaemon(0)
         high = mk_config(star, n1=(Status.C, 0, 10), n2=(Status.C, 0, 3))
         daemon.moves_changed(high, enabled(high, star), None)
         assert daemon.select(high, star, enabled(high, star)) == {1}
-        low = mk_config(star, n1=(Status.C, 0, 3), n2=(Status.C, 0, 10))
-        assert daemon.select(low, star, enabled(low, star)) == {2}
+        low = mk_config(star, n1=(Status.C, 0, 5), n2=(Status.C, 0, 3))
+        assert daemon.select(low, star, enabled(low, star)) == {1}
 
 
 class TestForcedSelection:

@@ -196,7 +196,7 @@ class TestRun:
             def select(self, config, g, enabled):
                 return frozenset()
 
-        with pytest.raises(SelectionError, match=r"^selection must be nonempty$"):
+        with pytest.raises(SelectionError, match=r"^step 0: selection must be nonempty$"):
             run(normal_initial_configuration(path3), path3, Idle())
 
     def test_disabled_selection_rejected(self, path3):
@@ -206,7 +206,7 @@ class TestRun:
 
         start = normal_initial_configuration(path3)
         assert 2 not in enabled(start, path3)
-        with pytest.raises(SelectionError, match=r"^selected processes \[2\] are not enabled$"):
+        with pytest.raises(SelectionError, match=r"^step 0: selected processes \[2\] are not enabled$"):
             run(start, path3, Reckless())
 
     def test_default_step_budget_skips_hop_diameter(self):
@@ -247,7 +247,7 @@ class TestRun:
 
         start = normal_initial_configuration(path3)
         assert enabled(start, path3).keys() == {1}
-        with pytest.raises(SelectionError, match=r"^selected processes \[1\] are not enabled$"):
+        with pytest.raises(SelectionError, match=r"^step 1: selected processes \[1\] are not enabled$"):
             run(start, path3, Stale())
 
     def test_policy_cannot_write_enabled(self, path3):
