@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from . import analysis, engine, explorer
 from .analysis import CheckResult
 from .daemon import DaemonSpecError, parse_daemon_spec
-from .graph import WeightedGraph, component_info, generate_random_graph, load_graph
+from .graph import WeightedGraph, component_info, generate_random_graph, hop_diameter_aside, load_graph
 from .protocol import Configuration
 
 EXIT_OK = 0
@@ -114,7 +114,13 @@ def cmd_run(args) -> int:
         if trace_out:
             writer = engine.TraceWriter(trace_out, config, graph_name=args.graph, seed=args.seed, daemon=policy.name)
             consumers.append(outputs.enter_context(contextlib.closing(writer)))
-        trace = engine.run(config, g, policy, args.max_steps, consumers)
+        # The round bound's D is computed beside the run where that hides
+        # work. The walk has memoised the components and the root's sweep,
+        # so the child starts from them; only a terminated run's report reads D.
+        with hop_diameter_aside(g) as collect:
+            trace = engine.run(config, g, policy, args.max_steps, consumers)
+            if trace.terminated:
+                collect()
         if trace_out:
             writer.finish(trace.terminated)
         results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))

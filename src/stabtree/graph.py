@@ -7,14 +7,17 @@ machine, so they can serve as ground truth in checks.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import math
+import os
 import random
+import signal
 from dataclasses import dataclass, field
 from operator import itemgetter, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 #: Sentinel for "no path"; compares above every finite distance.
 INFINITY = math.inf
@@ -129,7 +132,69 @@ def _per_graph(oracle):
             value = g._oracles[key] = oracle(g)
         return value
 
+    cached.memo_key = key
     return cached
+
+
+@contextlib.contextmanager
+def hop_diameter_aside(g: WeightedGraph) -> Iterator[Callable[[], None]]:
+    """Compute :func:`hop_diameter_root` of ``g`` in a forked child while
+    the block runs, and yield ``collect``: it reads the child's D, reaps the
+    child and memoises D on ``g``. Leaving the block without calling
+    ``collect`` kills and reaps the child. Where the platform has no fork,
+    the fork fails or the child gives no D, the memo stays empty and D is
+    computed inline at its first use, as without the block.
+
+    The child ends only through ``os._exit``, so it never returns into the
+    caller's code, flushes the output buffers it inherited or runs the
+    caller's cleanup. It inherits every oracle memoised before the block.
+
+    No child is forked where it would hide nothing: when the root's sweep
+    already reaches ``|V_r| - 1`` hops, the bound D cannot exceed, so D
+    needs no further sweep (a root alone, a path rooted at an end); and
+    when this process may run on one CPU only, where the child's sweeps
+    take the parent's CPU. The fork itself is not free: the parent pays a
+    copy-on-write fault for each page it writes afterwards.
+    """
+    hops = [k % g.node_count for k in _root_keys(g) if k != INFINITY]  # of V_r, by the root's sweep
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if max(hops) == len(hops) - 1 or cpus < 2:
+        yield lambda: None
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no fork on this platform, or none to spare
+        pid = None
+    if pid == 0:
+        status = 1
+        try:
+            os.write(write_end, b"%d" % hop_diameter_root(g))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    reaped = pid is None
+
+    def collect() -> None:
+        nonlocal reaped
+        if reaped:
+            return
+        with open(read_end, "rb", closefd=False) as pipe:
+            text = pipe.read()
+        os.waitpid(pid, 0)
+        reaped = True
+        if text.isdigit():
+            g._oracles[_HOP_DIAMETER_KEY] = int(text)
+
+    try:
+        yield collect
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(read_end)
 
 
 @_per_graph
@@ -305,6 +370,11 @@ def hop_diameter_root(g: WeightedGraph) -> int:
         adj = adj or _lex_adjacency(g)
         keys = get(_lex_dijkstra(adj, members[i]))
         sweeps += 1
+
+
+#: Where :func:`hop_diameter_aside` stores D, read once at import: a
+#: wrapper bound in the oracle's place later (a profiler's span) has no key.
+_HOP_DIAMETER_KEY = hop_diameter_root.memo_key
 
 
 def induced_subgraph(g: WeightedGraph, nodes: Iterable[int]) -> WeightedGraph:

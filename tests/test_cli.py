@@ -1,11 +1,13 @@
 import json
 import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from stabtree import protocol
+from stabtree import cli, graph, protocol
 from stabtree.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -16,11 +18,13 @@ from stabtree.cli import (
     corpus_instances,
     main,
 )
-from stabtree.engine import ConfigurationError, normal_initial_configuration
+from stabtree.daemon import DaemonPolicy
+from stabtree.engine import ConfigurationError, SelectionError, normal_initial_configuration
 from stabtree.graph import build_graph, format_graph, save_graph
 from stabtree.protocol import Status
 
 from conftest import mk_config, never_ef
+from test_graph import _large_grid
 
 
 @pytest.fixture
@@ -165,6 +169,153 @@ class TestRunCommand:
         verdicts = [json.loads(line) for line in report_path.read_text().splitlines()]
         assert {v["check"] for v in verdicts} >= {"terminated", "final_legitimate"}
         assert all(v["verdict"] == "PASS" for v in verdicts)
+
+
+#: Graphs whose round bound reads D: perfbench's relabelled 16x16 grid, a
+#: weighted root component (D = 3) beside a rootless one, and a root alone
+#: (D = 0).
+ASIDE_GRAPHS = {
+    "large-grid": _large_grid(1),
+    "rootless-component": build_graph([(0, 1, 2), (1, 2, 3), (0, 3, 1), (4, 5, 2), (5, 6, 1)], 7, 0),
+    "root-alone": build_graph([(1, 2, 2)], 3, 0),
+}
+
+
+def _child_oracle(monkeypatch, before):
+    """Wrap the oracle the forked child calls, as a span tracer would, so
+    that the child calls ``before()`` ahead of the real oracle. The
+    parent's inline D goes through ``analysis``, which holds the real
+    oracle, and only a process other than the parent calls ``before``."""
+    parent, real = os.getpid(), graph.hop_diameter_root
+
+    def oracle(g):
+        if os.getpid() != parent:
+            before()
+        return real(g)
+
+    monkeypatch.setattr(graph, "hop_diameter_root", oracle)
+
+
+def _raise():
+    raise RuntimeError("the child's oracle failed")
+
+
+def _record_waits(monkeypatch):
+    """Wrap ``os.waitpid``; the returned list gets each reaped child's status."""
+    statuses, real = [], os.waitpid
+
+    def waitpid(pid, options):
+        reaped, status = real(pid, options)
+        if reaped:
+            statuses.append(status)
+        return reaped, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return statuses
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHopDiameterAside:
+    """``stabtree run`` computes D in a forked child while the execution
+    runs, and falls back to computing it inline."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The child is forked only where the process may run on a second CPU.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("case", ["end-rooted-path", "root-alone", "one-cpu"])
+    def test_no_child_where_it_hides_nothing(self, case, tmp_path, monkeypatch, capsys):
+        g = {
+            # The root's sweep reaches |V_r| - 1 hops, so D needs no other sweep.
+            "end-rooted-path": build_graph([(u, u + 1, 1 + u % 3) for u in range(9)], 10, 0),
+            "root-alone": ASIDE_GRAPHS["root-alone"],
+            "one-cpu": ASIDE_GRAPHS["rootless-component"],
+        }[case]
+        graph_path = tmp_path / "g.g"
+        save_graph(g, graph_path)
+        argv = ["run", "-g", str(graph_path), "--init", "rand:3:20", "-d", "central", "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        forked = capsys.readouterr().out
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise OSError("counted, not forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == forked and forks == []
+
+    @pytest.mark.parametrize("name", ASIDE_GRAPHS)
+    def test_same_bytes_with_and_without_the_child(self, name, tmp_path, monkeypatch, capsys):
+        graph_path = tmp_path / "g.g"
+        save_graph(ASIDE_GRAPHS[name], graph_path)
+        sweeps = []
+        real_sweep = graph._lex_dijkstra
+        monkeypatch.setattr(graph, "_lex_dijkstra", lambda adj, src: sweeps.append(src) or real_sweep(adj, src))
+
+        def no_fork():
+            raise OSError("no process to spare")
+
+        modes = {
+            "child": lambda m: None,
+            "child-through-a-wrapper": lambda m: _child_oracle(m, lambda: None),
+            "fork-raises": lambda m: m.setattr(os, "fork", no_fork),
+            "no-fork": lambda m: m.delattr(os, "fork"),
+            "child-oracle-raises": lambda m: _child_oracle(m, _raise),
+        }
+        argv = ["run", "-g", str(graph_path), "--init", "rand:3:20", "-d", "central", "--seed", "1"]
+        outputs = {}
+        for mode, patch in modes.items():
+            trace, report = tmp_path / f"{mode}.trace", tmp_path / f"{mode}.jsonl"
+            sweeps.clear()
+            with monkeypatch.context() as m:
+                patch(m)
+                code = main([*argv, "--trace", str(trace), "--report", str(report)])
+            captured = capsys.readouterr()
+            outputs[mode] = (code, captured.out, captured.err, trace.read_bytes(), report.read_bytes())
+            if mode in ("child", "child-through-a-wrapper"):
+                # The parent swept only from the root, before the fork.
+                assert len(sweeps) == 1
+            _assert_no_child_left()
+        assert outputs["child"][0] == EXIT_OK and "round_bound       PASS" in outputs["child"][1]
+        assert all(out == outputs["child"] for out in outputs.values())
+
+    @pytest.mark.parametrize("case", ["terminated", "truncated", "refused-selection"])
+    def test_no_process_is_left(self, case, tmp_path, monkeypatch, capsys):
+        graph_path = tmp_path / "grid.g"
+        save_graph(ASIDE_GRAPHS["large-grid"], graph_path)
+        argv = ["run", "-g", str(graph_path), "--init", "rand:3:20"]
+        if case != "terminated":
+            # Held up, the child is still computing when the block ends.
+            _child_oracle(monkeypatch, lambda: time.sleep(60))
+        statuses = _record_waits(monkeypatch)
+        if case == "truncated":
+            assert main([*argv, "--max-steps", "1"]) == EXIT_CHECK_FAILED
+        elif case == "refused-selection":
+
+            class Idle(DaemonPolicy):
+                def select(self, config, g, enabled):
+                    return frozenset()
+
+            monkeypatch.setattr(cli, "parse_daemon_spec", lambda spec, seed: Idle())
+            with pytest.raises(SelectionError):
+                main(argv)
+        else:
+            assert main(argv) == EXIT_OK
+        _assert_no_child_left()
+        (status,) = statuses
+        if case == "terminated":
+            assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        else:
+            assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
 
 class TestExploreCommand:

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import random
 import tracemalloc
 
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from stabtree import engine, protocol
-from stabtree.cli import corpus_instances
+from stabtree.cli import bench_corpus, corpus_instances
 from stabtree.daemon import CentralDaemon, DaemonPolicy, SynchronousDaemon, parse_daemon_spec
 from stabtree.engine import (
     ConfigurationError,
     SelectionError,
+    check_trace,
     enabled,
     format_configuration,
     load_configuration,
@@ -26,7 +28,8 @@ from stabtree.engine import (
     validate_configuration,
     write_trace,
 )
-from stabtree.graph import build_graph, component_info, generate_random_graph, root_distances
+from stabtree.explorer import certify_instance
+from stabtree.graph import build_graph, component_info, generate_random_graph, hop_diameter_root, root_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, enabled_rule
 
 from conftest import (
@@ -209,15 +212,30 @@ class TestRun:
         with pytest.raises(SelectionError, match=r"^step 0: selected processes \[2\] are not enabled$"):
             run(start, path3, Reckless())
 
-    def test_default_step_budget_skips_hop_diameter(self):
+    def test_default_step_budget_skips_hop_diameter(self, monkeypatch, path3):
         # The step bound needs only n_max_cc and w_max; the all-pairs hop
-        # diameter is for the round bound alone.
+        # diameter is for the round bound alone. Only ``stabtree run``
+        # computes it in a forked child; no library function forks.
+        forks = []
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError("no fork expected")
+
+        monkeypatch.setattr(os, "fork", fork)
         n = 1200
         g = build_graph([(u, u + 1, 1) for u in range(n - 1)], n, 0)
         trace = run(normal_initial_configuration(g), g, SynchronousDaemon())
         assert trace.terminated
         assert "component_info" in g._oracles
         assert "hop_diameter_root" not in g._oracles
+        check_trace(trace, g)
+        assert "hop_diameter_root" not in g._oracles
+        # Those that read D compute it inline.
+        bench_corpus(2, 7, ["sync", "adv:churn"])
+        certify_instance(path3, 1)
+        assert hop_diameter_root(g) == n - 1
+        assert forks == []
 
     def test_trace_holds_no_per_step_configurations(self):
         # 1000 nodes and 1106 steps: one stored configuration per step
