@@ -106,14 +106,19 @@ def cmd_run(args) -> int:
                 {"-g": args.graph, "--init": args.init[len("file:"):] if args.init.startswith("file:") else None},
                 {"--trace": args.trace, "--report": args.report},
             )
+            # The writer opens its temporary file here, so an unusable temp
+            # directory is an input error before the first step.
+            writer = None
+            if trace_out:
+                writer = engine.TraceWriter(
+                    trace_out, config, graph_name=args.graph, seed=args.seed, daemon=policy.name
+                )
+                outputs.enter_context(contextlib.closing(writer))
         except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         walk = analysis.TraceWalk(config, g)
-        consumers = [walk]
-        if trace_out:
-            writer = engine.TraceWriter(trace_out, config, graph_name=args.graph, seed=args.seed, daemon=policy.name)
-            consumers.append(outputs.enter_context(contextlib.closing(writer)))
+        consumers = [walk, writer] if writer else [walk]
         # The round bound's D is computed beside the run where that hides
         # work. The walk has memoised the components and the root's sweep,
         # so the child starts from them; only a terminated run's report reads D.
@@ -121,7 +126,7 @@ def cmd_run(args) -> int:
             trace = engine.run(config, g, policy, args.max_steps, consumers)
             if trace.terminated:
                 collect()
-        if trace_out:
+        if writer:
             writer.finish(trace.terminated)
         results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))
         print(f"steps={trace.step_count} rounds={trace.rounds} terminated={trace.terminated}")

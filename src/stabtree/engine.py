@@ -359,55 +359,29 @@ def write_trace(
         fh.write(_step_record(i, fired))
 
 
-#: Bytes of step records a ``TraceWriter`` holds in memory before it
-#: moves them to a temporary file.
-_SPOOL_BYTES = 4 << 20
-
-#: Bytes of formatted records a ``TraceWriter`` joins before one write to
-#: its spool. A size, not a record count, keeps the batch small however
-#: many processes fire per step.
-_FLUSH_BYTES = 64 << 10
-
-
 class TraceWriter:
     """A ``run`` consumer that writes the trace file as the steps fire.
 
     The header holds ``terminated``, known only at the end, and comes
-    first. So each step's record is formatted as the step fires, the
-    records are joined into one write to a spooled temporary file once
-    they reach ``_FLUSH_BYTES``, and ``finish`` writes the header and
-    copies the records after it: the bytes ``write_trace`` writes.
-    ``close`` releases the spooled file.
+    first. So each step's record is written as the step fires to a
+    temporary file, opened when the writer is built, and ``finish``
+    writes the header and copies the records after it: the bytes
+    ``write_trace`` writes. ``close`` closes the temporary file.
     """
 
     def __init__(self, fh: IO[str], initial: Configuration, *, graph_name="", seed=None, daemon=""):
         self._fh, self._initial, self._header = fh, initial, (graph_name, seed, daemon)
-        self._records = tempfile.SpooledTemporaryFile(_SPOOL_BYTES, mode="w+", encoding="ascii")
-        self._batch: list[str] = []
-        self._batch_bytes = 0
+        self._records = tempfile.TemporaryFile("w+", encoding="ascii")
         self._index = 0
 
     def step(self, config, fired: Mapping[int, Move], round_closed: bool) -> None:
-        record = _step_record(self._index, fired)
+        self._records.write(_step_record(self._index, fired))
         self._index += 1
-        self._batch.append(record)
-        self._batch_bytes += len(record)  # ASCII: one byte per character
-        if self._batch_bytes >= _FLUSH_BYTES:
-            self._flush()
-
-    def _flush(self) -> None:
-        self._records.write("".join(self._batch))
-        self._batch.clear()
-        self._batch_bytes = 0
 
     def finish(self, terminated: bool) -> None:
-        self._flush()
         self._fh.write(_header(self._initial, terminated, *self._header))
         self._records.seek(0)
         shutil.copyfileobj(self._records, self._fh)
 
     def close(self) -> None:
-        """Drop the records, batched or spooled, and the spool's temporary
-        file if any."""
-        self._batch.clear()
         self._records.close()

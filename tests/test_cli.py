@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import tempfile
 import time
 
 import pytest
@@ -169,6 +170,20 @@ class TestRunCommand:
         verdicts = [json.loads(line) for line in report_path.read_text().splitlines()]
         assert {v["check"] for v in verdicts} >= {"terminated", "final_legitimate"}
         assert all(v["verdict"] == "PASS" for v in verdicts)
+
+    def test_unusable_temp_dir_refused_before_any_step(self, path3_file, tmp_path, monkeypatch, capsys):
+        # The trace writer opens its temporary file before the run starts,
+        # so a temp directory it cannot use is one error line and exit 2,
+        # never a traceback in the middle of the run.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        trace_path = tmp_path / "out.trace"
+        code = main(["run", "-g", path3_file, "--init", "rand:3:6", "--trace", str(trace_path)])
+        assert code == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(tmp_path / "missing") in captured.err
+        assert not trace_path.exists() or trace_path.read_text() == ""
 
 
 #: Graphs whose round bound reads D: perfbench's relabelled 16x16 grid, a

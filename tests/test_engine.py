@@ -542,26 +542,15 @@ class TestTraceOutput:
         assert rules == set(Rule) and top >= 10
 
     @pytest.mark.parametrize(
-        "spool_bytes, flush_bytes, descending",
-        [
-            pytest.param(engine._SPOOL_BYTES, engine._FLUSH_BYTES, False, id="in memory"),
-            pytest.param(64, engine._FLUSH_BYTES, False, id="spilled"),
-            pytest.param(engine._SPOOL_BYTES, 1, False, id="flush every record"),
-            pytest.param(64, 300, False, id="records straddle flushes"),
-            pytest.param(engine._SPOOL_BYTES, engine._FLUSH_BYTES, True, id="several fired out of id order"),
-        ],
+        "descending", [pytest.param(False, id="run-fed"), pytest.param(True, id="several fired out of id order")]
     )
-    def test_writer_matches_write_trace(self, monkeypatch, spool_bytes, flush_bytes, descending):
+    def test_writer_matches_write_trace(self, descending):
         # The writer fed live by ``run`` writes the bytes ``write_trace``
-        # writes from the kept steps, also once its records spill to disk,
-        # when every record is written alone, and when a flush comes once
-        # a few records of 100 to 200 bytes pass 300. ``descending`` feeds
-        # the writer synchronous steps with each step's moves in descending
-        # id order, and checks its bytes against json.dumps of the same
-        # records too: the one-pass formatter sorts by id and joins the
-        # three fields in the same order.
-        monkeypatch.setattr(engine, "_SPOOL_BYTES", spool_bytes)
-        monkeypatch.setattr(engine, "_FLUSH_BYTES", flush_bytes)
+        # writes from the kept steps. ``descending`` feeds the writer
+        # synchronous steps with each step's moves in descending id order,
+        # and checks its bytes against json.dumps of the same records too:
+        # the one-pass formatter sorts by id and joins the three fields in
+        # the same order.
         several = 0
         for trial in range(12):
             g = generate_random_graph(trial, 6 + trial, 0.4, 4, root_id=trial % 6)
@@ -592,18 +581,16 @@ class TestTraceOutput:
                 assert got.getvalue() == want.getvalue()
         assert several >= 20 or not descending
 
-    def test_writer_closed_without_finish_writes_nothing(self, monkeypatch):
+    def test_writer_closed_without_finish_writes_nothing(self):
         # A run that raised is closed, never finished: the output stays
-        # empty, and the batch and the spilled spool are dropped.
-        monkeypatch.setattr(engine, "_SPOOL_BYTES", 64)
-        monkeypatch.setattr(engine, "_FLUSH_BYTES", 300)
+        # empty, and the temporary file that held the records is closed.
         g = generate_random_graph(3, 12, 0.4, 4)
         start = random_configuration(g, 3, 48)
         out = io.StringIO()
         with contextlib.closing(engine.TraceWriter(out, start)) as writer:
             trace = run(start, g, CentralDaemon(3), consumers=[writer])
-            assert trace.step_count > 10 and writer._batch
-        assert out.getvalue() == "" and writer._batch == [] and writer._records.closed
+            assert trace.step_count > 10 and writer._records.tell() > 0
+        assert out.getvalue() == "" and writer._records.closed
 
 
 def read_back(text):
