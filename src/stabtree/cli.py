@@ -101,19 +101,18 @@ def cmd_run(args) -> int:
             g = load_graph(args.graph)
             config = build_initial_config(args.init, g)
             policy = parse_daemon_spec(args.daemon, args.seed)
+            # The writer makes its temporary file before any output is
+            # opened, so an unusable temp directory is an input error that
+            # leaves every output path as it was.
+            writer = None
+            if args.trace:
+                writer = engine.TraceWriter(config, graph_name=args.graph, seed=args.seed, daemon=policy.name)
+                outputs.enter_context(contextlib.closing(writer))
             trace_out, report_out = _open_outputs(
                 outputs,
                 {"-g": args.graph, "--init": args.init[len("file:"):] if args.init.startswith("file:") else None},
                 {"--trace": args.trace, "--report": args.report},
             )
-            # The writer opens its temporary file here, so an unusable temp
-            # directory is an input error before the first step.
-            writer = None
-            if trace_out:
-                writer = engine.TraceWriter(
-                    trace_out, config, graph_name=args.graph, seed=args.seed, daemon=policy.name
-                )
-                outputs.enter_context(contextlib.closing(writer))
         except INPUT_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
@@ -127,7 +126,7 @@ def cmd_run(args) -> int:
             if trace.terminated:
                 collect()
         if writer:
-            writer.finish(trace.terminated)
+            writer.finish(trace_out, trace.terminated)
         results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))
         print(f"steps={trace.step_count} rounds={trace.rounds} terminated={trace.terminated}")
         _print_report(results)
@@ -200,11 +199,12 @@ def bench_corpus(count: int, seed: int, daemons: Iterable[str]) -> list[BenchRun
         info = component_info(g)
         d_cap = max(1, info.w_max * g.node_count)
         init = engine.random_configuration(g, rng.randrange(2**32), d_cap)
+        first = engine.start(init, g)  # validated and evaluated once for every daemon
         step_limit, round_limit = analysis.step_bound_for(g), analysis.round_bound_for(g)
         for spec in daemons:
             policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
             walk = analysis.TraceWalk(init, g)
-            trace = engine.run(init, g, policy, consumers=[walk])
+            trace = engine.run(first, g, policy, consumers=[walk])
             results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))
             failures = [r.name for r in results if not r.ok]
             runs.append(

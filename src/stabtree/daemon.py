@@ -69,13 +69,14 @@ class _SeededPolicy(DaemonPolicy):
     def _rng(self) -> random.Random:
         """The policy's generator, seeded for this select's stream: the
         draws of ``random.Random(key)``, without building one after the
-        first."""
+        first. It reseeds through the C-level ``seed``: the Python wrapper
+        adds only a reset of ``gauss_next``, which no policy reads."""
         key = (self.seed + 1) * 0x9E3779B97F4A7C15 + self._stream
         key = max(key, ~key)  # Random(key) seeds with abs(key): seeds s and -s - 2 would share stream 0
         if self._random is None:
             self._random = random.Random(key)
         else:
-            self._random.seed(key)
+            super(random.Random, self._random).seed(key)
         return self._random
 
 

@@ -38,6 +38,9 @@ def normal_initial_configuration(g: WeightedGraph) -> Configuration:
     )
 
 
+_STATUSES = tuple(Status)
+
+
 def random_configuration(g: WeightedGraph, seed: int, d_cap: int) -> Configuration:
     """Seeded arbitrary configuration: any status, any neighbor-or-self
     parent, any distance in [0, d_cap]."""
@@ -49,7 +52,7 @@ def random_configuration(g: WeightedGraph, seed: int, d_cap: int) -> Configurati
         if u == g.root_id:
             states.append(ROOT_STATE)
             continue
-        status = rng.choice(list(Status))
+        status = rng.choice(_STATUSES)
         par = rng.choice(sorted(g.adjacency[u]) + [u])
         states.append(ProcessState(status, par, rng.randint(0, d_cap)))
     return tuple(states)
@@ -86,6 +89,23 @@ def enabled(config: Configuration, g: WeightedGraph) -> dict[int, Move]:
     return moves
 
 
+@dataclass(frozen=True)
+class Start:
+    """A validated initial configuration of ``g`` and its enabled moves,
+    read-only. Built by ``start``; ``run`` starts from a copy of the
+    moves, so one ``Start`` serves any number of runs on ``g``."""
+
+    config: Configuration
+    g: WeightedGraph
+    moves: Mapping[int, Move]
+
+
+def start(config: Configuration, g: WeightedGraph) -> Start:
+    """Validate ``config`` on ``g`` and evaluate every guard, once."""
+    validate_configuration(config, g)
+    return Start(tuple(config), g, MappingProxyType(enabled(config, g)))
+
+
 @dataclass
 class ExecutionTrace:
     """An execution as the trace file holds it: the initial configuration
@@ -118,13 +138,17 @@ def default_max_steps(g: WeightedGraph) -> int:
 
 
 def run(
-    config: Configuration,
+    config: Configuration | Start,
     g: WeightedGraph,
     policy,
     max_steps: int | None = None,
     consumers=None,
 ) -> ExecutionTrace:
     """Drive ``policy`` until a terminal configuration or ``max_steps``.
+
+    ``config`` is a configuration, which ``run`` validates and evaluates
+    through ``start``, or a ``Start`` of ``g``, whose work it reuses; a
+    ``Start`` of another graph raises ``ValueError``.
 
     This loop is the package's one step path and the one judge of a
     selection: one that is empty or names a process with no enabled move
@@ -145,16 +169,19 @@ def run(
     (see ``DaemonPolicy``) is told, before each selection, which processes
     were evaluated again (None before the first, as a new run begins).
     """
-    validate_configuration(config, g)
+    if not isinstance(config, Start):
+        config = start(config, g)
+    elif config.g is not g:
+        raise ValueError("the Start was evaluated on another graph")
     if max_steps is None:
         max_steps = default_max_steps(g)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     readers = protocol.readers
-    moves = enabled(config, g)
+    moves = dict(config.moves)
     view = MappingProxyType(moves)
     pending = set(moves)
-    initial, config = config, list(config)
+    initial, config = config.config, list(config.config)
     steps: list[dict[int, Move]] | None = None if consumers else []
     feeds = [consumer.step for consumer in consumers or ()]
     round_ends: list[int] = []
@@ -236,9 +263,9 @@ def check_trace(trace: ExecutionTrace, g: WeightedGraph) -> analysis.TraceReport
         raise ValueError("check_trace needs the trace's steps; run kept none, as it fed consumers")
     if len(trace.steps) != trace.step_count:
         raise ValueError(f"the trace records {len(trace.steps)} steps and a step_count of {trace.step_count}")
-    validate_configuration(trace.initial, g)  # before the walk reads it
-    walk = analysis.TraceWalk(trace.initial, g)
-    replay = run(trace.initial, g, _RecordedSelections(trace.steps), max(1, trace.step_count), [walk])
+    first = start(trace.initial, g)  # validated before the walk reads it
+    walk = analysis.TraceWalk(first.config, g)
+    replay = run(first, g, _RecordedSelections(trace.steps), max(1, trace.step_count), [walk])
     for field in ("step_count", "round_ends", "terminated"):
         if getattr(replay, field) != getattr(trace, field):
             raise ValueError(f"the trace records {field}={getattr(trace, field)}, the replay {getattr(replay, field)}")
@@ -364,13 +391,14 @@ class TraceWriter:
 
     The header holds ``terminated``, known only at the end, and comes
     first. So each step's record is written as the step fires to a
-    temporary file, opened when the writer is built, and ``finish``
-    writes the header and copies the records after it: the bytes
-    ``write_trace`` writes. ``close`` closes the temporary file.
+    temporary file, opened when the writer is built, and ``finish(fh,
+    terminated)`` writes the header to ``fh`` and copies the records after
+    it: the bytes ``write_trace`` writes. ``close`` closes the temporary
+    file.
     """
 
-    def __init__(self, fh: IO[str], initial: Configuration, *, graph_name="", seed=None, daemon=""):
-        self._fh, self._initial, self._header = fh, initial, (graph_name, seed, daemon)
+    def __init__(self, initial: Configuration, *, graph_name="", seed=None, daemon=""):
+        self._initial, self._header = initial, (graph_name, seed, daemon)
         self._records = tempfile.TemporaryFile("w+", encoding="ascii")
         self._index = 0
 
@@ -378,10 +406,10 @@ class TraceWriter:
         self._records.write(_step_record(self._index, fired))
         self._index += 1
 
-    def finish(self, terminated: bool) -> None:
-        self._fh.write(_header(self._initial, terminated, *self._header))
+    def finish(self, fh: IO[str], terminated: bool) -> None:
+        fh.write(_header(self._initial, terminated, *self._header))
         self._records.seek(0)
-        shutil.copyfileobj(self._records, self._fh)
+        shutil.copyfileobj(self._records, fh)
 
     def close(self) -> None:
         self._records.close()

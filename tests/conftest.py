@@ -1,13 +1,16 @@
 import itertools
 import json
+import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import pytest
 
-from stabtree import protocol
+from stabtree import analysis, engine, protocol
 from stabtree.analysis import TraceWalk, _alive_ab_root, _local_facts, legitimate_state
+from stabtree.cli import BenchRun, corpus_instances
+from stabtree.daemon import parse_daemon_spec
 from stabtree.engine import check_trace, run
 from stabtree.graph import INFINITY, build_graph, component_info, root_distances, root_hop_distances
 from stabtree.protocol import ROOT_STATE, Move, ProcessState, Rule, Status, ab_root, enabled_rule
@@ -656,3 +659,33 @@ def reference_write_trace(trace, fh, *, graph_name="", seed=None, daemon="") -> 
             )
             + "\n"
         )
+
+
+def bench_corpus_by_run(count, seed, daemons):
+    """Test-side reference for ``cli.bench_corpus``, as it stood before
+    the daemons of an instance shared one ``engine.Start``: each run is
+    given the initial configuration, and validates it and evaluates its
+    guards itself."""
+    runs = []
+    rng = random.Random(seed ^ 0x5BD1E995)
+    for idx, g in enumerate(corpus_instances(count, seed)):
+        d_cap = max(1, component_info(g).w_max * g.node_count)
+        init = engine.random_configuration(g, rng.randrange(2**32), d_cap)
+        for spec in daemons:
+            policy = parse_daemon_spec(spec, seed=rng.randrange(2**32))
+            walk = TraceWalk(init, g)
+            trace = engine.run(init, g, policy, consumers=[walk])
+            results = analysis.full_trace_report(trace, g, walk.report(trace.terminated))
+            runs.append(
+                BenchRun(
+                    instance=idx,
+                    daemon=spec,
+                    n=g.node_count,
+                    steps=trace.step_count,
+                    rounds=trace.rounds,
+                    step_limit=analysis.step_bound_for(g),
+                    round_limit=analysis.round_bound_for(g),
+                    failures=[r.name for r in results if not r.ok],
+                )
+            )
+    return runs

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from stabtree import cli, graph, protocol
+from stabtree import cli, engine, graph, protocol
 from stabtree.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -24,8 +24,11 @@ from stabtree.engine import ConfigurationError, SelectionError, normal_initial_c
 from stabtree.graph import build_graph, format_graph, save_graph
 from stabtree.protocol import Status
 
-from conftest import mk_config, never_ef
+from conftest import NEIGHBOURHOOD_MUTANTS, bench_corpus_by_run, mk_config, never_ef, use_mutant
 from test_graph import _large_grid
+
+#: The daemons ``stabtree bench`` sweeps by default.
+BENCH_DAEMONS = cli.build_parser().parse_args(["bench"]).daemons.split(",")
 
 
 @pytest.fixture
@@ -172,18 +175,31 @@ class TestRunCommand:
         assert all(v["verdict"] == "PASS" for v in verdicts)
 
     def test_unusable_temp_dir_refused_before_any_step(self, path3_file, tmp_path, monkeypatch, capsys):
-        # The trace writer opens its temporary file before the run starts,
-        # so a temp directory it cannot use is one error line and exit 2,
-        # never a traceback in the middle of the run.
+        # The trace writer opens its temporary file before the run starts
+        # and before any output is opened, so a temp directory it cannot
+        # use is one error line and exit 2, never a traceback in the middle
+        # of the run, and an existing trace or report keeps its bytes.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-        trace_path = tmp_path / "out.trace"
-        code = main(["run", "-g", path3_file, "--init", "rand:3:6", "--trace", str(trace_path)])
-        assert code == EXIT_PARSE_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert str(tmp_path / "missing") in captured.err
-        assert not trace_path.exists() or trace_path.read_text() == ""
+        trace_path, report_path = tmp_path / "out.trace", tmp_path / "out.jsonl"
+        for existing in (True, False):
+            if existing:
+                trace_path.write_bytes(b"an earlier trace\n")
+                report_path.write_bytes(b"an earlier report\n")
+            else:
+                trace_path.unlink()
+                report_path.unlink()
+            argv = ["run", "-g", path3_file, "--init", "rand:3:6", "--trace", str(trace_path)]
+            code = main(argv + ["--report", str(report_path)])
+            assert code == EXIT_PARSE_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(tmp_path / "missing") in captured.err
+            if existing:
+                assert trace_path.read_bytes() == b"an earlier trace\n"
+                assert report_path.read_bytes() == b"an earlier report\n"
+            else:
+                assert not trace_path.exists() and not report_path.exists()
 
 
 #: Graphs whose round bound reads D: perfbench's relabelled 16x16 grid, a
@@ -466,6 +482,25 @@ class TestCorpus:
         b = bench_corpus(3, 7, ["sync", "adv:churn"])
         assert a == b
         assert all(not r.failures for r in a)
+
+    @pytest.mark.parametrize("mutant", NEIGHBOURHOOD_MUTANTS)
+    def test_shared_start_matches_a_start_per_run(self, monkeypatch, mutant):
+        # Every daemon's run from the instance's one Start gives what a run
+        # given the configuration itself gives, on 50 corpus seeds. A
+        # mutant's runs need not terminate, so they get 300 steps each.
+        use_mutant(monkeypatch, mutant)
+        if mutant != "protocol":
+            monkeypatch.setattr(engine, "default_max_steps", lambda g: 300)
+        for seed in range(50):
+            assert bench_corpus(1, seed, BENCH_DAEMONS) == bench_corpus_by_run(1, seed, BENCH_DAEMONS), seed
+
+    def test_bench_evaluates_each_start_once(self, monkeypatch):
+        evaluated = []
+        full = engine.enabled
+        monkeypatch.setattr(engine, "enabled", lambda config, g: evaluated.append(g) or full(config, g))
+        runs = bench_corpus(6, 11, BENCH_DAEMONS)
+        assert len(runs) == 30 and len(evaluated) == 6
+        assert evaluated == list(corpus_instances(6, 11))
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,27 @@ class TestCentral:
             assert picks == [{_stream(seed, n).choice([1, 2])} for n in range(20)]
             assert len(set(picks)) == 2
 
+    def test_reseeded_generator_draws_what_a_new_one_draws(self):
+        # After its first draw a policy reseeds its generator through the
+        # C-level seed, skipping random.Random.seed's Python wrapper; the
+        # draws must be those of random.Random(key) on every Python.
+        draws = {
+            "getrandbits": lambda rng: [rng.getrandbits(k) for k in (1, 7, 32, 64, 100)],
+            "random": lambda rng: [rng.random() for _ in range(5)],
+            "choice": lambda rng: [rng.choice(range(n)) for n in (1, 2, 3, 17, 1000)],
+        }
+        for seed in range(-4, 4):
+            daemon = CentralDaemon(seed)
+            daemon._stream = 99
+            built = daemon._rng()
+            built.random()  # moved off its seed
+            for stream in range(4):
+                for name, draw in draws.items():
+                    daemon._stream = stream
+                    rng = daemon._rng()
+                    assert rng is built  # reseeded, not rebuilt
+                    assert draw(rng) == draw(_stream(seed, stream)), (seed, stream, name)
+
     def test_negative_seeds_draw_their_own_streams(self):
         # Random(key) seeds with abs(key), so with the key passed as it is,
         # seeds s and -s - 2 would share stream 0: on this instance seeds 3

@@ -380,13 +380,90 @@ class TestValidateConfiguration:
         ids=["length", "root-state", "status", "parent-range", "parent-type"],
     )
     def test_rejected(self, triangle, config, message):
-        with pytest.raises(ConfigurationError) as exc_info:
-            validate_configuration(config, triangle)
-        assert str(exc_info.value) == message
+        for check in (validate_configuration, engine.start):
+            with pytest.raises(ConfigurationError) as exc_info:
+                check(config, triangle)
+            assert str(exc_info.value) == message
 
     def test_negative_random_cap_rejected(self, triangle):
         with pytest.raises(ConfigurationError, match=r"^d_cap must be >= 0, got -1$"):
             random_configuration(triangle, 0, -1)
+
+
+class _FailsAtStep(DaemonPolicy):
+    """Selects every enabled process until step ``at``, then the root,
+    which is never enabled."""
+
+    def __init__(self, at):
+        self.at, self.count = at, 0
+
+    def select(self, config, g, enabled):
+        self.count += 1
+        return frozenset({g.root_id} if self.count > self.at else enabled)
+
+
+class _WritesEnabled(DaemonPolicy):
+    """Tries to overwrite and delete an enabled move before each
+    selection, then selects what the wrapped policy selects."""
+
+    def __init__(self, inner):
+        self.inner, self.refused = inner, 0
+
+    def select(self, config, g, enabled):
+        u = min(enabled)
+        with pytest.raises(TypeError):
+            enabled[u] = None
+        with pytest.raises(TypeError):
+            del enabled[u]
+        self.refused += 1
+        return self.inner.select(config, g, enabled)
+
+
+class TestStart:
+    def test_runs_from_one_start_are_runs_from_its_configuration(self):
+        # Two runs from one Start give the trace a run given the
+        # configuration gives, and leave the Start's moves as they were.
+        for trial in range(12):
+            g = generate_random_graph(trial, 6 + trial, 0.5, 3, component_hint=1 + trial % 2)
+            config = random_configuration(g, trial, 3 * g.node_count)
+            first = engine.start(config, g)
+            assert first.config == config and first.g is g
+            assert dict(first.moves) == enabled(config, g)
+            for spec in ("sync", "central", "rand:p=0.5", "adv:starve", "adv:churn"):
+                want = run(config, g, parse_daemon_spec(spec, trial))
+                assert run(first, g, parse_daemon_spec(spec, trial)) == want
+                assert run(first, g, parse_daemon_spec(spec, trial)) == want
+                assert dict(first.moves) == enabled(config, g)
+
+    def test_moves_survive_a_failed_run_and_a_writing_policy(self):
+        g = generate_random_graph(4, 12, 0.4, 3)
+        config = random_configuration(g, 4, 36)
+        first = engine.start(config, g)
+        moves = dict(first.moves)
+        assert len(moves) > 2
+        with pytest.raises(SelectionError, match=r"^step 3: selected processes \[\d+\] are not enabled$"):
+            run(first, g, _FailsAtStep(3))
+        assert dict(first.moves) == moves
+        writer = _WritesEnabled(CentralDaemon(4))
+        trace = run(first, g, writer)
+        assert writer.refused == trace.step_count > 0
+        assert dict(first.moves) == moves
+        assert trace == run(config, g, CentralDaemon(4))
+        with pytest.raises(TypeError):
+            first.moves[min(moves)] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.moves = {}
+
+    def test_start_of_another_graph_refused(self, path3):
+        # The same node count, so the configuration would validate on it;
+        # an equal graph built again is another graph too.
+        other = build_graph([(0, 2, 1), (2, 1, 1)], 3, 0)
+        rebuilt = build_graph([(0, 1, 1), (1, 2, 1)], 3, 0)
+        assert rebuilt == path3
+        first = engine.start(normal_initial_configuration(path3), path3)
+        for g in (other, rebuilt):
+            with pytest.raises(ValueError, match="^the Start was evaluated on another graph$"):
+                run(first, g, SynchronousDaemon())
 
 
 class MoveMapCheck(DaemonPolicy):
@@ -564,10 +641,10 @@ class TestTraceOutput:
                 want, reference, got = io.StringIO(), io.StringIO(), io.StringIO()
                 write_trace(trace, want, **kwargs)
                 reference_write_trace(trace, reference, **kwargs)
-                with contextlib.closing(engine.TraceWriter(got, start, **kwargs)) as writer:
+                with contextlib.closing(engine.TraceWriter(start, **kwargs)) as writer:
                     for fired in steps:
                         writer.step(None, fired, False)
-                    writer.finish(trace.terminated)
+                    writer.finish(got, trace.terminated)
                 assert got.getvalue() == want.getvalue() == reference.getvalue(), trial
                 continue
             kwargs = {"graph_name": "g.g", "seed": trial, "daemon": "central"}
@@ -575,9 +652,9 @@ class TestTraceOutput:
                 want = io.StringIO()
                 write_trace(run(start, g, CentralDaemon(trial), max_steps), want, **kwargs)
                 got = io.StringIO()
-                with contextlib.closing(engine.TraceWriter(got, start, **kwargs)) as writer:
+                with contextlib.closing(engine.TraceWriter(start, **kwargs)) as writer:
                     trace = run(start, g, CentralDaemon(trial), max_steps, consumers=[writer])
-                    writer.finish(trace.terminated)
+                    writer.finish(got, trace.terminated)
                 assert got.getvalue() == want.getvalue()
         assert several >= 20 or not descending
 
@@ -587,7 +664,7 @@ class TestTraceOutput:
         g = generate_random_graph(3, 12, 0.4, 4)
         start = random_configuration(g, 3, 48)
         out = io.StringIO()
-        with contextlib.closing(engine.TraceWriter(out, start)) as writer:
+        with contextlib.closing(engine.TraceWriter(start)) as writer:
             trace = run(start, g, CentralDaemon(3), consumers=[writer])
             assert trace.step_count > 10 and writer._records.tell() > 0
         assert out.getvalue() == "" and writer._records.closed
